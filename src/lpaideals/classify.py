@@ -23,7 +23,6 @@ from .graphs import (
     condition_l,
     downward_directed,
     enumerate_hereditary_saturated,
-    maximal_tails,
     quotient_graph,
     strong_csp,
 )
@@ -83,11 +82,15 @@ def _enumerate_pairs(graph: Graph, bound: int):
     return pairs
 
 
-def all_ideals_graded(graph: Graph) -> PredicateResult:
-    """Every ideal is graded exactly when every cycle has two return paths."""
+def _condition_k(name: str, graph: Graph) -> PredicateResult:
     holds, bad = condition_k(graph)
     witness = None if holds else {"condition": "K", "cycle": bad.to_json()}
-    return PredicateResult("all_ideals_graded", holds, witness)
+    return PredicateResult(name, holds, witness)
+
+
+def all_ideals_graded(graph: Graph) -> PredicateResult:
+    """Every ideal is graded exactly when every cycle has two return paths."""
+    return _condition_k("all_ideals_graded", graph)
 
 
 def zero_completely_irreducible(graph: Graph) -> PredicateResult:
@@ -115,10 +118,9 @@ def every_proper_ideal_completely_irreducible(
     """All proper ideals completely irreducible: condition (K), the admissible
     pairs form a chain, and every proper quotient has the strong CSP."""
     name = "every_proper_ideal_completely_irreducible"
-    k_holds, bad = condition_k(graph)
-    if not k_holds:
-        return PredicateResult(name, False,
-                               {"condition": "K", "cycle": bad.to_json()})
+    k = _condition_k(name, graph)
+    if not k:
+        return k
     pairs = _enumerate_pairs(graph, bound)
     for p1, p2 in itertools.combinations(pairs, 2):
         if not (admissible_leq(p1, p2) or admissible_leq(p2, p1)):
@@ -144,10 +146,9 @@ def irreducible_equals_completely_irreducible(
     """Irreducible and completely irreducible ideals coincide: condition (K)
     plus the strong CSP on the quotient of every prime candidate pair."""
     name = "irreducible_equals_completely_irreducible"
-    k_holds, bad = condition_k(graph)
-    if not k_holds:
-        return PredicateResult(name, False,
-                               {"condition": "K", "cycle": bad.to_json()})
+    k = _condition_k(name, graph)
+    if not k:
+        return k
     everything = frozenset(graph.vertices)
     for hset in enumerate_hereditary_saturated(graph, bound):
         if hset == everything:
@@ -165,58 +166,15 @@ def irreducible_equals_completely_irreducible(
     return PredicateResult(name, True)
 
 
-def _induced_subgraph(graph: Graph, vertices) -> Graph:
-    keep = set(vertices)
-    return Graph(sorted(keep),
-                 [e for e in graph.edges if e.src in keep and e.dst in keep])
-
-
-def every_proper_ideal_product_of_comp_irred(
-        graph: Graph, bound: int = DEFAULT_ENUMERATION_BOUND) -> PredicateResult:
+def every_proper_ideal_product_of_comp_irred(graph: Graph) -> PredicateResult:
     """Every proper ideal is a product of completely irreducible ideals.
 
     Condition (K) plus, for every proper admissible pair, a cover of the
     quotient by maximal tails that each have the strong CSP.  With finitely
-    many vertices this is equivalent to condition (K) alone, which is
-    asserted rather than assumed.
+    many vertices the tail condition always holds, leaving condition (K);
+    oracles.products_of_comp_irred_walk walks the full definition.
     """
-    name = "every_proper_ideal_product_of_comp_irred"
-    k_holds, bad = condition_k(graph)
-    tails_ok = True
-    tail_witness = None
-    everything = frozenset(graph.vertices)
-    for pair in _enumerate_pairs(graph, bound):
-        if pair.vertices == everything:
-            continue
-        q = quotient_graph(graph, pair).graph
-        tails = maximal_tails(q)
-        covered = set()
-        for t in tails:
-            covered |= set(t)
-        if covered != set(q.vertices):
-            tails_ok = False
-            tail_witness = {"condition": "tail_cover", "pair": _pair_json(pair),
-                            "uncovered": sorted(set(q.vertices) - covered)}
-            break
-        for t in tails:
-            csp = strong_csp(_induced_subgraph(q, t), bound=2 * bound)
-            if not csp.holds:
-                tails_ok = False
-                tail_witness = {"condition": "tail_strong_csp",
-                                "pair": _pair_json(pair), "tail": sorted(t),
-                                **_csp_witness(csp)}
-                break
-        if not tails_ok:
-            break
-    verdict = k_holds and tails_ok
-    assert verdict == k_holds, \
-        "finite-vertex equivalence with condition (K) violated: " \
-        f"{tail_witness}"
-    witness = None
-    if not verdict:
-        witness = ({"condition": "K", "cycle": bad.to_json()}
-                   if not k_holds else tail_witness)
-    return PredicateResult(name, verdict, witness)
+    return _condition_k("every_proper_ideal_product_of_comp_irred", graph)
 
 
 _PREDICATES = (
@@ -230,13 +188,11 @@ _PREDICATES = (
 
 def classify_algebra(graph: Graph,
                      bound: int = DEFAULT_ENUMERATION_BOUND) -> AlgebraReport:
-    """Run all five predicates; the first two ignore the vertex bound."""
-    results = []
-    for fn in _PREDICATES:
-        if fn in (all_ideals_graded, zero_completely_irreducible):
-            results.append(fn(graph))
-        else:
-            results.append(fn(graph, bound))
+    """Run all five predicates, passing the vertex bound to the two that take one."""
+    bounded = (every_proper_ideal_completely_irreducible,
+               irreducible_equals_completely_irreducible)
+    results = [fn(graph, bound) if fn in bounded else fn(graph)
+               for fn in _PREDICATES]
     report = AlgebraReport(tuple(results))
     chain = report["every_proper_ideal_completely_irreducible"].verdict
     match = report["irreducible_equals_completely_irreducible"].verdict

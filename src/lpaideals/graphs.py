@@ -54,14 +54,15 @@ class Graph:
     __slots__ = ("vertices", "edges", "_vset", "_out", "_in", "_by_id")
 
     def __init__(self, vertices, edges):
+        vertices = list(vertices)
+        for v in vertices:
+            if not isinstance(v, str) or not v:
+                raise InvalidGraph(f"vertex id must be a nonempty string: {v!r}")
         vs = tuple(sorted(vertices))
         if not vs:
             raise InvalidGraph("graph needs at least one vertex")
         if len(set(vs)) != len(vs):
             raise InvalidGraph("duplicate vertex ids")
-        for v in vs:
-            if not isinstance(v, str) or not v:
-                raise InvalidGraph(f"vertex id must be a nonempty string: {v!r}")
         vset = frozenset(vs)
         es = tuple(sorted(edges, key=lambda e: e.id))
         seen = set()
@@ -322,13 +323,14 @@ class Quotient:
     pair: AdmissiblePair
     primed_vertex: dict
     primed_edge: dict
+    split_source: dict  # primed sink -> the breaking vertex it splits off
 
     def sink_for(self, v: str) -> str:
         """Quotient sink carrying the gap idempotent of breaking vertex v."""
         return self.primed_vertex[v]
 
     def is_primed_vertex(self, v: str) -> bool:
-        return v in set(self.primed_vertex.values())
+        return v in self.split_source
 
 
 def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
@@ -355,7 +357,8 @@ def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
             primed_edge[e.id] = eid
             edges.append(Edge(eid, e.src, primed_vertex[e.dst], e.mult))
     q = Graph(kept + list(primed_vertex.values()), edges)
-    return Quotient(q, graph, pair, primed_vertex, primed_edge)
+    split_source = {name: v for v, name in primed_vertex.items()}
+    return Quotient(q, graph, pair, primed_vertex, primed_edge, split_source)
 
 
 # -- cycles and exit structure --------------------------------------------------
@@ -405,8 +408,9 @@ class Cycle:
 
     @staticmethod
     def from_json(items) -> "Cycle":
-        if not items or len(items) % 2:
-            raise ValueError("cycle list must alternate vertex, edge")
+        if not isinstance(items, list) or not items or len(items) % 2 \
+                or not all(isinstance(x, str) for x in items):
+            raise ValueError("cycle list must alternate vertex, edge ids")
         return Cycle.build(tuple(items[0::2]), tuple(items[1::2]))
 
 
@@ -457,7 +461,7 @@ def cycle_exits(graph: Graph, cycle: Cycle) -> list:
 
 def cycles_without_exits(graph: Graph) -> list:
     """Cycles every vertex of which emits exactly one edge in total."""
-    return [c for c in cycles(graph)
+    return [c for c in cycles_without_k(graph)
             if all(graph.out_multiplicity(v) == 1 for v in c.vertices)]
 
 
@@ -522,23 +526,33 @@ def _strongly_connected_components(graph: Graph) -> dict:
 
 
 def cycles_without_k(graph: Graph) -> list:
-    """Cycles whose vertices lie on no other return path.
+    """Cycles whose vertices lie on no other return path, sorted by start.
 
     A cycle is such exactly when its vertex set is a whole strongly connected
-    component, the slots inside that component are precisely the cycle slots,
-    and each has multiplicity one.
+    component each vertex of which keeps exactly one slot inside it, of
+    multiplicity one; the cycle is traced from the component's least vertex.
     """
     comp = _strongly_connected_components(graph)
     out = []
-    for c in cycles(graph):
-        vs = set(c.vertices)
-        if comp[c.start] != frozenset(vs):
-            continue
-        inside = [e for v in vs for e in graph.out_edges(v) if e.dst in vs]
-        if set(e.id for e in inside) == set(c.edges) and all(
-                e.mult == 1 for e in inside):
-            out.append(c)
+    for start, members in sorted((min(m), m) for m in set(comp.values())):
+        step = {}
+        for v in members:
+            inside = [e for e in graph.out_edges(v) if e.dst in members]
+            if len(inside) != 1 or inside[0].mult != 1:
+                break
+            step[v] = inside[0]
+        else:
+            vs = [start]
+            while step[vs[-1]].dst != start:
+                vs.append(step[vs[-1]].dst)
+            out.append(Cycle(tuple(vs), tuple(step[v].id for v in vs)))
     return out
+
+
+def cycle_vertices(graph: Graph) -> frozenset:
+    """Vertices on some cycle: sources of slots that stay inside their component."""
+    comp = _strongly_connected_components(graph)
+    return frozenset(e.src for e in graph.edges if e.dst in comp[e.src])
 
 
 def condition_k(graph: Graph):
@@ -576,12 +590,8 @@ def maximal_tails(graph: Graph) -> list:
     directed.  In a finite graph each one is the reaching set of a sink, an
     infinite emitter, or a cycle vertex.
     """
-    anchors = [v for v in graph.vertices
-               if not graph.is_regular(v)]
-    on_cycle = set()
-    for c in cycles(graph):
-        on_cycle.update(c.vertices)
-    anchors.extend(sorted(on_cycle))
+    anchors = cycle_vertices(graph).union(
+        v for v in graph.vertices if not graph.is_regular(v))
     tails = {graph.reaching_set(w) for w in anchors}
     out = sorted(tails, key=lambda s: (len(s), sorted(s)))
     for m in out:
@@ -665,9 +675,12 @@ def graph_from_json(data) -> Graph:
             mult = raw.get("mult", 1)
             if mult == "inf":
                 mult = OMEGA
-            edges.append(Edge(raw["id"], raw["src"], raw["dst"], mult))
+            edge = Edge(raw["id"], raw["src"], raw["dst"], mult)
         except KeyError as exc:
             raise InvalidGraph(f"edge entry missing field {exc}") from exc
+        if not all(isinstance(x, str) for x in (edge.id, edge.src, edge.dst)):
+            raise InvalidGraph(f"edge id, src and dst must be strings: {raw!r}")
+        edges.append(edge)
     return Graph(vertices, edges)
 
 

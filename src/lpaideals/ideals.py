@@ -29,7 +29,6 @@ from .errors import (
     FieldMismatch,
     GraphMismatch,
     ImproperIdeal,
-    InvalidGraph,
     NotAdmissible,
     NotGraded,
     UnsupportedOperands,
@@ -43,6 +42,7 @@ from .graphs import (
     admissible_leq,
     admissible_pair,
     breaking_vertices,
+    cycle_exits,
     downward_directed,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
@@ -100,7 +100,7 @@ class Ideal:
                 if part.poly.degree < 1:
                     raise ValueError("cycle part with a unit polynomial")
                 part.cycle.check_in(q.graph)
-                if not _exit_free(q.graph, part.cycle):
+                if cycle_exits(q.graph, part.cycle):
                     raise ValueError(
                         f"cycle at {part.cycle.start!r} has an exit in the quotient")
                 starts.add(part.cycle.start)
@@ -132,10 +132,6 @@ class Ideal:
     def field(self):
         """Coefficient field of the cycle parts; None for graded ideals."""
         return self.parts[0].poly.field if self.parts else None
-
-
-def _exit_free(graph: Graph, cycle: Cycle) -> bool:
-    return all(graph.out_multiplicity(v) == 1 for v in cycle.vertices)
 
 
 # -- construction and canonical form -------------------------------------------
@@ -218,13 +214,13 @@ def canonicalize(graph: Graph, hset, sset=(), raw_parts=()) -> Ideal:
                                                         frozenset(sset_now)))
         grew = False
         for cyc, _ in work:
-            for edge, parallel in _quotient_exits(quotient, cyc):
+            for edge, parallel in cycle_exits(quotient.graph, cyc):
                 if parallel or not quotient.is_primed_vertex(edge.dst):
                     # a real exit puts its range among the vertex generators
                     hset.add(edge.dst)
                 else:
                     # an exit onto a split sink forces that gap idempotent
-                    want.add(_split_source(quotient, edge.dst))
+                    want.add(quotient.split_source[edge.dst])
                 grew = True
                 break
             if grew:
@@ -236,28 +232,6 @@ def canonicalize(graph: Graph, hset, sset=(), raw_parts=()) -> Ideal:
     parts = tuple(sorted((CyclePart(c, lc) for c, lc in work),
                          key=lambda p: p.cycle.start))
     return Ideal(graph, pair, parts)
-
-
-def _quotient_exits(quotient: Quotient, cycle: Cycle):
-    """Exits of the cycle inside the quotient graph, deterministically ordered."""
-    g = quotient.graph
-    cyc_edges = set(cycle.edges)
-    out = []
-    for v in cycle.vertices:
-        for e in g.out_edges(v):
-            if e.id in cyc_edges:
-                if e.mult != 1:
-                    out.append((e, True))
-            else:
-                out.append((e, False))
-    return out
-
-
-def _split_source(quotient: Quotient, primed: str) -> str:
-    for base, name in quotient.primed_vertex.items():
-        if name == primed:
-            return base
-    raise InvalidGraph(f"{primed!r} is not a split sink of the quotient")
 
 
 def zero_ideal(graph: Graph) -> Ideal:
@@ -362,7 +336,7 @@ def contains(big: Ideal, small: Ideal) -> bool:
             return False
         if quotient is None:
             quotient = quotient_graph(big.graph, big.pair)
-        if not _exit_free(quotient.graph, part.cycle):
+        if cycle_exits(quotient.graph, part.cycle):
             return False
     return True
 
@@ -667,8 +641,7 @@ def quotient_prime_vertices(quotient: Quotient, prime: Ideal) -> frozenset:
     out = set()
     for w in quotient.graph.vertices:
         if quotient.is_primed_vertex(w):
-            v = _split_source(quotient, w)
-            if v in hp | sp:
+            if quotient.split_source[w] in hp | sp:
                 out.add(w)
         elif w in split:
             kept = [e for e in base.out_edges(w)
@@ -831,8 +804,12 @@ def ideal_from_json(graph: Graph, data, default_field: FieldSpec = None) -> Idea
     if not isinstance(hset, list) or not isinstance(sset, list) \
             or not isinstance(raw, list):
         raise ValueError("ideal JSON fields have wrong types")
+    if not all(isinstance(v, str) for v in hset + sset):
+        raise ValueError("H and S must list vertex ids")
     field = default_field
     if "field" in data:
+        if not isinstance(data["field"], str):
+            raise ValueError(f"field label must be a string: {data['field']!r}")
         declared = FieldSpec.parse(data["field"])
         if default_field is not None and declared != default_field:
             raise ValueError(
@@ -841,7 +818,7 @@ def ideal_from_json(graph: Graph, data, default_field: FieldSpec = None) -> Idea
         field = declared
     parts = []
     for entry in raw:
-        if not isinstance(entry, dict) or set(entry) - {"cycle", "poly"}:
+        if not isinstance(entry, dict) or set(entry) != {"cycle", "poly"}:
             raise ValueError(f"malformed cycle part {entry!r}")
         if field is None:
             raise ValueError("cycle parts need a coefficient field")

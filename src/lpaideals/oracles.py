@@ -21,10 +21,13 @@ from .graphs import (
     AdmissiblePair,
     Edge,
     Graph,
+    condition_k,
     cycles_without_exits,
     downward_directed,
     enumerate_hereditary_saturated,
+    maximal_tails,
     quotient_graph,
+    strong_csp,
 )
 from .ideals import (
     canonicalize,
@@ -190,6 +193,45 @@ def maximal_tails_bruteforce(graph: Graph,
             out.append(m)
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
+
+
+# -- products of completely irreducible ideals -----------------------------------------
+
+
+def _induced_subgraph(graph: Graph, vertices) -> Graph:
+    keep = set(vertices)
+    return Graph(sorted(keep),
+                 [e for e in graph.edges if e.src in keep and e.dst in keep])
+
+
+def products_of_comp_irred_walk(graph: Graph,
+                                bound: int = DEFAULT_ENUMERATION_BOUND):
+    """Whether every proper ideal is a product of completely irreducible ideals.
+
+    Walks the general definition: condition (K) and, for every proper
+    admissible pair, a cover of the quotient by maximal tails that each have
+    the strong CSP.  Returns (True, None) or (False, witness).  With finitely
+    many vertices the verdict is condition (K)'s, which classify returns.
+    """
+    k_holds, bad = condition_k(graph)
+    if not k_holds:
+        return False, {"condition": "K", "cycle": bad}
+    everything = frozenset(graph.vertices)
+    for pair in enumerate_admissible_pairs(graph, bound):
+        if pair.vertices == everything:
+            continue
+        q = quotient_graph(graph, pair).graph
+        tails = maximal_tails(q)
+        uncovered = set(q.vertices).difference(*tails)
+        if uncovered:
+            return False, {"condition": "tail_cover", "pair": pair,
+                           "uncovered": sorted(uncovered)}
+        for t in tails:
+            csp = strong_csp(_induced_subgraph(q, t), bound=2 * bound)
+            if not csp.holds:
+                return False, {"condition": "tail_strong_csp", "pair": pair,
+                               "tail": sorted(t), "csp": csp}
+    return True, None
 
 
 # -- brute-force polynomial factorization over GF(p) -----------------------------------

@@ -85,7 +85,10 @@ class FieldSpec:
         if self.kind == "Q":
             if isinstance(x, bool) or isinstance(x, float):
                 raise ValueError(f"inexact scalar {x!r} rejected over Q")
-            return Fraction(x)
+            try:
+                return Fraction(x)
+            except (TypeError, ZeroDivisionError) as exc:
+                raise ValueError(f"scalar {x!r} rejected over Q: {exc}") from exc
         if isinstance(x, str):
             x = int(x)
         if isinstance(x, bool) or not isinstance(x, int):

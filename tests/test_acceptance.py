@@ -27,6 +27,7 @@ from lpaideals.gallery import (
 from lpaideals.graphs import (
     admissible_leq,
     condition_k,
+    graph_to_json,
     hereditary_saturated_closure,
     maximal_tails,
 )
@@ -56,6 +57,7 @@ from lpaideals.oracles import (
     glb_oracle,
     lub_oracle,
     maximal_tails_bruteforce,
+    products_of_comp_irred_walk,
     random_graph,
     random_prime_power_family,
 )
@@ -250,3 +252,6 @@ def test_implication_chain(capsys, seeded_graphs):
             assert not chain or matches
             assert not matches or graded
             assert products == condition_k(graph)[0] == graded
+            # the pair-by-pair walk of the general definition agrees with (K)
+            walked, witness = products_of_comp_irred_walk(graph)
+            assert walked == products, (graph_to_json(graph), witness)

@@ -196,3 +196,45 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "hsets", "--graph", graph("petals3"),
                               "--bound", "2")
         assert code == 4 and "error:" in err
+
+    def test_algebra_check_needs_no_enumeration_without_k(self, capsys,
+                                                          tmp_path):
+        # a 40-vertex ring fails (K) and (L), so no predicate enumerates
+        n = 40
+        ring = tmp_path / "ring.json"
+        ring.write_text(json.dumps({
+            "vertices": [f"v{i:02d}" for i in range(n)],
+            "edges": [{"id": f"e{i:02d}", "src": f"v{i:02d}",
+                       "dst": f"v{(i + 1) % n:02d}"} for i in range(n)]}))
+        data = run_json(capsys, "algebra-check", "--graph", str(ring))
+        assert [row["verdict"] for row in data["predicates"]] == [False] * 5
+
+    LOOP = {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v"}]}
+    MALFORMED = [
+        ("vertex_list", {"vertices": [["v"]], "edges": []}, None),
+        ("edge_src_list", {"vertices": ["v"], "edges": [
+            {"id": "e", "src": ["v"], "dst": "v"}]}, None),
+        ("hset_list", LOOP, {"H": [["v"]]}),
+        ("cycle_list_element", LOOP, {"field": "Q", "parts": [
+            {"cycle": ["v", ["e"]], "poly": [1, 1]}]}),
+        ("part_without_poly", LOOP, {"field": "Q", "parts": [
+            {"cycle": ["v", "e"]}]}),
+        ("field_number", LOOP, {"field": 5}),
+        ("poly_zero_denominator", LOOP, {"field": "Q", "parts": [
+            {"cycle": ["v", "e"], "poly": ["1/0", 1]}]}),
+    ]
+
+    @pytest.mark.parametrize("graph_data,ideal_data",
+                             [c[1:] for c in MALFORMED],
+                             ids=[c[0] for c in MALFORMED])
+    def test_malformed_input_exits_2(self, capsys, tmp_path, graph_data,
+                                     ideal_data):
+        g = tmp_path / "graph.json"
+        g.write_text(json.dumps(graph_data))
+        argv = ["analyze", "--graph", str(g)]
+        if ideal_data is not None:
+            i = tmp_path / "ideal.json"
+            i.write_text(json.dumps(ideal_data))
+            argv = ["ideal-classify", "--graph", str(g), "--ideal", str(i)]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and not out and "error:" in err

@@ -1,5 +1,7 @@
 """Graph data model, closures, quotients, cycles, and structural predicates."""
 
+import collections
+
 import pytest
 
 from lpaideals.errors import (
@@ -33,8 +35,10 @@ from lpaideals.graphs import (
     condition_k,
     condition_l,
     cycle_exits,
+    cycle_vertices,
     cycles,
     cycles_without_exits,
+    cycles_without_k,
     downward_directed,
     enumerate_hereditary_saturated,
     graph_from_json,
@@ -47,6 +51,8 @@ from lpaideals.graphs import (
     quotient_graph,
     strong_csp,
 )
+from lpaideals.oracles import GeneratorConfig, random_graph
+from lpaideals.rng import SplitMix64
 
 
 class TestGraphModel:
@@ -162,7 +168,8 @@ class TestQuotient:
         q = quotient_graph(g, admissible_pair(g, {"h"}))
         assert set(q.graph.vertices) == {"u", "u'"}
         assert q.sink_for("u") == "u'"
-        assert q.is_primed_vertex("u'")
+        assert q.is_primed_vertex("u'") and not q.is_primed_vertex("u")
+        assert q.split_source == {"u'": "u"}
         assert q.graph.is_sink("u'")
         # the loop is kept and doubled onto the primed sink
         ids = sorted(e.id for e in q.graph.edges)
@@ -220,11 +227,45 @@ class TestCycles:
         assert [(e.id, par) for e, par in cycle_exits(fat, c)] == [("e", True)]
         assert cycles_without_exits(fat) == []
 
+    def test_scc_facts_match_enumeration(self):
+        # the SCC-based cycle facts against filters over every simple cycle
+        graphs = list(corpus().values())
+        graphs += [random_graph(GeneratorConfig(seed=s)) for s in range(1, 201)]
+        graphs += _multigraph_batch(SplitMix64(20261018), 1000)
+        for g in graphs:
+            found = cycles(g)
+            through = collections.Counter(v for c in found for v in c.vertices)
+            exitless = [c for c in found
+                        if all(g.out_multiplicity(v) == 1 for v in c.vertices)]
+            lone = [c for c in found
+                    if all(through[v] == 1 for v in c.vertices)
+                    and all(g.edge(e).mult == 1 for e in c.edges)]
+            assert cycles_without_exits(g) == exitless, g
+            assert cycles_without_k(g) == lone, g
+            assert cycle_vertices(g) == set(through), g
+
     def test_check_in(self):
         g = loop_chain()
         Cycle.build(("u",), ("uu",)).check_in(g)
         with pytest.raises(InvalidGraph):
             Cycle.build(("u",), ("ww",)).check_in(g)
+
+
+def _multigraph_batch(rng, count):
+    """Graphs of at most 7 vertices with parallel slots and multiplicity 2."""
+    out = []
+    for _ in range(count):
+        n = 1 + rng.below(7)
+        edges = []
+        for i in range(n):
+            for j in range(n):
+                if rng.chance(0.3):
+                    for _ in range(1 + rng.below(2)):
+                        mult = rng.choice([1, 1, 1, 2, OMEGA])
+                        edges.append(Edge(f"e{len(edges)}", f"v{i}", f"v{j}",
+                                          mult))
+        out.append(Graph([f"v{i}" for i in range(n)], edges))
+    return out
 
 
 class TestConditions:
