@@ -132,7 +132,7 @@ def every_proper_ideal_completely_irreducible(
         if pair.vertices == everything:
             continue
         q = quotient_graph(graph, pair).graph
-        csp = strong_csp(q, bound=2 * bound)
+        csp = strong_csp(q)
         if not csp.holds:
             return PredicateResult(name, False,
                                    {"condition": "strong_csp",
@@ -157,7 +157,7 @@ def irreducible_equals_completely_irreducible(
             continue
         pair = AdmissiblePair(hset, breaking_vertices(graph, hset))
         q = quotient_graph(graph, pair).graph
-        csp = strong_csp(q, bound=2 * bound)
+        csp = strong_csp(q)
         if not csp.holds:
             return PredicateResult(name, False,
                                    {"condition": "strong_csp",

@@ -65,7 +65,7 @@ def _cmd_analyze(args, graph):
     l_holds, l_witness = condition_l(graph)
     k_holds, k_witness = condition_k(graph)
     dd_holds, dd_witness = downward_directed(graph)
-    csp = strong_csp(graph, args.bound)
+    csp = strong_csp(graph)
     csp_json = {"holds": csp.holds, "core": sorted(csp.witness)}
     if csp.missing is not None:
         csp_json["unreachable"] = csp.missing
@@ -202,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             " Q or GF(p)")
 
     p = command("analyze", "structural summary of one graph")
-    bound_flag(p)
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
 
     p = command("hsets", "enumerate hereditary saturated vertex sets")

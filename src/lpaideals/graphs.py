@@ -31,7 +31,7 @@ from .errors import (
 #: Multiplicity marker for an infinite bundle of parallel edges.
 OMEGA = math.inf
 
-#: Enumerations over all vertex subsets refuse graphs larger than this.
+#: Enumerations refuse graphs with more vertices than this.
 DEFAULT_ENUMERATION_BOUND = 16
 
 
@@ -205,21 +205,35 @@ def is_saturated(graph: Graph, subset) -> bool:
 
 
 def hereditary_saturated_closure(graph: Graph, subset) -> frozenset:
-    """Smallest hereditary and saturated vertex set containing the subset."""
-    closed = set()
-    for v in subset:
+    """Smallest hereditary and saturated vertex set containing the subset.
+
+    A worklist in O(V + E): each regular vertex counts its out-slots whose
+    target is still outside the set.  A vertex entering the set pushes its
+    successors (hereditary) and counts down its regular predecessors, which
+    are pushed when their count reaches zero (saturated).
+    """
+    stack = list(subset)
+    for v in stack:
         graph.check_vertex(v)
-        closed |= graph.descendants(v)
-    changed = True
-    while changed:
-        changed = False
-        for v in graph.vertices:
-            if v in closed or not graph.is_regular(v):
+    out, inc = graph._out, graph._in
+    closed = set()
+    open_slots = {}
+    while stack:
+        v = stack.pop()
+        if v in closed:
+            continue
+        closed.add(v)
+        stack.extend(e.dst for e in out[v] if e.dst not in closed)
+        for e in inc[v]:
+            u = e.src
+            if u in closed:
                 continue
-            if all(e.dst in closed for e in graph.out_edges(v)):
-                # saturation may admit new descendants only via v itself
-                closed.add(v)
-                changed = True
+            left = open_slots.get(u)
+            if left is None:  # an infinite emitter's count never reaches zero
+                left = OMEGA if any(f.is_omega() for f in out[u]) else len(out[u])
+            open_slots[u] = left - 1
+            if left == 1:
+                stack.append(u)
     return frozenset(closed)
 
 
@@ -227,19 +241,26 @@ def enumerate_hereditary_saturated(graph: Graph,
                                    bound: int = DEFAULT_ENUMERATION_BOUND) -> list:
     """All hereditary saturated vertex sets, sorted by size then lexicographically.
 
-    Walks every vertex subset, so graphs above the bound are refused.
+    Every such set is reached from the empty set by joins with principal
+    closures: the join of a set S with closure({v}) is closure(S | {v}).  The
+    search makes at most n closures per set found, each linear in the graph,
+    so its cost follows the number of sets; graphs above the vertex bound are
+    still refused.
     """
     n = len(graph.vertices)
     if n > bound:
         raise TooLarge(f"{n} vertices exceeds the enumeration bound {bound}")
-    out = []
-    vs = graph.vertices
-    for mask in range(1 << n):
-        sub = frozenset(vs[i] for i in range(n) if mask >> i & 1)
-        if is_hereditary(graph, sub) and is_saturated(graph, sub):
-            out.append(sub)
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    found = {frozenset()}
+    todo = [frozenset()]
+    while todo:
+        s = todo.pop()
+        for v in graph.vertices:
+            if v not in s:
+                t = hereditary_saturated_closure(graph, s | {v})
+                if t not in found:
+                    found.add(t)
+                    todo.append(t)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def breaking_vertices(graph: Graph, hset) -> frozenset:
@@ -625,13 +646,17 @@ class StrongCsp:
     missing: object = None
 
 
-def strong_csp(graph: Graph,
-               bound: int = DEFAULT_ENUMERATION_BOUND) -> StrongCsp:
-    """Whether a least nonempty hereditary saturated set exists and all reach it."""
+def strong_csp(graph: Graph) -> StrongCsp:
+    """Whether a least nonempty hereditary saturated set exists and all reach it.
+
+    A nonempty hereditary saturated set contains closure({v}) for each of its
+    members v, and each closure({v}) is such a set, so the intersection of
+    all nonempty hereditary saturated sets is that of the n singleton
+    closures.
+    """
     core = frozenset(graph.vertices)
-    for s in enumerate_hereditary_saturated(graph, bound):
-        if s:
-            core &= s
+    for v in graph.vertices:
+        core &= hereditary_saturated_closure(graph, (v,))
     if not core:
         return StrongCsp(False, core)
     for v in graph.vertices:

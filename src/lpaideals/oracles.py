@@ -21,6 +21,7 @@ from .graphs import (
     AdmissiblePair,
     Edge,
     Graph,
+    StrongCsp,
     condition_k,
     cycles_without_exits,
     downward_directed,
@@ -104,6 +105,23 @@ def closure_oracle(graph: Graph, subset,
     assert all(best <= t for t in candidates), \
         "hereditary saturated supersets are not closed under intersection"
     return best
+
+
+def strong_csp_oracle(graph: Graph,
+                      bound: int = DEFAULT_ENUMERATION_BOUND) -> StrongCsp:
+    """Strong CSP from the intersection of every nonempty hereditary saturated
+    subset, found by scanning all subsets; reachability is tested literally."""
+    _check_bound(graph, bound)
+    core = frozenset(graph.vertices)
+    for t in _subsets(graph.vertices):
+        if t and _hereditary_literal(graph, t) and _saturated_literal(graph, t):
+            core &= t
+    if not core:
+        return StrongCsp(False, core)
+    for v in graph.vertices:
+        if not any(_reaches_literal(graph, v, w) for w in core):
+            return StrongCsp(False, core, v)
+    return StrongCsp(True, core)
 
 
 def _breaking_literal(graph: Graph, hset: frozenset):
@@ -227,7 +245,7 @@ def products_of_comp_irred_walk(graph: Graph,
             return False, {"condition": "tail_cover", "pair": pair,
                            "uncovered": sorted(uncovered)}
         for t in tails:
-            csp = strong_csp(_induced_subgraph(q, t), bound=2 * bound)
+            csp = strong_csp(_induced_subgraph(q, t))
             if not csp.holds:
                 return False, {"condition": "tail_strong_csp", "pair": pair,
                                "tail": sorted(t), "csp": csp}

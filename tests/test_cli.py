@@ -209,6 +209,24 @@ class TestExitCodes:
         data = run_json(capsys, "algebra-check", "--graph", str(ring))
         assert [row["verdict"] for row in data["predicates"]] == [False] * 5
 
+    @pytest.mark.parametrize("command",
+                             ["algebra-check", "ideal-classify", "ideal-factor"])
+    def test_strong_csp_takes_no_bound(self, capsys, tmp_path, command):
+        # the strong CSP test on a 20-vertex chain runs past the default bound
+        n = 20
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({
+            "vertices": [f"v{i:02d}" for i in range(n)],
+            "edges": [{"id": f"e{i:02d}", "src": f"v{i:02d}",
+                       "dst": f"v{i - 1:02d}"} for i in range(1, n)]}))
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"H": []}))
+        extra = {"algebra-check": ["--bound", "40"],
+                 "ideal-classify": ["--ideal", str(zero)],
+                 "ideal-factor": ["--ideal", str(zero), "--mode", "comp-irred",
+                                  "--bound", "40"]}
+        run_json(capsys, command, "--graph", str(chain), *extra[command])
+
     LOOP = {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v"}]}
     MALFORMED = [
         ("vertex_list", {"vertices": [["v"]], "edges": []}, None),

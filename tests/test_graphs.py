@@ -51,7 +51,13 @@ from lpaideals.graphs import (
     quotient_graph,
     strong_csp,
 )
-from lpaideals.oracles import GeneratorConfig, random_graph
+from lpaideals import graphs as graphs_module
+from lpaideals.oracles import (
+    GeneratorConfig,
+    enumerate_admissible_pairs,
+    random_graph,
+    strong_csp_oracle,
+)
 from lpaideals.rng import SplitMix64
 
 
@@ -128,6 +134,34 @@ class TestHereditarySaturated:
     def test_enumeration_bound(self):
         with pytest.raises(TooLarge):
             enumerate_hereditary_saturated(petals(), bound=2)
+
+    def test_enumeration_and_core_match_subset_scans(self):
+        graphs = list(corpus().values())
+        graphs += [random_graph(GeneratorConfig(seed=s)) for s in range(1, 201)]
+        graphs += _multigraph_batch(SplitMix64(20261019), 1000)
+        for g in graphs:
+            scanned = {p.vertices for p in enumerate_admissible_pairs(g)}
+            want = sorted(scanned, key=lambda s: (len(s), sorted(s)))
+            assert enumerate_hereditary_saturated(g) == want, g
+            assert strong_csp(g) == strong_csp_oracle(g), g
+
+    def test_enumeration_work_follows_output(self, monkeypatch):
+        calls = []
+        closure = graphs_module.hereditary_saturated_closure
+
+        def counted(graph, subset):
+            calls.append(1)
+            return closure(graph, subset)
+
+        monkeypatch.setattr(graphs_module, "hereditary_saturated_closure",
+                            counted)
+        rng = SplitMix64(16)
+        for g in (_ring_with_chords(rng, 16), _chain_with_loops(rng, 16),
+                  _layered_omega_dag(rng, 16)):
+            calls.clear()
+            found = enumerate_hereditary_saturated(g)
+            n = len(g.vertices)
+            assert 0 < len(calls) <= (n + 1) * (len(found) + 1), (g, len(found))
 
     def test_breaking_vertices(self):
         g = omega_fan()
@@ -266,6 +300,36 @@ def _multigraph_batch(rng, count):
                                           mult))
         out.append(Graph([f"v{i}" for i in range(n)], edges))
     return out
+
+
+def _ring_with_chords(rng, n):
+    edges = [Edge(f"r{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)]
+    edges += [Edge(f"x{k}", f"v{rng.below(n)}", f"v{rng.below(n)}")
+              for k in range(2)]
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
+def _chain_with_loops(rng, n):
+    edges = [Edge(f"c{i}", f"v{i}", f"v{i - 1}") for i in range(1, n)]
+    edges += [Edge(f"l{i}", f"v{i}", f"v{i}") for i in rng.shuffled(range(n))[:n // 4]]
+    return Graph([f"v{i}" for i in range(n)], edges)
+
+
+def _layered_omega_dag(rng, n):
+    """Layers of 2, 3, 4, 2, ... vertices, each feeding part of the layer below."""
+    layers, start = [], 0
+    while start < n:
+        width = min(n - start, 2 + len(layers) % 3)
+        layers.append(range(start, start + width))
+        start += width
+    edges = []
+    for upper, lower in zip(layers[1:], layers):
+        for v in upper:
+            targets = [u for u in lower if rng.chance(0.5)] or [rng.choice(lower)]
+            for u in targets:
+                mult = OMEGA if rng.chance(0.2) else 1
+                edges.append(Edge(f"e{len(edges)}", f"v{v}", f"v{u}", mult))
+    return Graph([f"v{i}" for i in range(n)], edges)
 
 
 class TestConditions:
