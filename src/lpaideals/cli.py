@@ -9,6 +9,7 @@ enumeration or degree bound exceeded, 1 internal error (always a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -177,7 +178,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args never mutates the parser
     parser = argparse.ArgumentParser(
         prog="lpa",
         description="Ideal calculus for Leavitt path algebras of finite graphs.")

@@ -42,12 +42,14 @@ from .graphs import (
     admissible_leq,
     admissible_pair,
     breaking_vertices,
+    condition_l,
     cycle_exits,
     downward_directed,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
     maximal_tails,
     quotient_graph,
+    strong_csp,
 )
 from .poly import (
     FieldSpec,
@@ -270,49 +272,37 @@ def _check_same_graph(*ideals) -> None:
 # -- the graded lattice ----------------------------------------------------------
 
 
+def _meet(graph: Graph, pairs) -> AdmissiblePair:
+    """Pair of the intersection of the graded ideals of the given pairs."""
+    hset = frozenset(graph.vertices)
+    for pair in pairs:
+        hset &= pair.vertices
+    sset = {v for v in breaking_vertices(graph, hset)
+            if all(v in pair.vertices | pair.breaking for pair in pairs)}
+    return AdmissiblePair(hset, frozenset(sset))
+
+
+def _check_graded(name: str, ideals) -> None:
+    if not ideals:
+        raise ValueError(f"{name} needs at least one ideal")
+    _check_same_graph(*ideals)
+    if not all(is_graded(i) for i in ideals):
+        raise NotGraded(f"{name} expects graded ideals")
+
+
 def meet_graded(*ideals: Ideal) -> Ideal:
     """Greatest lower bound of graded ideals: intersect them."""
-    if not ideals:
-        raise ValueError("meet_graded needs at least one ideal")
-    _check_same_graph(*ideals)
-    for i in ideals:
-        if not is_graded(i):
-            raise NotGraded("meet_graded expects graded ideals")
+    _check_graded("meet_graded", ideals)
     graph = ideals[0].graph
-    hset = frozenset(graph.vertices)
-    for i in ideals:
-        hset &= i.pair.vertices
-    sset = set()
-    for v in breaking_vertices(graph, hset):
-        if all(v in i.pair.vertices | i.pair.breaking for i in ideals):
-            sset.add(v)
-    return Ideal(graph, AdmissiblePair(hset, frozenset(sset)))
+    return Ideal(graph, _meet(graph, [i.pair for i in ideals]))
 
 
 def join_graded(*ideals: Ideal) -> Ideal:
     """Least upper bound of graded ideals: the ideal they generate together."""
-    if not ideals:
-        raise ValueError("join_graded needs at least one ideal")
-    _check_same_graph(*ideals)
-    for i in ideals:
-        if not is_graded(i):
-            raise NotGraded("join_graded expects graded ideals")
-    graph = ideals[0].graph
-    hset = set()
-    pooled = set()
-    for i in ideals:
-        hset |= i.pair.vertices
-        pooled |= i.pair.breaking
-    while True:
-        hset = set(hereditary_saturated_closure(graph, hset))
-        absorbed = {v for v in pooled - hset
-                    if all(e.dst in hset for e in graph.out_edges(v))}
-        if not absorbed:
-            break
-        hset |= absorbed
-    sset = (pooled - hset) & breaking_vertices(graph, hset)
-    assert sset == pooled - hset, "pooled gap vertex lost breaking status"
-    return Ideal(graph, AdmissiblePair(frozenset(hset), frozenset(sset)))
+    _check_graded("join_graded", ideals)
+    return canonicalize(ideals[0].graph,
+                        set().union(*(i.pair.vertices for i in ideals)),
+                        set().union(*(i.pair.breaking for i in ideals)))
 
 
 # -- containment -----------------------------------------------------------------
@@ -445,8 +435,6 @@ def is_completely_irreducible(ideal: Ideal) -> CaseResult:
     downward directed, and has a reachable least nonempty hereditary
     saturated set.  Case 2: a power of a non-graded prime.
     """
-    from .graphs import condition_l, strong_csp
-
     _require_proper(ideal)
     if not ideal.parts:
         q = quotient_graph(ideal.graph, ideal.pair).graph
@@ -462,20 +450,30 @@ def is_completely_irreducible(ideal: Ideal) -> CaseResult:
 # -- products and intersections ----------------------------------------------------
 
 
-def _classify_factor(index: int, ideal: Ideal):
-    """(kind, prime) where kind is "graded" or "power"; raises otherwise."""
-    if is_graded(ideal):
-        return "graded", None
-    if not is_proper(ideal):
-        raise UnsupportedOperands(f"factor {index} is improper with parts")
-    decomposed = prime_power_decompose(ideal)
-    if decomposed is None:
-        raise UnsupportedOperands(
-            f"factor {index} is neither graded nor a prime power: {ideal!r}")
-    return "power", decomposed[0]
+def _classify(factors) -> list:
+    """[(factor, prime)] with prime None for a graded factor; raises otherwise.
+
+    Every factor must be graded or a proper prime power over one graph.
+    """
+    if not factors:
+        raise ValueError("factor list must be nonempty")
+    _check_same_graph(*factors)
+    out = []
+    for index, f in enumerate(factors):
+        if is_graded(f):
+            out.append((f, None))
+            continue
+        if not is_proper(f):
+            raise UnsupportedOperands(f"factor {index} is improper with parts")
+        decomposed = prime_power_decompose(f)
+        if decomposed is None:
+            raise UnsupportedOperands(
+                f"factor {index} is neither graded nor a prime power: {f!r}")
+        out.append((f, decomposed[0]))
+    return out
 
 
-def _absorb(factors, kinds, primes, mode: str):
+def _absorb(classified, mode: str):
     """Indices of factors that survive absorption, in original order.
 
     In both modes a factor is dropped when another live factor makes it
@@ -485,23 +483,21 @@ def _absorb(factors, kinds, primes, mode: str):
     prime underlies another live power (powers of one prime must multiply,
     not absorb).
     """
-    alive = list(range(len(factors)))
+    alive = list(range(len(classified)))
     changed = True
     while changed:
         changed = False
         for j in list(alive):
+            fj, pj = classified[j]
             for i in alive:
                 if i == j:
                     continue
-                fi, fj = factors[i], factors[j]
-                if mode == "intersection":
+                fi, pi = classified[i]
+                if mode == "intersection" or pj is None:
                     drop = contains(fj, fi) and (fi != fj or i < j)
-                elif kinds[j] == "graded":
-                    drop = contains(fj, fi) and (fi != fj or i < j)
-                elif kinds[i] == "graded":
+                elif pi is None:
                     drop = contains(fj, fi)
                 else:
-                    pi, pj = primes[i], primes[j]
                     drop = pi != pj and contains(pj, pi)
                 if drop:
                     alive.remove(j)
@@ -510,45 +506,25 @@ def _absorb(factors, kinds, primes, mode: str):
     return alive
 
 
-def _combine(factors, mode: str) -> Ideal:
-    if not factors:
-        raise ValueError("factor list must be nonempty")
-    _check_same_graph(*factors)
-    graph = factors[0].graph
-    kinds, primes = [], []
-    for index, f in enumerate(factors):
-        kind, prime = _classify_factor(index, f)
-        kinds.append(kind)
-        primes.append(prime)
-
-    alive = _absorb(factors, kinds, primes, mode)
+def _combine(classified, mode: str) -> Ideal:
+    """Product or intersection of a classified factor list (see _classify)."""
+    graph = classified[0][0].graph
 
     # merge factors sharing (pair, cycle); distinct exitless cycles force
     # distinct pairs, so keying by (pair, cycle) never conflates factors
     merged = {}
-    order = []
-    for j in alive:
-        f = factors[j]
+    for j in _absorb(classified, mode):
+        f = classified[j][0]
         key = (f.pair, f.parts[0].cycle if f.parts else None)
         if key not in merged:
             merged[key] = f
-            order.append(key)
-        else:
-            old = merged[key]
-            if not f.parts:
-                continue
-            a, b = old.parts[0].poly.rep, f.parts[0].poly.rep
+        elif f.parts:
+            a, b = merged[key].parts[0].poly.rep, f.parts[0].poly.rep
             combined = (a * b).monic() if mode == "product" else poly_lcm(a, b)
             merged[key] = Ideal(graph, f.pair,
                                 (CyclePart(f.parts[0].cycle,
                                            LaurentClass(combined)),))
-    survivors = [merged[k] for k in order]
-
-    hset = frozenset(graph.vertices)
-    for f in survivors:
-        hset &= f.pair.vertices
-    sset = {v for v in breaking_vertices(graph, hset)
-            if all(v in f.pair.vertices | f.pair.breaking for f in survivors)}
+    survivors = list(merged.values())
 
     parts = []
     for f in survivors:
@@ -557,30 +533,18 @@ def _combine(factors, mode: str) -> Ideal:
                    for other in survivors):
                 parts.append((part.cycle, part.poly))
 
-    result = canonicalize(graph, hset, sset, parts)
-    for index, f in enumerate(factors):
+    pair = _meet(graph, [f.pair for f in survivors])
+    result = canonicalize(graph, pair.vertices, pair.breaking, parts)
+    for index, (f, _) in enumerate(classified):
         assert contains(f, result), \
             f"combination escaped factor {index}: {f!r}"
     return result
 
 
-def multiply(factors) -> Ideal:
-    """Product of the factors; each must be graded or a prime power."""
-    return _combine(list(factors), "product")
-
-
-def intersect(factors) -> Ideal:
-    """Intersection of the factors; each must be graded or a prime power."""
-    return _combine(list(factors), "intersection")
-
-
-def make_irredundant(factors, mode: str) -> list:
+def _irredundant(classified, mode: str) -> list:
     """Greedy left-to-right sublist whose combination is unchanged."""
-    if mode not in ("product", "intersection"):
-        raise ValueError(f"unknown mode {mode!r}")
-    factors = list(factors)
-    target = _combine(factors, mode)
-    kept = list(factors)
+    target = _combine(classified, mode)
+    kept = list(classified)
     i = 0
     while i < len(kept):
         if len(kept) > 1:
@@ -589,7 +553,24 @@ def make_irredundant(factors, mode: str) -> list:
                 kept = trial
                 continue
         i += 1
-    return kept
+    return [f for f, _ in kept]
+
+
+def multiply(factors) -> Ideal:
+    """Product of the factors; each must be graded or a prime power."""
+    return _combine(_classify(list(factors)), "product")
+
+
+def intersect(factors) -> Ideal:
+    """Intersection of the factors; each must be graded or a prime power."""
+    return _combine(_classify(list(factors)), "intersection")
+
+
+def make_irredundant(factors, mode: str) -> list:
+    """Greedy left-to-right sublist whose combination is unchanged."""
+    if mode not in ("product", "intersection"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return _irredundant(_classify(list(factors)), mode)
 
 
 # -- factorization ------------------------------------------------------------------
@@ -731,14 +712,20 @@ def factor_prime_powers(ideal: Ideal,
             assert is_prime(prime).holds, "cycle tail produced a non-prime"
             factors.append((prime, mult))
 
-    powers = [ideal_power(p, r) for p, r in factors]
-    if multiply(powers) != ideal:
+    # each factor's prime is known, so the checks skip classification
+    powers = _classified_powers(factors)
+    if _combine(powers, "product") != ideal:
         return None
-    assert len(make_irredundant(powers, "product")) == len(powers), \
+    assert len(_irredundant(powers, "product")) == len(powers), \
         "tail factorization is redundant"
     factors.sort(key=_factor_sort_key)
     return FactorizationReport(tuple(factors), "product", True,
                                _ideal_checksum(ideal))
+
+
+def _classified_powers(factors) -> list:
+    """[(prime ** r, prime or None when graded)] for (prime, r) factor pairs."""
+    return [(ideal_power(p, r), p if p.parts else None) for p, r in factors]
 
 
 def _factor_sort_key(entry):
@@ -768,8 +755,7 @@ def factor_completely_irreducible(ideal: Ideal,
         else:
             assert is_completely_irreducible(
                 ideal_power(prime, exponent)).holds
-    powers = [ideal_power(p, r) for p, r in report.factors]
-    if intersect(powers) != ideal:
+    if _combine(_classified_powers(report.factors), "intersection") != ideal:
         return None
     return report
 

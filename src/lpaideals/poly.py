@@ -602,16 +602,8 @@ def is_irreducible_laurent(cls: LaurentClass,
 
     Equivalently: the representative has degree >= 1 and is irreducible in
     K[x] (x itself is a unit in the Laurent ring, and the representative is
-    coprime to x by construction).
+    coprime to x by construction), so, being monic, it is its own
+    factorization.
     """
     f = cls.rep
-    if f.degree < 1:
-        return False
-    if f.field.kind == "GF":
-        return all(
-            not (f % q).is_zero()
-            for d in range(1, f.degree // 2 + 1)
-            for q in _monic_polys(f.field, d)
-        )
-    fac = factor(f, max_kronecker_degree)
-    return len(fac) == 1 and fac[0][1] == 1
+    return f.degree >= 1 and factor(f, max_kronecker_degree) == [(f, 1)]

@@ -154,6 +154,18 @@ class TestSubcommands:
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0
 
+    def test_parser_reuse_keeps_calls_apart(self, capsys):
+        # the parser is built once per process; appended --ideal lists and
+        # defaults must not carry over from one call to the next
+        argv = ("ideal-multiply", "--graph", graph("one_loop"),
+                "--ideal", str(DATA / "loop_x_plus_1.json"),
+                "--ideal", str(DATA / "loop_quadratic.json"))
+        first = invoke(capsys, *argv)
+        assert first[0] == 0, first[2]
+        assert invoke(capsys, "ideal-multiply", "--graph", graph("one_loop"),
+                      "--no-such-flag")[0] == 2
+        assert invoke(capsys, *argv) == first
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from lpaideals import ideals as ideals_module
 from lpaideals.errors import GraphMismatch, ImproperIdeal, UnsupportedOperands
 from lpaideals.gallery import (
     double_loop_chain,
@@ -211,3 +212,33 @@ class TestFactorCompletelyIrreducible:
         report = factor_completely_irreducible(cube)
         assert [(p.parts[0].poly.rep.coeffs, r) for p, r in report.factors] \
             == [((1, 1), 3)]
+
+
+class TestWorkCounts:
+    """Each factor is classified once per factor list, never per trial."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(ideals_module, name)
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(ideals_module, name, counted)
+        return calls
+
+    def test_make_irredundant_decomposes_each_factor_once(self, monkeypatch):
+        powers = [one_loop_part(GF2, Poly(GF2, c) ** r)
+                  for c, r in (((1, 1), 2), ((1, 1, 1), 1), ((1, 1, 0, 1), 3))]
+        calls = self.counting(monkeypatch, "prime_power_decompose")
+        assert make_irredundant(powers, "product") == powers
+        assert len(calls) == len(powers)
+
+    def test_factor_prime_powers_factors_the_polynomial_once(self, monkeypatch):
+        source = one_loop_part(GF2, (1, 1, 0, 1, 1))  # (x+1)^2 (x^2+x+1)
+        calls = self.counting(monkeypatch, "factor_poly")
+        report = factor_prime_powers(source)
+        assert len(report.factors) == 2
+        assert len(calls) == 1

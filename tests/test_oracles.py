@@ -36,7 +36,13 @@ from lpaideals.oracles import (
     random_graph,
     random_prime_power_family,
 )
-from lpaideals.poly import FieldSpec, Poly, factor
+from lpaideals.poly import (
+    FieldSpec,
+    Poly,
+    factor,
+    is_irreducible_laurent,
+    normalize_laurent,
+)
 
 GF2 = FieldSpec.prime_field(2)
 GF3 = FieldSpec.prime_field(3)
@@ -117,8 +123,10 @@ class TestOracleAgreement:
                 if coeffs[0] == 0:
                     continue
                 f = Poly(field, list(coeffs) + [1])
-                assert bruteforce_factor_gf(f) == factor(f), \
-                    (field.label, coeffs)
+                expected = bruteforce_factor_gf(f)
+                assert expected == factor(f), (field.label, coeffs)
+                assert is_irreducible_laurent(normalize_laurent(f)) \
+                    == (expected == [(f, 1)]), (field.label, coeffs)
 
 
 class TestGenerators:
