@@ -14,10 +14,10 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import (
-    DEFAULT_ENUMERATION_BOUND,
     AdmissiblePair,
     Graph,
     admissible_leq,
+    admissible_pairs,
     breaking_vertices,
     condition_k,
     condition_l,
@@ -71,17 +71,6 @@ def _pair_json(pair: AdmissiblePair) -> dict:
     return {"H": sorted(pair.vertices), "S": sorted(pair.breaking)}
 
 
-def _enumerate_pairs(graph: Graph, bound: int):
-    pairs = []
-    for hset in enumerate_hereditary_saturated(graph, bound):
-        candidates = sorted(breaking_vertices(graph, hset))
-        for r in range(len(candidates) + 1):
-            for combo in itertools.combinations(candidates, r):
-                pairs.append(AdmissiblePair(hset, frozenset(combo)))
-    pairs.sort(key=lambda p: p.key())
-    return pairs
-
-
 def _condition_k(name: str, graph: Graph) -> PredicateResult:
     holds, bad = condition_k(graph)
     witness = None if holds else {"condition": "K", "cycle": bad.to_json()}
@@ -113,15 +102,14 @@ def zero_completely_irreducible(graph: Graph) -> PredicateResult:
     return PredicateResult(name, True)
 
 
-def every_proper_ideal_completely_irreducible(
-        graph: Graph, bound: int = DEFAULT_ENUMERATION_BOUND) -> PredicateResult:
+def every_proper_ideal_completely_irreducible(graph: Graph) -> PredicateResult:
     """All proper ideals completely irreducible: condition (K), the admissible
     pairs form a chain, and every proper quotient has the strong CSP."""
     name = "every_proper_ideal_completely_irreducible"
     k = _condition_k(name, graph)
     if not k:
         return k
-    pairs = _enumerate_pairs(graph, bound)
+    pairs = admissible_pairs(graph)
     for p1, p2 in itertools.combinations(pairs, 2):
         if not (admissible_leq(p1, p2) or admissible_leq(p2, p1)):
             return PredicateResult(name, False,
@@ -141,8 +129,7 @@ def every_proper_ideal_completely_irreducible(
     return PredicateResult(name, True)
 
 
-def irreducible_equals_completely_irreducible(
-        graph: Graph, bound: int = DEFAULT_ENUMERATION_BOUND) -> PredicateResult:
+def irreducible_equals_completely_irreducible(graph: Graph) -> PredicateResult:
     """Irreducible and completely irreducible ideals coincide: condition (K)
     plus the strong CSP on the quotient of every prime candidate pair."""
     name = "irreducible_equals_completely_irreducible"
@@ -150,7 +137,7 @@ def irreducible_equals_completely_irreducible(
     if not k:
         return k
     everything = frozenset(graph.vertices)
-    for hset in enumerate_hereditary_saturated(graph, bound):
+    for hset in enumerate_hereditary_saturated(graph):
         if hset == everything:
             continue
         if not downward_directed(graph, everything - hset)[0]:
@@ -186,14 +173,9 @@ _PREDICATES = (
 )
 
 
-def classify_algebra(graph: Graph,
-                     bound: int = DEFAULT_ENUMERATION_BOUND) -> AlgebraReport:
-    """Run all five predicates, passing the vertex bound to the two that take one."""
-    bounded = (every_proper_ideal_completely_irreducible,
-               irreducible_equals_completely_irreducible)
-    results = [fn(graph, bound) if fn in bounded else fn(graph)
-               for fn in _PREDICATES]
-    report = AlgebraReport(tuple(results))
+def classify_algebra(graph: Graph) -> AlgebraReport:
+    """Run all five predicates and check the implications between them."""
+    report = AlgebraReport(tuple(fn(graph) for fn in _PREDICATES))
     chain = report["every_proper_ideal_completely_irreducible"].verdict
     match = report["irreducible_equals_completely_irreducible"].verdict
     graded = report["all_ideals_graded"].verdict

@@ -3,7 +3,7 @@
 Output is a single JSON document on standard output (or one DOT graph for the
 rendering paths), byte-stable for fixed inputs.  Diagnostics go to standard
 error.  Exit codes: 0 success, 2 invalid input, 3 unsupported operands, 4
-enumeration or degree bound exceeded, 1 internal error (always a bug).
+resource cap exceeded, 1 internal error (always a bug).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import traceback
 from .classify import classify_algebra
 from .errors import DegreeTooLarge, LpaError, TooLarge, UnsupportedOperands
 from .graphs import (
-    DEFAULT_ENUMERATION_BOUND,
     breaking_vertices,
     condition_k,
     condition_l,
@@ -86,7 +85,7 @@ def _cmd_analyze(args, graph):
 
 
 def _cmd_hsets(args, graph):
-    sets = enumerate_hereditary_saturated(graph, args.bound)
+    sets = enumerate_hereditary_saturated(graph)
     return {
         "count": len(sets),
         "sets": [
@@ -104,7 +103,7 @@ def _cmd_tails(args, graph):
 def _cmd_primes(args, graph):
     rows = [
         {"ideal": ideal_to_json(p), "case": is_prime(p).case}
-        for p in enumerate_graded_primes(graph, args.bound)
+        for p in enumerate_graded_primes(graph)
     ]
     return {"count": len(rows), "primes": rows}
 
@@ -144,7 +143,7 @@ def _cmd_ideal_factor(args, graph):
     (ideal,) = _load_ideals(graph, [args.ideal], args.field)
     runner = (factor_prime_powers if args.mode == "prime-powers"
               else factor_completely_irreducible)
-    report = runner(ideal, args.bound)
+    report = runner(ideal)
     out = {"mode": args.mode, "factorable": report is not None}
     if report is not None:
         out["report"] = report.to_json()
@@ -152,7 +151,7 @@ def _cmd_ideal_factor(args, graph):
 
 
 def _cmd_algebra_check(args, graph):
-    return {"predicates": classify_algebra(graph, args.bound).to_json()}
+    return {"predicates": classify_algebra(graph).to_json()}
 
 
 def _cmd_export_dot(args, graph):
@@ -194,11 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="indent JSON output")
         return p
 
-    def bound_flag(p):
-        p.add_argument("--bound", type=int, default=DEFAULT_ENUMERATION_BOUND,
-                       metavar="N",
-                       help="vertex bound for exhaustive enumeration")
-
     def field_flag(p):
         p.add_argument("--field", default=None, metavar="F",
                        help="coefficient field for every polynomial literal:"
@@ -207,13 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("analyze", "structural summary of one graph")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
 
-    p = command("hsets", "enumerate hereditary saturated vertex sets")
-    bound_flag(p)
+    command("hsets", "enumerate hereditary saturated vertex sets")
 
     command("tails", "list maximal tails")
 
-    p = command("primes", "enumerate graded prime ideals")
-    bound_flag(p)
+    command("primes", "enumerate graded prime ideals")
 
     p = command("ideal-classify",
                 "canonical form, primality, complete irreducibility")
@@ -235,10 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("prime-powers", "comp-irred"),
                    default="prime-powers", help="factorization target")
     field_flag(p)
-    bound_flag(p)
 
-    p = command("algebra-check", "run the five ideal-lattice predicates")
-    bound_flag(p)
+    command("algebra-check", "run the five ideal-lattice predicates")
 
     p = command("export-dot", "DOT rendering of the graph or a quotient")
     p.add_argument("--ideal", default=None, metavar="PATH",

@@ -18,7 +18,7 @@ class FieldMismatch(LpaError):
 
 
 class DegreeTooLarge(LpaError):
-    """Rational factorization was asked to exceed its configured degree cap."""
+    """A factorization would exceed its cap: degree over Q, trial divisors over GF(p)."""
 
 
 class InvalidGraph(LpaError):
@@ -30,7 +30,7 @@ class UnknownVertex(LpaError):
 
 
 class TooLarge(LpaError):
-    """An exhaustive enumeration would exceed the configured vertex bound."""
+    """An enumeration would exceed its size cap (lattice cap, subset-scan bound)."""
 
 
 class NotHereditarySaturated(LpaError):

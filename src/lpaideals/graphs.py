@@ -16,6 +16,7 @@ the nonempty hereditary saturated sets.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +32,9 @@ from .errors import (
 #: Multiplicity marker for an infinite bundle of parallel edges.
 OMEGA = math.inf
 
-#: Enumerations refuse graphs with more vertices than this.
-DEFAULT_ENUMERATION_BOUND = 16
+#: Most hereditary saturated sets, and most admissible pairs, an enumeration
+#: returns before it refuses the graph: 16 isolated sinks have 2**16 sets.
+LATTICE_CAP = 2**16
 
 
 @dataclass(frozen=True)
@@ -237,19 +239,15 @@ def hereditary_saturated_closure(graph: Graph, subset) -> frozenset:
     return frozenset(closed)
 
 
-def enumerate_hereditary_saturated(graph: Graph,
-                                   bound: int = DEFAULT_ENUMERATION_BOUND) -> list:
+def enumerate_hereditary_saturated(graph: Graph) -> list:
     """All hereditary saturated vertex sets, sorted by size then lexicographically.
 
     Every such set is reached from the empty set by joins with principal
     closures: the join of a set S with closure({v}) is closure(S | {v}).  The
     search makes at most n closures per set found, each linear in the graph,
-    so its cost follows the number of sets; graphs above the vertex bound are
-    still refused.
+    so its cost follows the number of sets; it raises TooLarge once more
+    than LATTICE_CAP sets are found.
     """
-    n = len(graph.vertices)
-    if n > bound:
-        raise TooLarge(f"{n} vertices exceeds the enumeration bound {bound}")
     found = {frozenset()}
     todo = [frozenset()]
     while todo:
@@ -260,6 +258,9 @@ def enumerate_hereditary_saturated(graph: Graph,
                 if t not in found:
                     found.add(t)
                     todo.append(t)
+                    if len(found) > LATTICE_CAP:
+                        raise TooLarge("more hereditary saturated sets than "
+                                       f"the lattice cap {LATTICE_CAP}")
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
@@ -315,6 +316,20 @@ def admissible_pair(graph: Graph, hset, sset=()) -> AdmissiblePair:
         raise NotAdmissible(
             f"{sorted(sset - allowed)} are not breaking vertices of {sorted(hset)}")
     return AdmissiblePair(hset, sset)
+
+
+def admissible_pairs(graph: Graph) -> list:
+    """All admissible pairs (H, S), sorted by key; TooLarge past LATTICE_CAP."""
+    pairs = []
+    for hset in enumerate_hereditary_saturated(graph):
+        candidates = sorted(breaking_vertices(graph, hset))
+        if len(pairs) + 2 ** len(candidates) > LATTICE_CAP:
+            raise TooLarge(f"more admissible pairs than the lattice cap {LATTICE_CAP}")
+        for r in range(len(candidates) + 1):
+            for combo in itertools.combinations(candidates, r):
+                pairs.append(AdmissiblePair(hset, frozenset(combo)))
+    pairs.sort(key=lambda p: p.key())
+    return pairs
 
 
 def admissible_leq(p1: AdmissiblePair, p2: AdmissiblePair) -> bool:

@@ -25,6 +25,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
+from .classify import zero_completely_irreducible
 from .errors import (
     FieldMismatch,
     GraphMismatch,
@@ -34,7 +35,6 @@ from .errors import (
     UnsupportedOperands,
 )
 from .graphs import (
-    DEFAULT_ENUMERATION_BOUND,
     AdmissiblePair,
     Cycle,
     Graph,
@@ -42,14 +42,12 @@ from .graphs import (
     admissible_leq,
     admissible_pair,
     breaking_vertices,
-    condition_l,
     cycle_exits,
     downward_directed,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
     maximal_tails,
     quotient_graph,
-    strong_csp,
 )
 from .poly import (
     FieldSpec,
@@ -374,12 +372,11 @@ def is_prime(ideal: Ideal) -> CaseResult:
     return CaseResult(False)
 
 
-def enumerate_graded_primes(graph: Graph,
-                            bound: int = DEFAULT_ENUMERATION_BOUND) -> list:
+def enumerate_graded_primes(graph: Graph) -> list:
     """All graded prime ideals, sorted by (H, S)."""
     out = []
     everything = frozenset(graph.vertices)
-    for hset in enumerate_hereditary_saturated(graph, bound):
+    for hset in enumerate_hereditary_saturated(graph):
         if hset == everything:
             continue
         complement = everything - hset
@@ -431,15 +428,15 @@ def ideal_power(ideal: Ideal, exponent: int) -> Ideal:
 def is_completely_irreducible(ideal: Ideal) -> CaseResult:
     """Complete irreducibility with a case tag.
 
-    Case 1: graded, and the quotient graph satisfies condition (L), is
-    downward directed, and has a reachable least nonempty hereditary
-    saturated set.  Case 2: a power of a non-graded prime.
+    Case 1: graded, and the zero ideal of the quotient graph is completely
+    irreducible (condition (L), downward directed, and a reachable least
+    nonempty hereditary saturated set).  Case 2: a power of a non-graded
+    prime.
     """
     _require_proper(ideal)
     if not ideal.parts:
         q = quotient_graph(ideal.graph, ideal.pair).graph
-        holds = (condition_l(q)[0] and downward_directed(q)[0]
-                 and strong_csp(q).holds)
+        holds = zero_completely_irreducible(q).verdict
         return CaseResult(holds, 1 if holds else None)
     decomposed = prime_power_decompose(ideal)
     if decomposed is not None:
@@ -655,8 +652,7 @@ def _irredundant_tail_cover(tails, universe):
     return kept
 
 
-def factor_prime_powers(ideal: Ideal,
-                        bound: int = DEFAULT_ENUMERATION_BOUND):
+def factor_prime_powers(ideal: Ideal):
     """Factor into powers of distinct primes; None when no such factorization.
 
     The quotient's maximal tails drive the construction: each tail pulls
@@ -673,7 +669,7 @@ def factor_prime_powers(ideal: Ideal,
     if tails is None:
         return None
 
-    candidates = [p for p in enumerate_graded_primes(graph, bound)
+    candidates = [p for p in enumerate_graded_primes(graph)
                   if admissible_leq(ideal.pair, p.pair)]
     by_image = {}
     for p in candidates:
@@ -737,15 +733,14 @@ def _factor_sort_key(entry):
             cycle_start, coeffs)
 
 
-def factor_completely_irreducible(ideal: Ideal,
-                                  bound: int = DEFAULT_ENUMERATION_BOUND):
+def factor_completely_irreducible(ideal: Ideal):
     """Factor into completely irreducible ideals; None when impossible.
 
     Builds on factor_prime_powers; every graded factor must itself be
     completely irreducible, and both the product and the intersection of
     the factors are verified to recompose the input.
     """
-    report = factor_prime_powers(ideal, bound)
+    report = factor_prime_powers(ideal)
     if report is None:
         return None
     for prime, exponent in report.factors:

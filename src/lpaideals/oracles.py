@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import NotALattice, TooLarge, Unsatisfiable
 from .graphs import (
-    DEFAULT_ENUMERATION_BOUND,
     OMEGA,
     AdmissiblePair,
     Edge,
@@ -77,10 +76,14 @@ def _saturated_literal(graph: Graph, subset: frozenset) -> bool:
     return True
 
 
-def _check_bound(graph: Graph, bound: int) -> None:
-    if len(graph.vertices) > bound:
-        raise TooLarge(
-            f"{len(graph.vertices)} vertices exceed the subset-scan bound {bound}")
+#: The subset scans below refuse graphs with more vertices than this.
+SUBSET_SCAN_BOUND = 16
+
+
+def _check_bound(graph: Graph) -> None:
+    if len(graph.vertices) > SUBSET_SCAN_BOUND:
+        raise TooLarge(f"{len(graph.vertices)} vertices exceed the subset-scan "
+                       f"bound {SUBSET_SCAN_BOUND}")
 
 
 def _subsets(items):
@@ -93,10 +96,9 @@ def _subsets(items):
 # -- closure, admissible pairs, lattice bounds ------------------------------------
 
 
-def closure_oracle(graph: Graph, subset,
-                   bound: int = DEFAULT_ENUMERATION_BOUND) -> frozenset:
+def closure_oracle(graph: Graph, subset) -> frozenset:
     """Smallest hereditary saturated superset, found by scanning all subsets."""
-    _check_bound(graph, bound)
+    _check_bound(graph)
     subset = frozenset(subset)
     candidates = [t for t in _subsets(graph.vertices)
                   if subset <= t and _hereditary_literal(graph, t)
@@ -107,11 +109,10 @@ def closure_oracle(graph: Graph, subset,
     return best
 
 
-def strong_csp_oracle(graph: Graph,
-                      bound: int = DEFAULT_ENUMERATION_BOUND) -> StrongCsp:
+def strong_csp_oracle(graph: Graph) -> StrongCsp:
     """Strong CSP from the intersection of every nonempty hereditary saturated
     subset, found by scanning all subsets; reachability is tested literally."""
-    _check_bound(graph, bound)
+    _check_bound(graph)
     core = frozenset(graph.vertices)
     for t in _subsets(graph.vertices):
         if t and _hereditary_literal(graph, t) and _saturated_literal(graph, t):
@@ -137,10 +138,9 @@ def _breaking_literal(graph: Graph, hset: frozenset):
     return frozenset(out)
 
 
-def enumerate_admissible_pairs(graph: Graph,
-                               bound: int = DEFAULT_ENUMERATION_BOUND) -> list:
+def enumerate_admissible_pairs(graph: Graph) -> list:
     """All (H, S) with H hereditary saturated and S breaking, by subset scan."""
-    _check_bound(graph, bound)
+    _check_bound(graph)
     pairs = []
     for hset in _subsets(graph.vertices):
         if not (_hereditary_literal(graph, hset)
@@ -178,14 +178,13 @@ def lub_oracle(pairs, p1: AdmissiblePair, p2: AdmissiblePair) -> AdmissiblePair:
 # -- maximal tails -------------------------------------------------------------------
 
 
-def maximal_tails_bruteforce(graph: Graph,
-                             bound: int = DEFAULT_ENUMERATION_BOUND) -> list:
+def maximal_tails_bruteforce(graph: Graph) -> list:
     """Every nonempty subset passing the three maximal-tail conditions literally.
 
     MT1: closed under predecessors.  MT2: a regular member keeps a successor
     inside.  MT3: any two members reach a common member.
     """
-    _check_bound(graph, bound)
+    _check_bound(graph)
     out = []
     for m in _subsets(graph.vertices):
         if not m:
@@ -222,8 +221,7 @@ def _induced_subgraph(graph: Graph, vertices) -> Graph:
                  [e for e in graph.edges if e.src in keep and e.dst in keep])
 
 
-def products_of_comp_irred_walk(graph: Graph,
-                                bound: int = DEFAULT_ENUMERATION_BOUND):
+def products_of_comp_irred_walk(graph: Graph):
     """Whether every proper ideal is a product of completely irreducible ideals.
 
     Walks the general definition: condition (K) and, for every proper
@@ -235,7 +233,7 @@ def products_of_comp_irred_walk(graph: Graph,
     if not k_holds:
         return False, {"condition": "K", "cycle": bad}
     everything = frozenset(graph.vertices)
-    for pair in enumerate_admissible_pairs(graph, bound):
+    for pair in enumerate_admissible_pairs(graph):
         if pair.vertices == everything:
             continue
         q = quotient_graph(graph, pair).graph

@@ -10,9 +10,9 @@ polynomial is an associate of a unique monic ordinary polynomial with nonzero
 constant term.  LaurentClass wraps that representative.
 
 Factorization is exact as well: over GF(p) by trial division against monic
-irreducibles enumerated by degree (meant for small p), over Q by Yun's
-square-free decomposition followed by Kronecker's divisor-interpolation
-method, capped by a configurable degree bound.
+polynomials enumerated by degree (meant for small p, capped at GF_TRIAL_CAP
+candidates), over Q by Yun's square-free decomposition followed by
+Kronecker's divisor-interpolation method (capped at KRONECKER_DEGREE_CAP).
 """
 
 from __future__ import annotations
@@ -24,7 +24,10 @@ from itertools import product as _itproduct
 from .errors import DegreeTooLarge, FieldMismatch, ZeroPolynomial
 
 #: Degree cap for Kronecker factorization over Q.
-DEFAULT_KRONECKER_BOUND = 12
+KRONECKER_DEGREE_CAP = 12
+
+#: Most trial divisors one factorization over GF(p) tries.
+GF_TRIAL_CAP = 2**16
 
 _PRIME_LIMIT = 2**31
 
@@ -416,6 +419,7 @@ def monic_irreducibles(field: FieldSpec, max_degree: int) -> list[Poly]:
 def _factor_gf(f: Poly) -> list[tuple[Poly, int]]:
     rest = f.monic()
     out: list[tuple[Poly, int]] = []
+    tried = 0
     d = 1
     while rest.degree >= 1:
         if 2 * d > rest.degree:
@@ -424,6 +428,11 @@ def _factor_gf(f: Poly) -> list[tuple[Poly, int]]:
         for cand in _monic_polys(f.field, d):
             if rest.degree < d:
                 break
+            tried += 1
+            if tried > GF_TRIAL_CAP:
+                raise DegreeTooLarge(
+                    f"factoring over GF({f.field.p}) needs more trial divisors"
+                    f" than the cap {GF_TRIAL_CAP}")
             mult = 0
             while True:
                 q, r = divmod(rest, cand)
@@ -553,10 +562,10 @@ def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _factor_rational(f: Poly, max_degree: int) -> list[tuple[Poly, int]]:
-    if f.degree > max_degree:
-        raise DegreeTooLarge(
-            f"degree {f.degree} exceeds the rational factorization cap {max_degree}")
+def _factor_rational(f: Poly) -> list[tuple[Poly, int]]:
+    if f.degree > KRONECKER_DEGREE_CAP:
+        raise DegreeTooLarge(f"degree {f.degree} exceeds the rational "
+                             f"factorization cap {KRONECKER_DEGREE_CAP}")
     out: list[tuple[Poly, int]] = []
     for part, mult in _squarefree_parts(f.monic()):
         stack = [part]
@@ -578,8 +587,7 @@ def _poly_sort_key(g: Poly):
     return (g.degree, g.coeffs)
 
 
-def factor(f: Poly, max_kronecker_degree: int = DEFAULT_KRONECKER_BOUND
-           ) -> list[tuple[Poly, int]]:
+def factor(f: Poly) -> list[tuple[Poly, int]]:
     """Factor f into monic irreducibles: [(g, multiplicity)], deterministic order.
 
     f must be nonzero of degree >= 1 with nonzero constant term (the shape
@@ -593,11 +601,10 @@ def factor(f: Poly, max_kronecker_degree: int = DEFAULT_KRONECKER_BOUND
     if f.field.kind == "GF":
         out = _factor_gf(f)
         return sorted(out, key=lambda gm: _poly_sort_key(gm[0]))
-    return _factor_rational(f, max_kronecker_degree)
+    return _factor_rational(f)
 
 
-def is_irreducible_laurent(cls: LaurentClass,
-                           max_kronecker_degree: int = DEFAULT_KRONECKER_BOUND) -> bool:
+def is_irreducible_laurent(cls: LaurentClass) -> bool:
     """True iff the class is a prime element of K[x, 1/x].
 
     Equivalently: the representative has degree >= 1 and is irreducible in
@@ -606,4 +613,4 @@ def is_irreducible_laurent(cls: LaurentClass,
     factorization.
     """
     f = cls.rep
-    return f.degree >= 1 and factor(f, max_kronecker_degree) == [(f, 1)]
+    return f.degree >= 1 and factor(f) == [(f, 1)]

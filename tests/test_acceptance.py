@@ -244,7 +244,7 @@ def test_classifier_fixtures(capsys):
 def test_implication_chain(capsys, seeded_graphs):
     with gate(capsys, "implication-chain"):
         for graph in seeded_graphs:
-            rep = classify_algebra(graph, 4096)
+            rep = classify_algebra(graph)
             chain = rep["every_proper_ideal_completely_irreducible"].verdict
             matches = rep["irreducible_equals_completely_irreducible"].verdict
             graded = rep["all_ideals_graded"].verdict

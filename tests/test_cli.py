@@ -2,9 +2,11 @@
 
 import json
 import pathlib
+import time
 
 import pytest
 
+from lpaideals import graphs as graphs_module
 from lpaideals.cli import run
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -204,10 +206,61 @@ class TestExitCodes:
                               "--ideal", str(DATA / "loop_x_plus_1.json"))
         assert code == 3 and "error:" in err
 
-    def test_enumeration_bound(self, capsys):
-        code, _, err = invoke(capsys, "hsets", "--graph", graph("petals3"),
-                              "--bound", "2")
-        assert code == 4 and "error:" in err
+    def test_enumeration_bound(self, capsys, monkeypatch):
+        # petals3 has 9 hereditary saturated sets, omega_fan 5 sets, 6 pairs
+        monkeypatch.setattr(graphs_module, "LATTICE_CAP", 8)
+        code, _, err = invoke(capsys, "hsets", "--graph", graph("petals3"))
+        assert code == 4 and "error:" in err and "lattice cap 8" in err
+        monkeypatch.setattr(graphs_module, "LATTICE_CAP", 5)
+        assert invoke(capsys, "hsets", "--graph", graph("omega_fan"))[0] == 0
+        code, _, err = invoke(capsys, "algebra-check", "--graph", graph("omega_fan"))
+        assert code == 4 and "lattice cap 5" in err
+
+    @staticmethod
+    def _ring_and_chain(tmp_path):
+        ring, chain = tmp_path / "ring.json", tmp_path / "chain.json"
+        ring.write_text(json.dumps({
+            "vertices": [f"v{i:02d}" for i in range(40)],
+            "edges": [{"id": f"e{i:02d}", "src": f"v{i:02d}",
+                       "dst": f"v{(i + 1) % 40:02d}"} for i in range(40)]}))
+        chain.write_text(json.dumps({
+            "vertices": [f"v{i:02d}" for i in range(20)],
+            "edges": [{"id": f"e{i:02d}", "src": f"v{i:02d}",
+                       "dst": f"v{i - 1:02d}"} for i in range(1, 20)]}))
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"H": []}))
+        return (ring, chain), ["--ideal", str(zero)]
+
+    ENUMERATING = ["hsets", "primes", "algebra-check", "ideal-factor"]
+
+    @pytest.mark.parametrize("command", ENUMERATING)
+    def test_large_graphs_need_no_flag(self, capsys, tmp_path, command):
+        graphs, ideal = self._ring_and_chain(tmp_path)
+        extra = ideal if command == "ideal-factor" else []
+        for path in graphs:
+            data = run_json(capsys, command, "--graph", str(path), *extra)
+            if command == "hsets":
+                everything = sorted(json.loads(path.read_text())["vertices"])
+                assert [row["H"] for row in data["sets"]] == [[], everything]
+
+    @pytest.mark.parametrize("command", ENUMERATING)
+    def test_bound_flag_is_gone(self, capsys, tmp_path, command):
+        (_, chain), ideal = self._ring_and_chain(tmp_path)
+        extra = ideal if command == "ideal-factor" else []
+        code, _, _ = invoke(capsys, command, "--graph", str(chain), *extra,
+                            "--bound", "16")
+        assert code == 2
+
+    def test_gf_trial_division_cap(self, capsys, tmp_path):
+        # x^4 + x^2 + 5 over GF(1000003) would try about 10^12 divisors
+        ideal = tmp_path / "ideal.json"
+        ideal.write_text(json.dumps({"H": [], "field": "GF(1000003)", "parts": [
+            {"cycle": ["v", "e"], "poly": [5, 0, 1, 0, 1]}]}))
+        started = time.perf_counter()
+        code, _, err = invoke(capsys, "ideal-classify", "--graph", graph("one_loop"),
+                              "--ideal", str(ideal))
+        assert code == 4 and "GF(1000003)" in err and "65536" in err
+        assert time.perf_counter() - started < 5
 
     def test_algebra_check_needs_no_enumeration_without_k(self, capsys,
                                                           tmp_path):
@@ -233,10 +286,9 @@ class TestExitCodes:
                        "dst": f"v{i - 1:02d}"} for i in range(1, n)]}))
         zero = tmp_path / "zero.json"
         zero.write_text(json.dumps({"H": []}))
-        extra = {"algebra-check": ["--bound", "40"],
+        extra = {"algebra-check": [],
                  "ideal-classify": ["--ideal", str(zero)],
-                 "ideal-factor": ["--ideal", str(zero), "--mode", "comp-irred",
-                                  "--bound", "40"]}
+                 "ideal-factor": ["--ideal", str(zero), "--mode", "comp-irred"]}
         run_json(capsys, command, "--graph", str(chain), *extra[command])
 
     LOOP = {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v"}]}

@@ -31,6 +31,7 @@ from lpaideals.graphs import (
     Graph,
     admissible_leq,
     admissible_pair,
+    admissible_pairs,
     breaking_vertices,
     condition_k,
     condition_l,
@@ -131,16 +132,31 @@ class TestHereditarySaturated:
         got = enumerate_hereditary_saturated(plain_chain())
         assert got == [frozenset(), frozenset({"v1", "v2", "v3"})]
 
-    def test_enumeration_bound(self):
-        with pytest.raises(TooLarge):
-            enumerate_hereditary_saturated(petals(), bound=2)
+    def test_enumeration_bound(self, monkeypatch):
+        # petals has 9 hereditary saturated sets; the cap is read per call
+        monkeypatch.setattr(graphs_module, "LATTICE_CAP", 8)
+        with pytest.raises(TooLarge, match=r"\b8\b"):
+            enumerate_hereditary_saturated(petals())
+        monkeypatch.setattr(graphs_module, "LATTICE_CAP", 9)
+        assert len(enumerate_hereditary_saturated(petals())) == 9
+
+    def test_pair_cap(self, monkeypatch):
+        # omega_fan has 5 hereditary saturated sets and 6 admissible pairs
+        monkeypatch.setattr(graphs_module, "LATTICE_CAP", 5)
+        assert len(enumerate_hereditary_saturated(omega_fan())) == 5
+        with pytest.raises(TooLarge, match=r"\b5\b"):
+            admissible_pairs(omega_fan())
+        monkeypatch.setattr(graphs_module, "LATTICE_CAP", 6)
+        assert len(admissible_pairs(omega_fan())) == 6
 
     def test_enumeration_and_core_match_subset_scans(self):
         graphs = list(corpus().values())
         graphs += [random_graph(GeneratorConfig(seed=s)) for s in range(1, 201)]
         graphs += _multigraph_batch(SplitMix64(20261019), 1000)
         for g in graphs:
-            scanned = {p.vertices for p in enumerate_admissible_pairs(g)}
+            pairs = enumerate_admissible_pairs(g)
+            assert admissible_pairs(g) == pairs, g
+            scanned = {p.vertices for p in pairs}
             want = sorted(scanned, key=lambda s: (len(s), sorted(s)))
             assert enumerate_hereditary_saturated(g) == want, g
             assert strong_csp(g) == strong_csp_oracle(g), g

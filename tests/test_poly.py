@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, Laurent normal form, and factorization."""
 
+import importlib
 from fractions import Fraction
 from itertools import product
 
@@ -24,6 +25,8 @@ from lpaideals.rng import SplitMix64
 Q = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
 GF3 = FieldSpec.prime_field(3)
+# the package root exports the function poly, which shadows the module
+poly_module = importlib.import_module("lpaideals.poly")
 
 
 class TestFieldSpec:
@@ -222,11 +225,27 @@ class TestFactorization:
         with pytest.raises(ValueError):
             factor(poly(Q, (0, 1)))
 
-    def test_rational_degree_cap(self):
+    def test_rational_degree_cap(self, monkeypatch):
         f = poly(Q, (1,) + (0,) * 12 + (1,))  # degree 13
         with pytest.raises(DegreeTooLarge):
             factor(f)
-        assert factor(f, max_kronecker_degree=13)
+        monkeypatch.setattr(poly_module, "KRONECKER_DEGREE_CAP", 13)
+        assert factor(f)
+
+    def test_gf_trial_division_cap(self, monkeypatch):
+        big = FieldSpec.prime_field(1000003)
+        with pytest.raises(DegreeTooLarge, match=r"GF\(1000003\).*65536"):
+            factor(poly(big, (5, 0, 1, 0, 1)))
+        # (x+1)(x+2) over GF(1000003) stops at its root -2, far below the cap
+        assert factor(poly(big, (2, 3, 1))) == [(poly(big, (1, 1)), 1),
+                                                (poly(big, (2, 1)), 1)]
+        # an irreducible quintic over GF(101) tries 101 + 101**2 = 10302 divisors
+        f = poly(FieldSpec.prime_field(101), (2, 0, 0, 0, 1, 1))
+        monkeypatch.setattr(poly_module, "GF_TRIAL_CAP", 10302)
+        assert factor(f) == [(f, 1)]
+        monkeypatch.setattr(poly_module, "GF_TRIAL_CAP", 10301)
+        with pytest.raises(DegreeTooLarge, match=r"GF\(101\).*10301"):
+            factor(f)
 
     def test_factor_agrees_with_bruteforce_gf2(self):
         for coeffs in product((0, 1), repeat=5):
