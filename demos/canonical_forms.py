@@ -6,8 +6,9 @@ caller hands in: exits pull their targets into H, polynomials lose units
 and x-powers, duplicate cycles merge by gcd.
 """
 
-from lpaideals import FieldSpec, canonicalize, loop_chain, omega_loop, poly
+from lpaideals import FieldSpec, canonicalize, loop_chain, omega_loop
 from lpaideals.graphs import Cycle
+from lpaideals.poly import poly
 
 Q = FieldSpec.rationals()
 

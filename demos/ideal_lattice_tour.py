@@ -8,13 +8,13 @@ admissible pairs with meet and join.
 from lpaideals import (
     Ideal,
     breaking_vertices,
-    enumerate_admissible_pairs,
     enumerate_hereditary_saturated,
     graph_to_dot,
     join_graded,
     meet_graded,
     omega_fan,
 )
+from lpaideals.oracles import enumerate_admissible_pairs
 
 
 def label(ideal):

@@ -22,9 +22,9 @@ from .graphs import (
     condition_k,
     condition_l,
     downward_directed,
-    enumerate_hereditary_saturated,
     quotient_graph,
     strong_csp,
+    tail_complements,
 )
 
 
@@ -136,12 +136,7 @@ def irreducible_equals_completely_irreducible(graph: Graph) -> PredicateResult:
     k = _condition_k(name, graph)
     if not k:
         return k
-    everything = frozenset(graph.vertices)
-    for hset in enumerate_hereditary_saturated(graph):
-        if hset == everything:
-            continue
-        if not downward_directed(graph, everything - hset)[0]:
-            continue
+    for hset in tail_complements(graph):
         pair = AdmissiblePair(hset, breaking_vertices(graph, hset))
         q = quotient_graph(graph, pair).graph
         csp = strong_csp(q)

@@ -635,6 +635,21 @@ def maximal_tails(graph: Graph) -> list:
     return out
 
 
+def tail_complements(graph: Graph) -> list:
+    """Hereditary saturated sets H != E^0 whose complement is downward directed.
+
+    In a finite graph these are exactly the complements E^0 \\ M of the
+    maximal tails M (Rangaswamy, "The theory of prime ideals of Leavitt path
+    algebras over arbitrary graphs", J. Algebra 375 (2013)): M is closed
+    under predecessors exactly when H is hereditary, and gives every regular
+    member an edge back into M exactly when H is saturated.  Sorted by size
+    then lexicographically, the order of enumerate_hereditary_saturated.
+    """
+    everything = frozenset(graph.vertices)
+    return sorted((everything - m for m in maximal_tails(graph)),
+                  key=lambda s: (len(s), sorted(s)))
+
+
 def _is_maximal_tail(graph: Graph, subset) -> bool:
     m = frozenset(subset)
     if not m:

@@ -44,10 +44,10 @@ from .graphs import (
     breaking_vertices,
     cycle_exits,
     downward_directed,
-    enumerate_hereditary_saturated,
     hereditary_saturated_closure,
     maximal_tails,
     quotient_graph,
+    tail_complements,
 )
 from .poly import (
     FieldSpec,
@@ -329,10 +329,6 @@ def contains(big: Ideal, small: Ideal) -> bool:
     return True
 
 
-def equals(i1: Ideal, i2: Ideal) -> bool:
-    return i1 == i2
-
-
 # -- primality --------------------------------------------------------------------
 
 
@@ -373,16 +369,17 @@ def is_prime(ideal: Ideal) -> CaseResult:
 
 
 def enumerate_graded_primes(graph: Graph) -> list:
-    """All graded prime ideals, sorted by (H, S)."""
+    """All graded prime ideals, sorted by (H, S).
+
+    A graded prime has H = E^0 \\ M for a maximal tail M: it is (H, B_H), or
+    (H, B_H minus u) for a breaking vertex u whose reaching set is M.
+    """
     out = []
     everything = frozenset(graph.vertices)
-    for hset in enumerate_hereditary_saturated(graph):
-        if hset == everything:
-            continue
+    for hset in tail_complements(graph):
         complement = everything - hset
         full = breaking_vertices(graph, hset)
-        if downward_directed(graph, complement)[0]:
-            out.append(Ideal(graph, AdmissiblePair(hset, full)))
+        out.append(Ideal(graph, AdmissiblePair(hset, full)))
         for u in sorted(full):
             if complement == graph.reaching_set(u):
                 out.append(Ideal(graph, AdmissiblePair(hset, full - {u})))

@@ -23,11 +23,10 @@ from .graphs import (
     StrongCsp,
     condition_k,
     cycles_without_exits,
-    downward_directed,
-    enumerate_hereditary_saturated,
     maximal_tails,
     quotient_graph,
     strong_csp,
+    tail_complements,
 )
 from .ideals import (
     canonicalize,
@@ -36,7 +35,7 @@ from .ideals import (
     is_prime,
     prime_power_decompose,
 )
-from .poly import FieldSpec, Poly, monic_irreducibles
+from .poly import FieldSpec, Poly, _monic_polys
 from .rng import SplitMix64
 
 
@@ -282,6 +281,18 @@ def bruteforce_factor_gf(f: Poly) -> list:
     return counted
 
 
+def monic_irreducibles(field: FieldSpec, max_degree: int) -> list[Poly]:
+    """Monic irreducibles over GF(p) up to max_degree, sieved by trial division."""
+    if field.kind != "GF":
+        raise ValueError("monic_irreducibles is a GF(p) enumeration")
+    found: list[Poly] = []
+    for d in range(1, max_degree + 1):
+        for cand in _monic_polys(field, d):
+            if all(not (cand % q).is_zero() for q in found if 2 * q.degree <= d):
+                found.append(cand)
+    return found
+
+
 # -- seeded generators ------------------------------------------------------------------
 
 
@@ -351,12 +362,7 @@ def random_prime_power_family(config: GeneratorConfig, graph: Graph,
     rng = SplitMix64(config.seed).split()
     graded_pool = [p for p in enumerate_graded_primes(graph) if p.pair.vertices]
     sites = []
-    everything = frozenset(graph.vertices)
-    for hset in enumerate_hereditary_saturated(graph):
-        if hset == everything:
-            continue
-        if not downward_directed(graph, everything - hset)[0]:
-            continue
+    for hset in tail_complements(graph):
         pair_sets = (hset, _breaking_literal(graph, hset))
         quotient = quotient_graph(
             graph, AdmissiblePair(pair_sets[0], pair_sets[1]))

@@ -313,10 +313,6 @@ def poly(field: FieldSpec, coeffs) -> Poly:
     return Poly(field, coeffs)
 
 
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    return f * g
-
-
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; both inputs must be nonzero."""
     _check_same_field(f, g)
@@ -402,18 +398,6 @@ def _monic_polys(field: FieldSpec, degree: int):
     p = field.p
     for tail in _itproduct(range(p), repeat=degree):
         yield Poly(field, list(tail) + [1])
-
-
-def monic_irreducibles(field: FieldSpec, max_degree: int) -> list[Poly]:
-    """Monic irreducibles over GF(p) up to max_degree, sieved by trial division."""
-    if field.kind != "GF":
-        raise ValueError("monic_irreducibles is a GF(p) enumeration")
-    found: list[Poly] = []
-    for d in range(1, max_degree + 1):
-        for cand in _monic_polys(field, d):
-            if all(not (cand % q).is_zero() for q in found if 2 * q.degree <= d):
-                found.append(cand)
-    return found
 
 
 def _factor_gf(f: Poly) -> list[tuple[Poly, int]]:

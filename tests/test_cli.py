@@ -216,6 +216,20 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "algebra-check", "--graph", graph("omega_fan"))
         assert code == 4 and "lattice cap 5" in err
 
+    def test_primes_and_factors_past_the_lattice_cap(self, capsys, tmp_path):
+        # 17 isolated sinks have 2^17 sets but only 17 maximal tails
+        sinks = tmp_path / "sinks.json"
+        sinks.write_text(json.dumps({
+            "vertices": [f"s{i:02d}" for i in range(17)], "edges": []}))
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"H": []}))
+        assert run_json(capsys, "primes", "--graph", str(sinks))["count"] == 17
+        data = run_json(capsys, "ideal-factor", "--graph", str(sinks),
+                        "--ideal", str(zero))
+        assert len(data["report"]["factors"]) == 17
+        code, _, err = invoke(capsys, "algebra-check", "--graph", str(sinks))
+        assert code == 4 and "lattice cap 65536" in err
+
     @staticmethod
     def _ring_and_chain(tmp_path):
         ring, chain = tmp_path / "ring.json", tmp_path / "chain.json"

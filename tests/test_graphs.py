@@ -1,9 +1,12 @@
 """Graph data model, closures, quotients, cycles, and structural predicates."""
 
 import collections
+import json
+import pathlib
 
 import pytest
 
+from lpaideals.classify import irreducible_equals_completely_irreducible
 from lpaideals.errors import (
     EmptySet,
     InvalidGraph,
@@ -11,6 +14,7 @@ from lpaideals.errors import (
     NotHereditarySaturated,
     TooLarge,
     UnknownVertex,
+    Unsatisfiable,
 )
 from lpaideals.gallery import (
     corpus,
@@ -51,12 +55,21 @@ from lpaideals.graphs import (
     maximal_tails,
     quotient_graph,
     strong_csp,
+    tail_complements,
 )
 from lpaideals import graphs as graphs_module
+from lpaideals.ideals import (
+    Ideal,
+    enumerate_graded_primes,
+    factor_prime_powers,
+    is_prime,
+    zero_ideal,
+)
 from lpaideals.oracles import (
     GeneratorConfig,
     enumerate_admissible_pairs,
     random_graph,
+    random_prime_power_family,
     strong_csp_oracle,
 )
 from lpaideals.rng import SplitMix64
@@ -385,6 +398,50 @@ class TestConditions:
         assert not bad.holds and bad.witness == frozenset()
         # omega_fan: both sinks are hereditary saturated, cores intersect empty
         assert not strong_csp(omega_fan()).holds
+
+
+class TestTailComplements:
+    @staticmethod
+    def _corpus():
+        graphs = list(corpus().values())
+        for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.json")):
+            data = json.loads(path.read_text(encoding="utf-8"))
+            if "vertices" in data:
+                graphs.append(graph_from_json(data))
+        graphs += [random_graph(GeneratorConfig(seed=s)) for s in range(1, 201)]
+        graphs += _multigraph_batch(SplitMix64(20261019), 1000)
+        return graphs
+
+    def test_tails_and_primes_match_lattice_filters(self):
+        # the prime hereditary saturated sets are the tail complements, so
+        # neither they nor the graded primes need the lattice
+        for g in self._corpus():
+            everything = frozenset(g.vertices)
+            filtered = [h for h in enumerate_hereditary_saturated(g)
+                        if h != everything
+                        and downward_directed(g, everything - h)[0]]
+            assert tail_complements(g) == filtered, g
+            proper = [Ideal(g, p) for p in enumerate_admissible_pairs(g)
+                      if p.vertices != everything]
+            assert enumerate_graded_primes(g) == [
+                i for i in proper if is_prime(i).holds], g
+
+    @staticmethod
+    def _answers(g):
+        out = [enumerate_graded_primes(g),
+               irreducible_equals_completely_irreducible(g),
+               factor_prime_powers(zero_ideal(g))]
+        try:
+            out.append(random_prime_power_family(GeneratorConfig(seed=3), g))
+        except Unsatisfiable:
+            out.append(None)
+        return out
+
+    def test_primes_walk_no_lattice(self, monkeypatch):
+        expected = {name: self._answers(g) for name, g in corpus().items()}
+        monkeypatch.setattr(graphs_module, "LATTICE_CAP", 1)
+        for name, g in corpus().items():
+            assert self._answers(g) == expected[name], name
 
 
 class TestSerialization:

@@ -27,7 +27,6 @@ from lpaideals.ideals import (
     canonicalize,
     contains,
     enumerate_graded_primes,
-    equals,
     graded_ideal,
     graded_part,
     ideal_from_json,
@@ -171,7 +170,7 @@ class TestContainment:
         assert contains(p1, p2) and not contains(p2, p1)
         assert contains(whole_ideal(one_loop()), p2)
         assert contains(p2, zero_ideal(one_loop()))
-        assert equals(p2, ideal_power(p1, 2))
+        assert p2 == ideal_power(p1, 2)
 
     def test_part_against_graded(self):
         g = loop_chain()

@@ -1,20 +1,20 @@
 """Exact polynomial arithmetic, Laurent normal form, and factorization."""
 
-import importlib
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import lpaideals
+from lpaideals import poly as poly_module
 from lpaideals.errors import DegreeTooLarge, FieldMismatch, ZeroPolynomial
-from lpaideals.oracles import bruteforce_factor_gf
+from lpaideals.oracles import bruteforce_factor_gf, monic_irreducibles
 from lpaideals.poly import (
     FieldSpec,
     LaurentClass,
     divides,
     factor,
     is_irreducible_laurent,
-    monic_irreducibles,
     normalize_laurent,
     poly,
     poly_gcd,
@@ -25,8 +25,11 @@ from lpaideals.rng import SplitMix64
 Q = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
 GF3 = FieldSpec.prime_field(3)
-# the package root exports the function poly, which shadows the module
-poly_module = importlib.import_module("lpaideals.poly")
+
+
+def test_package_attribute_is_the_module():
+    # the root package must not export a name that shadows the submodule
+    assert lpaideals.poly.KRONECKER_DEGREE_CAP == 12
 
 
 class TestFieldSpec:
