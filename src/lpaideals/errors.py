@@ -18,7 +18,8 @@ class FieldMismatch(LpaError):
 
 
 class DegreeTooLarge(LpaError):
-    """A factorization would exceed its cap: degree over Q, trial divisors over GF(p)."""
+    """A factorization would exceed its cap: modular factors over Q (or degree,
+    in the Kronecker reference of oracles)."""
 
 
 class InvalidGraph(LpaError):

@@ -51,9 +51,13 @@ class Edge:
 
 
 class Graph:
-    """Immutable finite directed multigraph with slot multiplicities."""
+    """Immutable finite directed multigraph with slot multiplicities.
 
-    __slots__ = ("vertices", "edges", "_vset", "_out", "_in", "_by_id")
+    Reachability sets are computed once per vertex, on first use.
+    """
+
+    __slots__ = ("vertices", "edges", "_vset", "_out", "_in", "_by_id",
+                 "_descendants", "_reaching")
 
     def __init__(self, vertices, edges):
         vertices = list(vertices)
@@ -93,6 +97,8 @@ class Graph:
         object.__setattr__(self, "_out", {v: tuple(l) for v, l in out.items()})
         object.__setattr__(self, "_in", {v: tuple(l) for v, l in inc.items()})
         object.__setattr__(self, "_by_id", {e.id: e for e in es})
+        object.__setattr__(self, "_descendants", {})
+        object.__setattr__(self, "_reaching", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -159,27 +165,28 @@ class Graph:
 
     def descendants(self, v: str) -> frozenset:
         """All vertices reachable from v, including v."""
-        self.check_vertex(v)
-        seen = {v}
-        stack = [v]
-        while stack:
-            for e in self._out[stack.pop()]:
-                if e.dst not in seen:
-                    seen.add(e.dst)
-                    stack.append(e.dst)
-        return frozenset(seen)
+        return self._search(v, self._out, "dst", self._descendants)
 
     def reaching_set(self, w: str) -> frozenset:
         """All vertices with a path to w, including w."""
-        self.check_vertex(w)
-        seen = {w}
-        stack = [w]
-        while stack:
-            for e in self._in[stack.pop()]:
-                if e.src not in seen:
-                    seen.add(e.src)
-                    stack.append(e.src)
-        return frozenset(seen)
+        return self._search(w, self._in, "src", self._reaching)
+
+    def _search(self, v: str, edges: dict, end: str, cache: dict) -> frozenset:
+        """v and all vertices found from it through edges[u] to each edge's end."""
+        if v not in cache:
+            self.check_vertex(v)
+            seen = {v}
+            stack = [v]
+            while stack:
+                for e in edges[stack.pop()]:
+                    w = getattr(e, end)
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            # the vertices of one strongly connected component share one set
+            cache[v] = next((cache[w] for w in seen if cache.get(w) == seen),
+                            frozenset(seen))
+        return cache[v]
 
     def reaches(self, u: str, v: str) -> bool:
         self.check_vertex(v)
@@ -655,7 +662,8 @@ def _is_maximal_tail(graph: Graph, subset) -> bool:
     if not m:
         return False
     for w in m:
-        if not graph.reaching_set(w) <= m:
+        # closed under predecessors: no edge enters m from outside
+        if any(e.src not in m for e in graph.in_edges(w)):
             return False
         if graph.is_regular(w) and not (graph.successors(w) & m):
             return False

@@ -11,10 +11,11 @@ reproduce everywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .errors import NotALattice, TooLarge, Unsatisfiable
+from .errors import DegreeTooLarge, NotALattice, TooLarge, Unsatisfiable
 from .graphs import (
     OMEGA,
     AdmissiblePair,
@@ -35,7 +36,7 @@ from .ideals import (
     is_prime,
     prime_power_decompose,
 )
-from .poly import FieldSpec, Poly, _monic_polys
+from .poly import FieldSpec, Poly
 from .rng import SplitMix64
 
 
@@ -249,7 +250,18 @@ def products_of_comp_irred_walk(graph: Graph):
     return True, None
 
 
-# -- brute-force polynomial factorization over GF(p) -----------------------------------
+# -- reference polynomial factorization --------------------------------------------
+
+
+def _monic_polys(field: FieldSpec, degree: int):
+    """All monic polynomials of the given degree over GF(p), lexicographically."""
+    for tail in itertools.product(range(field.p), repeat=degree):
+        yield Poly(field, list(tail) + [1])
+
+
+def _factor_counts(found: list) -> list:
+    return [(g, found.count(g))
+            for g in sorted(set(found), key=lambda g: (g.degree, g.coeffs))]
 
 
 def bruteforce_factor_gf(f: Poly) -> list:
@@ -267,18 +279,14 @@ def bruteforce_factor_gf(f: Poly) -> list:
     found = []
     d = 1
     while 2 * d <= rest.degree:
-        for tail in itertools.product(range(f.field.p), repeat=d):
-            g = Poly(f.field, list(tail) + [1])
+        for g in _monic_polys(f.field, d):
             while rest.degree >= g.degree and (rest % g).is_zero():
                 found.append(g)
                 rest = rest // g
         d += 1
     if rest.degree >= 1:
         found.append(rest.monic())
-    counted = []
-    for g in sorted(set(found), key=lambda g: (g.degree, g.coeffs)):
-        counted.append((g, found.count(g)))
-    return counted
+    return _factor_counts(found)
 
 
 def monic_irreducibles(field: FieldSpec, max_degree: int) -> list[Poly]:
@@ -291,6 +299,110 @@ def monic_irreducibles(field: FieldSpec, max_degree: int) -> list[Poly]:
             if all(not (cand % q).is_zero() for q in found if 2 * q.degree <= d):
                 found.append(cand)
     return found
+
+
+#: kronecker_factor_rational refuses polynomials above this degree.
+KRONECKER_DEGREE_BOUND = 12
+
+
+def _int_divisors(n: int) -> list[int]:
+    n = abs(n)
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    out: list[int] = []
+    for v in small + large[::-1]:
+        out.extend((v, -v))
+    return out
+
+
+def _rational_roots(ints: list[int]) -> list[Fraction]:
+    """Rational roots of an integer polynomial with nonzero constant term."""
+    f = Poly(FieldSpec.rationals(), ints)
+    roots = []
+    for p_ in _int_divisors(ints[0]):
+        for q_ in _int_divisors(ints[-1]):
+            cand = Fraction(p_, q_)
+            if q_ > 0 and f.evaluate(cand) == 0 and cand not in roots:
+                roots.append(cand)
+    return roots
+
+
+def _interpolate(field: FieldSpec, xs, ys) -> Poly:
+    """Lagrange interpolation through (xs[i], ys[i])."""
+    total = Poly(field, [])
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        if yi == 0:
+            continue
+        num = Poly(field, [yi])
+        den = Fraction(1)
+        for j, xj in enumerate(xs):
+            if j != i:
+                num = num * Poly(field, [-xj, 1])
+                den *= Fraction(xi - xj)
+        total = total + num.scale(Fraction(1) / den)
+    return total
+
+
+def _kronecker_split(f: Poly):
+    """A monic irreducible factor of lowest degree and its cofactor, or None.
+
+    Kronecker's method on an integer multiple of f: a factor of degree s is
+    pinned down by its values on s+1 integer points, and each value must
+    divide the value of the polynomial there.  Interpolating every divisor
+    combination and test-dividing is exhaustive, hence exact, and the first
+    hit has the lowest degree, so it is irreducible.
+    """
+    field = f.field
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    ints = [int(c * den) for c in f.coeffs]
+    for r in _rational_roots(ints):
+        lin = Poly(field, [-r, 1])
+        return lin, f // lin
+    fint = Poly(field, ints)
+    for s in range(2, f.degree // 2 + 1):
+        points: list[int] = [0]
+        k = 1
+        while len(points) < s + 1:
+            points.append(k)
+            if len(points) < s + 1:
+                points.append(-k)
+            k += 1
+        # with no rational root left, every value is a nonzero integer
+        divisor_sets = [_int_divisors(int(fint.evaluate(a))) for a in points]
+        for combo in itertools.product(*divisor_sets):
+            g = _interpolate(field, points, [Fraction(c) for c in combo])
+            if g.degree == s and (f % g).is_zero():
+                gm = g.monic()
+                return gm, f // gm
+    return None
+
+
+def kronecker_factor_rational(f: Poly) -> list:
+    """Irreducible factorization over Q by Kronecker's method, the reference
+    for factor(): [(g, multiplicity)], g monic, sorted by (degree, coeffs)."""
+    if f.field.kind != "Q":
+        raise ValueError("Kronecker factorization is for Q only")
+    if f.is_zero() or f.degree < 1 or f.constant_term() == 0:
+        raise ValueError("factor a nonconstant polynomial with nonzero constant term")
+    if f.degree > KRONECKER_DEGREE_BOUND:
+        raise DegreeTooLarge(f"degree {f.degree} exceeds the Kronecker bound "
+                             f"{KRONECKER_DEGREE_BOUND}")
+    found, stack = [], [f.monic()]
+    while stack:
+        g = stack.pop()
+        split = None if g.degree <= 1 else _kronecker_split(g)
+        if split is None:
+            found.append(g)
+        else:
+            found.append(split[0])
+            stack.append(split[1])
+    return _factor_counts(found)
 
 
 # -- seeded generators ------------------------------------------------------------------

@@ -9,25 +9,19 @@ in K[x, 1/x] the units are the monomials a*x**k, so every nonzero Laurent
 polynomial is an associate of a unique monic ordinary polynomial with nonzero
 constant term.  LaurentClass wraps that representative.
 
-Factorization is exact as well: over GF(p) by trial division against monic
-polynomials enumerated by degree (meant for small p, capped at GF_TRIAL_CAP
-candidates), over Q by Yun's square-free decomposition followed by
-Kronecker's divisor-interpolation method (capped at KRONECKER_DEGREE_CAP).
+Factorization is exact and runs in polynomial time, in the module factoring
+on plain int lists: Cantor-Zassenhaus over GF(p) (Ben-Or's test for
+irreducibility alone), Zassenhaus with Hensel lifting over Q.  Recombining
+the lifted factors over Q is the one exponential step, so it is capped at
+MODULAR_FACTOR_CAP modular factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _itproduct
 
-from .errors import DegreeTooLarge, FieldMismatch, ZeroPolynomial
-
-#: Degree cap for Kronecker factorization over Q.
-KRONECKER_DEGREE_CAP = 12
-
-#: Most trial divisors one factorization over GF(p) tries.
-GF_TRIAL_CAP = 2**16
+from .errors import FieldMismatch, ZeroPolynomial
 
 _PRIME_LIMIT = 2**31
 
@@ -390,189 +384,19 @@ def normalize_laurent(f: Poly, shift: int = 0) -> LaurentClass:
     return LaurentClass(Poly(f.field, f.coeffs[k:]).monic())
 
 
-# -- factorization over GF(p) ------------------------------------------------
+# -- factorization --------------------------------------------------------------
 
 
-def _monic_polys(field: FieldSpec, degree: int):
-    """All monic polynomials of the given degree over GF(p), lexicographically."""
-    p = field.p
-    for tail in _itproduct(range(p), repeat=degree):
-        yield Poly(field, list(tail) + [1])
-
-
-def _factor_gf(f: Poly) -> list[tuple[Poly, int]]:
-    rest = f.monic()
-    out: list[tuple[Poly, int]] = []
-    tried = 0
-    d = 1
-    while rest.degree >= 1:
-        if 2 * d > rest.degree:
-            out.append((rest, 1))
-            break
-        for cand in _monic_polys(f.field, d):
-            if rest.degree < d:
-                break
-            tried += 1
-            if tried > GF_TRIAL_CAP:
-                raise DegreeTooLarge(
-                    f"factoring over GF({f.field.p}) needs more trial divisors"
-                    f" than the cap {GF_TRIAL_CAP}")
-            mult = 0
-            while True:
-                q, r = divmod(rest, cand)
-                if not r.is_zero():
-                    break
-                rest, mult = q, mult + 1
-            if mult:
-                # degree-ascending trial division only ever splits off irreducibles
-                out.append((cand, mult))
-        d += 1
-    return out
-
-
-# -- factorization over Q ----------------------------------------------------
-
-
-def _integer_primitive(f: Poly) -> list[int]:
-    """Scaled coefficient list: f times the lcm of denominators over the gcd."""
-    from math import gcd, lcm
-
-    den = lcm(*[c.denominator for c in f.coeffs])
-    ints = [int(c * den) for c in f.coeffs]
-    g = gcd(*ints)
-    return [c // g for c in ints]
-
-
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    pos = small + large[::-1]
-    out: list[int] = []
-    for v in pos:
-        out.extend((v, -v))
-    return out
-
-
-def _rational_roots(ints: list[int]) -> list[Fraction]:
-    """Rational roots of a primitive integer polynomial (nonzero constant term)."""
-    roots = []
-    F = FieldSpec.rationals()
-    f = Poly(F, ints)
-    for p_ in _int_divisors(ints[0]):
-        for q_ in _int_divisors(ints[-1]):
-            if q_ <= 0:
-                continue
-            cand = Fraction(p_, q_)
-            if f.evaluate(cand) == 0 and cand not in roots:
-                roots.append(cand)
-    return roots
-
-
-def _kronecker_split(f: Poly) -> tuple[Poly, Poly] | None:
-    """One nontrivial monic factorization of a square-free rational polynomial.
-
-    Kronecker's method on the primitive integer form: an integer factor of
-    degree s is pinned down by its values on s+1 integer points, and each
-    value must divide the value of the polynomial there.  Interpolating every
-    divisor combination and test-dividing is exhaustive, hence exact; the
-    caller caps the degree to keep this a desk-scale tool.
-    """
-    F = f.field
-    ints = _integer_primitive(f)
-    for r in _rational_roots(ints):
-        lin = Poly(F, [-r, 1])
-        return lin, f // lin
-    fint = Poly(F, ints)
-    n = f.degree
-    for s in range(2, n // 2 + 1):
-        points: list[int] = [0]
-        k = 1
-        while len(points) < s + 1:
-            points.append(k)
-            if len(points) < s + 1:
-                points.append(-k)
-            k += 1
-        # no rational roots remain, so every value is a nonzero integer
-        divisor_sets = [_int_divisors(int(fint.evaluate(a))) for a in points]
-        for combo in _itproduct(*divisor_sets):
-            g = _interpolate(F, points, [Fraction(c) for c in combo])
-            if g.degree != s:
-                continue
-            if (f % g).is_zero():
-                gm = g.monic()
-                return gm, f // gm
-    return None
-
-
-def _interpolate(F: FieldSpec, xs, ys) -> Poly:
-    """Lagrange interpolation through (xs[i], ys[i])."""
-    total = Poly(F, [])
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        num = Poly(F, [yi])
-        den = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = num * Poly(F, [-xj, 1])
-            den *= Fraction(xi - xj)
-        total = total + num.scale(Fraction(1) / den)
-    return total
-
-
-def _squarefree_parts(f: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm (characteristic zero): [(square-free part, multiplicity)]."""
-    out: list[tuple[Poly, int]] = []
-    df = f.derivative()
-    g = poly_gcd(f, df) if not df.is_zero() else f.monic()
-    c = f // g
-    d = df // g - c.derivative()
-    i = 1
-    while c.degree >= 1:
-        p_ = poly_gcd(c, d) if not d.is_zero() else c.monic()
-        if p_.degree >= 1:
-            out.append((p_.monic(), i))
-        c = c // p_
-        d = d // p_ - c.derivative()
-        i += 1
-    return out
-
-
-def _factor_rational(f: Poly) -> list[tuple[Poly, int]]:
-    if f.degree > KRONECKER_DEGREE_CAP:
-        raise DegreeTooLarge(f"degree {f.degree} exceeds the rational "
-                             f"factorization cap {KRONECKER_DEGREE_CAP}")
-    out: list[tuple[Poly, int]] = []
-    for part, mult in _squarefree_parts(f.monic()):
-        stack = [part]
-        while stack:
-            g = stack.pop()
-            split = None if g.degree <= 1 else _kronecker_split(g)
-            if split is None:
-                out.append((g.monic(), mult))
-            else:
-                stack.extend(split)
-    merged: dict[Poly, int] = {}
-    for g, m in out:
-        merged[g] = merged.get(g, 0) + m
-    return sorted(merged.items(), key=lambda gm: _poly_sort_key(gm[0]))
-
-
-def _poly_sort_key(g: Poly):
-    # coefficients are uniformly Fraction or uniformly int, so tuples compare
-    return (g.degree, g.coeffs)
+#: Zassenhaus recombination tries subsets of the modular factors, so its work
+#: can double with each one (Swinnerton-Dyer polynomials split into many
+#: factors modulo every prime).  Past this many, factorization over Q stops
+#: with DegreeTooLarge.
+MODULAR_FACTOR_CAP = 16
 
 
 def factor(f: Poly) -> list[tuple[Poly, int]]:
-    """Factor f into monic irreducibles: [(g, multiplicity)], deterministic order.
+    """Factor f into monic irreducibles: [(g, multiplicity)], sorted by
+    (degree, coefficients).
 
     f must be nonzero of degree >= 1 with nonzero constant term (the shape
     Laurent representatives have).  The leading coefficient of f times the
@@ -582,10 +406,19 @@ def factor(f: Poly) -> list[tuple[Poly, int]]:
         raise ZeroPolynomial("factor of zero")
     if f.degree < 1 or f.constant_term() == 0:
         raise ValueError("factor expects degree >= 1 and nonzero constant term")
-    if f.field.kind == "GF":
-        out = _factor_gf(f)
-        return sorted(out, key=lambda gm: _poly_sort_key(gm[0]))
-    return _factor_rational(f)
+    field = f.field
+    if f.degree == 1:
+        return [(f.monic(), 1)]
+    from . import factoring  # loaded on first use; see its docstring
+
+    if field.kind == "GF":
+        out = [(Poly(field, g), e)
+               for g, e in factoring.factor_gf(list(f.coeffs), field.p)]
+    else:
+        out = [(Poly(field, [Fraction(c, g[-1]) for c in g]), e)
+               for g, e in factoring.factor_z(factoring.primitive(f.coeffs),
+                                              MODULAR_FACTOR_CAP)]
+    return sorted(out, key=lambda ge: (ge[0].degree, ge[0].coeffs))
 
 
 def is_irreducible_laurent(cls: LaurentClass) -> bool:
@@ -593,8 +426,14 @@ def is_irreducible_laurent(cls: LaurentClass) -> bool:
 
     Equivalently: the representative has degree >= 1 and is irreducible in
     K[x] (x itself is a unit in the Laurent ring, and the representative is
-    coprime to x by construction), so, being monic, it is its own
-    factorization.
+    coprime to x by construction).  Over GF(p) that is Ben-Or's test; over Q
+    the representative must be square-free with one Zassenhaus factor.
     """
     f = cls.rep
-    return f.degree >= 1 and factor(f) == [(f, 1)]
+    if f.degree <= 1:
+        return f.degree == 1
+    from . import factoring  # loaded on first use; see its docstring
+
+    if f.field.kind == "GF":
+        return factoring.irreducible_gf(list(f.coeffs), f.field.p)
+    return factoring.irreducible_z(factoring.primitive(f.coeffs), MODULAR_FACTOR_CAP)

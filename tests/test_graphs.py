@@ -119,6 +119,16 @@ class TestGraphModel:
         with pytest.raises(UnknownVertex):
             g.descendants("nope")
 
+    def test_reachability_is_memoized(self):
+        # the 2-cycle u <-> w feeds the sink s; u and w share one set each way
+        g = Graph(["s", "u", "w"], [Edge("a", "u", "w"), Edge("b", "w", "u"),
+                                    Edge("c", "w", "s")])
+        assert g.descendants("u") is g.descendants("u")
+        assert g.descendants("u") is g.descendants("w") == {"s", "u", "w"}
+        assert g.reaching_set("w") is g.reaching_set("u") == {"u", "w"}
+        assert g.reaching_set("s") == {"s", "u", "w"}
+        assert g.descendants("s") == {"s"}
+
 
 class TestHereditarySaturated:
     def test_predicates(self):

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, Laurent normal form, and factorization."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -8,7 +9,11 @@ import pytest
 import lpaideals
 from lpaideals import poly as poly_module
 from lpaideals.errors import DegreeTooLarge, FieldMismatch, ZeroPolynomial
-from lpaideals.oracles import bruteforce_factor_gf, monic_irreducibles
+from lpaideals.oracles import (
+    bruteforce_factor_gf,
+    kronecker_factor_rational,
+    monic_irreducibles,
+)
 from lpaideals.poly import (
     FieldSpec,
     LaurentClass,
@@ -29,7 +34,7 @@ GF3 = FieldSpec.prime_field(3)
 
 def test_package_attribute_is_the_module():
     # the root package must not export a name that shadows the submodule
-    assert lpaideals.poly.KRONECKER_DEGREE_CAP == 12
+    assert lpaideals.poly.MODULAR_FACTOR_CAP == 16
 
 
 class TestFieldSpec:
@@ -229,26 +234,30 @@ class TestFactorization:
             factor(poly(Q, (0, 1)))
 
     def test_rational_degree_cap(self, monkeypatch):
-        f = poly(Q, (1,) + (0,) * 12 + (1,))  # degree 13
-        with pytest.raises(DegreeTooLarge):
+        # the Swinnerton-Dyer polynomial of sqrt(2), sqrt(3) is irreducible
+        # over Q but splits into four quadratics modulo every prime
+        f = poly(Q, (576, 0, -960, 0, 352, 0, -40, 0, 1))
+        monkeypatch.setattr(poly_module, "MODULAR_FACTOR_CAP", 3)
+        with pytest.raises(DegreeTooLarge, match=r"4 factors.*cap 3"):
             factor(f)
-        monkeypatch.setattr(poly_module, "KRONECKER_DEGREE_CAP", 13)
-        assert factor(f)
+        monkeypatch.undo()
+        assert factor(f) == [(f, 1)]
+        # degree is no longer capped: x^13 + 1 = (x + 1) * Phi_26
+        g = poly(Q, (1,) + (0,) * 12 + (1,))
+        assert factor(g) == [(poly(Q, (1, 1)), 1),
+                             (poly(Q, (1, -1) * 6 + (1,)), 1)]
 
-    def test_gf_trial_division_cap(self, monkeypatch):
+    def test_gf_trial_division_cap(self):
         big = FieldSpec.prime_field(1000003)
-        with pytest.raises(DegreeTooLarge, match=r"GF\(1000003\).*65536"):
-            factor(poly(big, (5, 0, 1, 0, 1)))
-        # (x+1)(x+2) over GF(1000003) stops at its root -2, far below the cap
+        # x^4 + x^2 + 5 is irreducible over GF(1000003); trial division
+        # would have tried about 10^12 divisors
+        f = poly(big, (5, 0, 1, 0, 1))
+        assert factor(f) == [(f, 1)]
+        assert is_irreducible_laurent(normalize_laurent(f))
         assert factor(poly(big, (2, 3, 1))) == [(poly(big, (1, 1)), 1),
                                                 (poly(big, (2, 1)), 1)]
-        # an irreducible quintic over GF(101) tries 101 + 101**2 = 10302 divisors
         f = poly(FieldSpec.prime_field(101), (2, 0, 0, 0, 1, 1))
-        monkeypatch.setattr(poly_module, "GF_TRIAL_CAP", 10302)
         assert factor(f) == [(f, 1)]
-        monkeypatch.setattr(poly_module, "GF_TRIAL_CAP", 10301)
-        with pytest.raises(DegreeTooLarge, match=r"GF\(101\).*10301"):
-            factor(f)
 
     def test_factor_agrees_with_bruteforce_gf2(self):
         for coeffs in product((0, 1), repeat=5):
@@ -270,3 +279,127 @@ class TestFactorization:
         assert not is_irreducible_laurent(normalize_laurent(poly(GF2, (1, 0, 1))))
         assert is_irreducible_laurent(normalize_laurent(poly(Q, (-2, 0, 1))))
         assert not is_irreducible_laurent(normalize_laurent(poly(Q, (-1, 0, 1))))
+
+
+def _random_monic(rng, field, degree):
+    """Monic of the given degree with nonzero constant term over GF(p)."""
+    p = field.p
+    return poly(field, [1 + rng.below(p - 1)]
+                + [rng.below(p) for _ in range(degree - 1)] + [1])
+
+
+def _product(factors, field):
+    out = poly(field, (1,))
+    for g in factors:
+        out = out * g
+    return out
+
+
+def _eisenstein_prime(g):
+    """A prime q dividing every coefficient of the monic integer g but the
+    leading one, with q^2 not dividing the constant term, or None."""
+    lower = [int(c) for c in g.coeffs[:-1]]
+    for q in (2, 3, 5, 7):
+        if all(c % q == 0 for c in lower) and lower[0] % (q * q):
+            return q
+    return None
+
+
+class TestFactorizationProperties:
+    """Seeded comparisons of factor() with the reference factorizations."""
+
+    FIELDS = ((2, 10, 60), (3, 8, 60), (5, 6, 60), (7, 6, 40), (31, 5, 30),
+              (101, 4, 40))  # (p, top degree, cases)
+
+    @pytest.mark.parametrize("p,top,cases", FIELDS)
+    def test_factor_matches_trial_division(self, p, top, cases):
+        field = FieldSpec.prime_field(p)
+        rng = SplitMix64(20261018 + p)
+        for _ in range(cases):
+            f = poly(field, (1 + rng.below(p - 1),))
+            target = 1 + rng.below(top)
+            while f.degree < target:
+                g = _random_monic(rng, field, 1 + rng.below(min(3, target - f.degree)))
+                mult = 1 + rng.below(p + 1)
+                f = f * g ** mult if f.degree + g.degree * mult <= top else f * g
+            assert factor(f) == bruteforce_factor_gf(f), f.pretty()
+
+    def test_repeated_factors_and_vanishing_derivative(self):
+        # x^4 + 1 = (x + 1)^4 over GF(2), and (x^3 + 2x + 1)^3 over GF(3):
+        # both have f' = 0, so the square-free step takes a p-th root
+        f = poly(GF2, (1, 0, 0, 0, 1))
+        assert f.derivative().is_zero()
+        assert factor(f) == [(poly(GF2, (1, 1)), 4)] == bruteforce_factor_gf(f)
+        g = poly(GF3, (1, 2, 0, 1))
+        assert (g ** 3).derivative().is_zero()
+        assert factor(g ** 3) == [(g, 3)] == bruteforce_factor_gf(g ** 3)
+        h = poly(GF3, (1, 1)) ** 3 * g ** 6 * poly(GF3, (2, 1)) ** 2
+        assert factor(h) == bruteforce_factor_gf(h)
+
+    @pytest.mark.parametrize("p,top,cases", FIELDS)
+    def test_ben_or_matches_trial_division(self, p, top, cases):
+        field = FieldSpec.prime_field(p)
+        rng = SplitMix64(20261019 + p)
+        for _ in range(cases):
+            f = _random_monic(rng, field, 1 + rng.below(top))
+            assert is_irreducible_laurent(normalize_laurent(f)) \
+                == (bruteforce_factor_gf(f) == [(f, 1)]), f.pretty()
+
+    def test_zassenhaus_matches_kronecker(self):
+        rng = SplitMix64(20261018)
+        for _ in range(40):
+            f = poly(Q, (1 + rng.below(3),))
+            target = 1 + rng.below(8)
+            while f.degree < target:
+                d = 1 + rng.below(min(2, target - f.degree))
+                g = poly(Q, [rng.below(5) - 2 for _ in range(d)] + [1 + rng.below(2)])
+                if g.constant_term() == 0:
+                    continue
+                f = f * g * g if rng.chance(0.2) and f.degree + 2 * d <= 8 else f * g
+            assert factor(f) == kronecker_factor_rational(f), f.pretty()
+            assert is_irreducible_laurent(normalize_laurent(f)) \
+                == (factor(f) == [(f.monic(), 1)])
+
+    def test_cyclotomic_factors_of_x24_minus_1(self):
+        # x^n - 1 is the product of the cyclotomic Phi_d over d | n, and
+        # Phi_n = (x^n - 1) / prod Phi_d over the proper divisors d
+        phi = {}
+        for n in (1, 2, 3, 4, 6, 8, 12, 24):
+            f = poly(Q, (-1,) + (0,) * (n - 1) + (1,))
+            phi[n] = f // _product([phi[d] for d in phi if n % d == 0], Q)
+        f = poly(Q, (-1,) + (0,) * 23 + (1,))
+        fac = factor(f)
+        assert Counter(dict(fac)) == Counter({g: 1 for g in phi.values()})
+        assert _product([g ** m for g, m in fac], Q) == f
+
+    def test_eisenstein_product_of_degree_24(self):
+        rng = SplitMix64(20261018)
+        factors = []
+        while sum(g.degree for g in factors) < 24:
+            d = min(1 + rng.below(6), 24 - sum(g.degree for g in factors))
+            q = rng.choice((2, 3, 5, 7))
+            # q divides every lower coefficient and q^2 not the constant term
+            lower = [q * (rng.below(5) - 2) for _ in range(d - 1)]
+            factors.append(poly(Q, [q * rng.choice((1, -1)) * (1 + rng.below(q - 1))]
+                                + lower + [1]))
+        f = _product(factors, Q).scale(6)
+        fac = factor(f)
+        assert Counter(dict(fac)) == Counter(factors)
+        assert _product([g ** m for g, m in fac], Q).scale(6) == f
+        # Eisenstein's criterion certifies each factor irreducible
+        assert all(_eisenstein_prime(g) for g, _ in fac)
+
+    def test_two_degree_32_irreducibles_over_a_large_field(self):
+        field = FieldSpec.prime_field(2**31 - 1)
+        rng = SplitMix64(20261018)
+        irreducibles = []
+        while len(irreducibles) < 2:
+            g = _random_monic(rng, field, 32)
+            if is_irreducible_laurent(normalize_laurent(g)):
+                irreducibles.append(g)
+        f = irreducibles[0] * irreducibles[1]
+        fac = factor(f)
+        assert [m for _, m in fac] == [1, 1]
+        assert {g for g, _ in fac} == set(irreducibles)
+        assert all(is_irreducible_laurent(normalize_laurent(g)) for g, _ in fac)
+        assert _product([g for g, _ in fac], field) == f
