@@ -53,11 +53,15 @@ class Edge:
 class Graph:
     """Immutable finite directed multigraph with slot multiplicities.
 
-    Reachability sets are computed once per vertex, on first use.
+    The infinite emitters are found once, on construction.  Reachability
+    sets, the maximal tails, validated admissible pairs and the exits of
+    cycles in quotients are computed once, on first use, and kept for as
+    long as the graph lives; none of these memos holds a graph.
     """
 
-    __slots__ = ("vertices", "edges", "_vset", "_out", "_in", "_by_id",
-                 "_descendants", "_reaching")
+    __slots__ = ("vertices", "edges", "infinite_emitters", "_vset", "_out",
+                 "_in", "_by_id", "_descendants", "_reaching", "_tails",
+                 "_pairs", "_exits")
 
     def __init__(self, vertices, edges):
         vertices = list(vertices)
@@ -93,12 +97,17 @@ class Graph:
             inc[e.dst].append(e)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", es)
+        object.__setattr__(self, "infinite_emitters",
+                           frozenset(e.src for e in es if e.is_omega()))
         object.__setattr__(self, "_vset", vset)
         object.__setattr__(self, "_out", {v: tuple(l) for v, l in out.items()})
         object.__setattr__(self, "_in", {v: tuple(l) for v, l in inc.items()})
         object.__setattr__(self, "_by_id", {e.id: e for e in es})
         object.__setattr__(self, "_descendants", {})
         object.__setattr__(self, "_reaching", {})
+        object.__setattr__(self, "_tails", None)
+        object.__setattr__(self, "_pairs", {})
+        object.__setattr__(self, "_exits", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -147,16 +156,17 @@ class Graph:
         return not self.out_edges(v)
 
     def is_infinite_emitter(self, v: str) -> bool:
-        return any(e.is_omega() for e in self.out_edges(v))
+        self.check_vertex(v)
+        return v in self.infinite_emitters
 
     def is_regular(self, v: str) -> bool:
-        return bool(self.out_edges(v)) and not self.is_infinite_emitter(v)
+        return bool(self.out_edges(v)) and v not in self.infinite_emitters
 
     def vertex_class(self, v: str) -> str:
         """"sink", "regular", or "infinite_emitter"."""
         if self.is_sink(v):
             return "sink"
-        return "infinite_emitter" if self.is_infinite_emitter(v) else "regular"
+        return "infinite_emitter" if v in self.infinite_emitters else "regular"
 
     def successors(self, v: str) -> frozenset:
         return frozenset(e.dst for e in self.out_edges(v))
@@ -224,7 +234,7 @@ def hereditary_saturated_closure(graph: Graph, subset) -> frozenset:
     stack = list(subset)
     for v in stack:
         graph.check_vertex(v)
-    out, inc = graph._out, graph._in
+    out, inc, emitters = graph._out, graph._in, graph.infinite_emitters
     closed = set()
     open_slots = {}
     while stack:
@@ -239,7 +249,7 @@ def hereditary_saturated_closure(graph: Graph, subset) -> frozenset:
                 continue
             left = open_slots.get(u)
             if left is None:  # an infinite emitter's count never reaches zero
-                left = OMEGA if any(f.is_omega() for f in out[u]) else len(out[u])
+                left = OMEGA if u in emitters else len(out[u])
             open_slots[u] = left - 1
             if left == 1:
                 stack.append(u)
@@ -280,10 +290,8 @@ def breaking_vertices(graph: Graph, hset) -> frozenset:
     """
     hset = frozenset(hset)
     out = set()
-    for v in graph.vertices:
-        if v in hset or not graph.is_infinite_emitter(v):
-            continue
-        kept = [e for e in graph.out_edges(v) if e.dst not in hset]
+    for v in graph.infinite_emitters - hset:
+        kept = [e for e in graph._out[v] if e.dst not in hset]
         if kept and all(not e.is_omega() for e in kept):
             out.add(v)
     return frozenset(out)
@@ -309,9 +317,17 @@ class AdmissiblePair:
 
 
 def admissible_pair(graph: Graph, hset, sset=()) -> AdmissiblePair:
-    """Validate and build an admissible pair over the graph."""
-    hset = frozenset(hset)
-    sset = frozenset(sset)
+    """Validate and build an admissible pair over the graph.
+
+    Each pair is validated once per graph: the graph keeps the pairs that
+    passed, and equal requests get the same pair object.  A rejected pair
+    is not kept, so it is rejected again on every request.
+    """
+    key = (frozenset(hset), frozenset(sset))
+    pair = graph._pairs.get(key)
+    if pair is not None:
+        return pair
+    hset, sset = key
     for v in hset | sset:
         graph.check_vertex(v)
     if not is_hereditary(graph, hset):
@@ -322,7 +338,8 @@ def admissible_pair(graph: Graph, hset, sset=()) -> AdmissiblePair:
     if not sset <= allowed:
         raise NotAdmissible(
             f"{sorted(sset - allowed)} are not breaking vertices of {sorted(hset)}")
-    return AdmissiblePair(hset, sset)
+    pair = graph._pairs[key] = AdmissiblePair(hset, sset)
+    return pair
 
 
 def admissible_pairs(graph: Graph) -> list:
@@ -502,6 +519,27 @@ def cycle_exits(graph: Graph, cycle: Cycle) -> list:
     return out
 
 
+def quotient_cycle_exits(graph: Graph, pair: AdmissiblePair, cycle: Cycle) -> tuple:
+    """Exits of a cycle in the quotient of the graph by an admissible pair.
+
+    Each exit is (edge, is_parallel, source): edge and is_parallel as in
+    cycle_exits on quotient_graph(graph, pair).graph, and source the
+    breaking vertex split off when the edge lands on a primed sink, else
+    None.  Computed once per (pair, cycle) and kept on the graph; the
+    quotient itself is dropped.  The cycle must be a cycle of the quotient;
+    otherwise Cycle.check_in raises, and nothing is kept.
+    """
+    key = (pair, cycle)
+    exits = graph._exits.get(key)
+    if exits is None:
+        quotient = quotient_graph(graph, pair)
+        cycle.check_in(quotient.graph)
+        exits = graph._exits[key] = tuple(
+            (edge, parallel, quotient.split_source.get(edge.dst))
+            for edge, parallel in cycle_exits(quotient.graph, cycle))
+    return exits
+
+
 def cycles_without_exits(graph: Graph) -> list:
     """Cycles every vertex of which emits exactly one edge in total."""
     return [c for c in cycles_without_k(graph)
@@ -625,21 +663,25 @@ def downward_directed(graph: Graph, subset=None):
     return True, None
 
 
-def maximal_tails(graph: Graph) -> list:
+def maximal_tails(graph: Graph) -> tuple:
     """All maximal tails, each a frozenset, sorted by size then lexicographically.
 
     A maximal tail is a nonempty vertex set that is closed under predecessors,
     gives every regular member an edge back into the set, and is downward
     directed.  In a finite graph each one is the reaching set of a sink, an
-    infinite emitter, or a cycle vertex.
+    infinite emitter, or a cycle vertex.  The tails are found and certified
+    once per graph.
     """
-    anchors = cycle_vertices(graph).union(
-        v for v in graph.vertices if not graph.is_regular(v))
-    tails = {graph.reaching_set(w) for w in anchors}
-    out = sorted(tails, key=lambda s: (len(s), sorted(s)))
-    for m in out:
-        assert _is_maximal_tail(graph, m), f"tail certification failed: {sorted(m)}"
-    return out
+    if graph._tails is None:
+        anchors = cycle_vertices(graph).union(
+            v for v in graph.vertices if not graph.is_regular(v))
+        tails = {graph.reaching_set(w) for w in anchors}
+        out = tuple(sorted(tails, key=lambda s: (len(s), sorted(s))))
+        for m in out:
+            assert _is_maximal_tail(graph, m), \
+                f"tail certification failed: {sorted(m)}"
+        object.__setattr__(graph, "_tails", out)
+    return graph._tails
 
 
 def tail_complements(graph: Graph) -> list:

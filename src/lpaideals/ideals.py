@@ -42,10 +42,10 @@ from .graphs import (
     admissible_leq,
     admissible_pair,
     breaking_vertices,
-    cycle_exits,
     downward_directed,
     hereditary_saturated_closure,
     maximal_tails,
+    quotient_cycle_exits,
     quotient_graph,
     tail_complements,
 )
@@ -88,10 +88,10 @@ class Ideal:
 
     def __init__(self, graph: Graph, pair: AdmissiblePair, parts=()):
         parts = tuple(parts)
-        # defensive re-validation keeps the canonical invariants honest
-        admissible_pair(graph, pair.vertices, pair.breaking)
+        # defensive re-validation keeps the canonical invariants honest; the
+        # graph validates each pair once and hands back one shared object
+        pair = admissible_pair(graph, pair.vertices, pair.breaking)
         if parts:
-            q = quotient_graph(graph, pair)
             field = parts[0].poly.field
             starts = set()
             for part in parts:
@@ -99,8 +99,7 @@ class Ideal:
                     raise FieldMismatch("cycle parts over different fields")
                 if part.poly.degree < 1:
                     raise ValueError("cycle part with a unit polynomial")
-                part.cycle.check_in(q.graph)
-                if cycle_exits(q.graph, part.cycle):
+                if quotient_cycle_exits(graph, pair, part.cycle):
                     raise ValueError(
                         f"cycle at {part.cycle.start!r} has an exit in the quotient")
                 starts.add(part.cycle.start)
@@ -210,23 +209,18 @@ def canonicalize(graph: Graph, hset, sset=(), raw_parts=()) -> Ideal:
                 f"bundle leaves the vertex set")
         if not work:
             break
-        quotient = quotient_graph(graph, AdmissiblePair(frozenset(hset),
-                                                        frozenset(sset_now)))
-        grew = False
-        for cyc, _ in work:
-            for edge, parallel in cycle_exits(quotient.graph, cyc):
-                if parallel or not quotient.is_primed_vertex(edge.dst):
-                    # a real exit puts its range among the vertex generators
-                    hset.add(edge.dst)
-                else:
-                    # an exit onto a split sink forces that gap idempotent
-                    want.add(quotient.split_source[edge.dst])
-                grew = True
-                break
-            if grew:
-                break
-        if not grew:
+        pair = admissible_pair(graph, hset, sset_now)
+        first = next((e for cyc, _ in work
+                      for e in quotient_cycle_exits(graph, pair, cyc)), None)
+        if first is None:
             break
+        edge, _, source = first
+        if source is None:
+            # a real exit puts its range among the vertex generators
+            hset.add(edge.dst)
+        else:
+            # an exit onto a split sink forces that gap idempotent
+            want.add(source)
 
     pair = admissible_pair(graph, hset, sset_now)
     parts = tuple(sorted((CyclePart(c, lc) for c, lc in work),
@@ -313,18 +307,14 @@ def contains(big: Ideal, small: Ideal) -> bool:
         return False
     if not small.parts:
         return True
-    hset = big.pair.vertices
-    quotient = None
     mine = {p.cycle: p.poly for p in big.parts}
     for part in small.parts:
-        if part.cycle.start in hset:
+        if part.cycle.start in big.pair.vertices:
             continue
         own = mine.get(part.cycle)
         if own is None or not divides(own.rep, part.poly.rep):
             return False
-        if quotient is None:
-            quotient = quotient_graph(big.graph, big.pair)
-        if cycle_exits(quotient.graph, part.cycle):
+        if quotient_cycle_exits(big.graph, big.pair, part.cycle):
             return False
     return True
 

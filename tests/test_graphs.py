@@ -53,6 +53,7 @@ from lpaideals.graphs import (
     is_hereditary,
     is_saturated,
     maximal_tails,
+    quotient_cycle_exits,
     quotient_graph,
     strong_csp,
     tail_complements,
@@ -67,6 +68,7 @@ from lpaideals.ideals import (
 )
 from lpaideals.oracles import (
     GeneratorConfig,
+    _breaking_literal,
     enumerate_admissible_pairs,
     random_graph,
     random_prime_power_family,
@@ -394,12 +396,12 @@ class TestConditions:
             downward_directed(one_loop(), frozenset())
 
     def test_maximal_tails(self):
-        assert maximal_tails(plain_chain()) == [frozenset({"v1", "v2", "v3"})]
-        assert maximal_tails(petals()) == [
+        assert maximal_tails(plain_chain()) == (frozenset({"v1", "v2", "v3"}),)
+        assert maximal_tails(petals()) == (
             frozenset({"v1"}), frozenset({"v2"}), frozenset({"v3"}),
             frozenset({"v0", "v1", "v2", "v3"}),
-        ]
-        assert maximal_tails(two_sinks()) == [frozenset({"a"}), frozenset({"b"})]
+        )
+        assert maximal_tails(two_sinks()) == (frozenset({"a"}), frozenset({"b"}))
 
     def test_strong_csp(self):
         good = strong_csp(plain_chain())
@@ -452,6 +454,81 @@ class TestTailComplements:
         monkeypatch.setattr(graphs_module, "LATTICE_CAP", 1)
         for name, g in corpus().items():
             assert self._answers(g) == expected[name], name
+
+
+def _memo_corpus():
+    """1,000 seeded random graphs; a quarter of their slots are infinite bundles."""
+    return [random_graph(GeneratorConfig(seed=s, omega_probability=0.25))
+            for s in range(1, 1001)]
+
+
+class TestGraphMemos:
+    def test_emitters_and_breaking_vertices_follow_the_definition(self):
+        for g in _memo_corpus():
+            for v in g.vertices:
+                omega = any(e.mult == OMEGA for e in g.out_edges(v))
+                assert g.is_infinite_emitter(v) == omega
+                assert g.vertex_class(v) == (
+                    "infinite_emitter" if omega
+                    else "regular" if g.out_edges(v) else "sink")
+            n = len(g.vertices)
+            for mask in range(2 ** n):
+                hset = frozenset(v for i, v in enumerate(g.vertices)
+                                 if mask >> i & 1)
+                assert breaking_vertices(g, hset) == _breaking_literal(g, hset), \
+                    (g, sorted(hset))
+
+    def test_memoized_exits_equal_quotient_exits(self):
+        checked = split = 0
+        for g in _memo_corpus():
+            candidates = cycles_without_k(g)
+            for pair in admissible_pairs(g):
+                outside = [c for c in candidates if c.start not in pair.vertices]
+                if not outside:
+                    continue
+                q = quotient_graph(g, pair)
+                for c in outside:
+                    exits = quotient_cycle_exits(g, pair, c)
+                    assert exits is quotient_cycle_exits(g, pair, c)
+                    assert [(e, par) for e, par, _ in exits] == \
+                        cycle_exits(q.graph, c), (g, pair, c)
+                    for edge, _, source in exits:
+                        assert source == q.split_source.get(edge.dst)
+                        split += source is not None
+                    checked += 1
+        assert checked > 1000 and split > 0, (checked, split)
+
+    def test_cycle_outside_the_quotient_is_rejected_every_time(self):
+        g = loop_chain()
+        w_in = admissible_pair(g, {"w"})
+        wloop = Cycle.build(("w",), ("ww",))
+        for _ in range(2):
+            with pytest.raises(UnknownVertex, match="'ww'"):
+                quotient_cycle_exits(g, w_in, wloop)
+        assert (w_in, wloop) not in g._exits
+
+    def test_rejected_pair_is_rejected_again(self):
+        chain, fan = plain_chain(), omega_fan()
+        admissible_pair(chain, {"v1", "v2", "v3"})
+        admissible_pair(fan, {"w1"}, {"v"})
+        for graph, hset, sset, error in (
+                (chain, {"v1"}, (), NotHereditarySaturated),
+                (chain, {"v2"}, (), NotHereditarySaturated),
+                (fan, {"w2"}, {"v"}, NotAdmissible)):
+            messages = []
+            for _ in range(2):
+                with pytest.raises(error) as info:
+                    admissible_pair(graph, hset, sset)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+            assert (frozenset(hset), frozenset(sset)) not in graph._pairs
+
+    def test_pairs_and_tails_are_shared_and_immutable(self):
+        g = petals()
+        assert admissible_pair(g, ["v0"]) is admissible_pair(g, {"v0"}, ())
+        tails = maximal_tails(g)
+        assert isinstance(tails, tuple) and tails is maximal_tails(g)
+        assert all(isinstance(t, frozenset) for t in tails)
 
 
 class TestSerialization:

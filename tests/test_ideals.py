@@ -1,13 +1,20 @@
 """Canonical ideal forms, the graded lattice, primality, and prime powers."""
 
+import dataclasses
+
 import pytest
 
+from lpaideals import graphs as graphs_module
+from lpaideals import ideals as ideals_module
 from lpaideals.errors import (
     FieldMismatch,
     GraphMismatch,
     ImproperIdeal,
     NotAdmissible,
     NotGraded,
+    NotHereditarySaturated,
+    TooLarge,
+    Unsatisfiable,
 )
 from lpaideals.gallery import (
     double_loop_chain,
@@ -20,13 +27,23 @@ from lpaideals.gallery import (
     sink_fork,
     two_sinks,
 )
-from lpaideals.graphs import Cycle, admissible_pair
+from lpaideals.graphs import (
+    AdmissiblePair,
+    Cycle,
+    Graph,
+    Quotient,
+    admissible_pair,
+    graph_from_json,
+    graph_to_json,
+)
 from lpaideals.ideals import (
     CyclePart,
     Ideal,
     canonicalize,
     contains,
     enumerate_graded_primes,
+    factor_completely_irreducible,
+    factor_prime_powers,
     graded_ideal,
     graded_part,
     ideal_from_json,
@@ -38,11 +55,13 @@ from lpaideals.ideals import (
     is_proper,
     join_graded,
     meet_graded,
+    multiply,
     prime_power_decompose,
     whole_ideal,
     zero_ideal,
 )
-from lpaideals.poly import FieldSpec, Poly, normalize_laurent, poly
+from lpaideals.oracles import GeneratorConfig, random_graph, random_prime_power_family
+from lpaideals.poly import FieldSpec, LaurentClass, Poly, normalize_laurent, poly
 
 Q = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
@@ -261,6 +280,92 @@ class TestCompleteIrreducibility:
         assert not is_completely_irreducible(zero_ideal(one_loop())).holds
         # two sinks leave no least nonempty hereditary saturated set
         assert not is_completely_irreducible(zero_ideal(two_sinks())).holds
+
+
+def _memo_contents(graph):
+    """Every object reachable from the graph's memos, containers unpacked."""
+    todo = [graph._descendants, graph._reaching, graph._tails, graph._pairs,
+            graph._exits]
+    seen = []
+    while todo:
+        x = todo.pop()
+        seen.append(x)
+        if isinstance(x, dict):
+            todo.extend(x.keys())
+            todo.extend(x.values())
+        elif isinstance(x, (tuple, list, set, frozenset)):
+            todo.extend(x)
+        elif dataclasses.is_dataclass(x):
+            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
+    return seen
+
+
+class TestGraphMemos:
+    def test_invalid_ideals_raise_after_valid_ones(self):
+        chain = plain_chain()
+        assert contains(whole_ideal(chain), zero_ideal(chain))
+        graded_ideal(chain, {"v1", "v2", "v3"})
+        for _ in range(2):
+            with pytest.raises(NotHereditarySaturated, match="not saturated"):
+                Ideal(chain, AdmissiblePair(frozenset({"v1"}), frozenset()))
+
+        g = loop_chain()
+        valid = canonicalize(g, {"w"}, (), [(ULOOP, poly(Q, (1, 1)))])
+        assert valid.pair.vertices == {"w"}
+        for _ in range(2):
+            with pytest.raises(ValueError, match="has an exit in the quotient"):
+                Ideal(g, zero_ideal(g).pair, valid.parts)
+
+    def test_pairs_are_shared_between_ideals(self):
+        g = loop_chain()
+        a = canonicalize(g, {"w"}, (), [(ULOOP, poly(Q, (1, 1)))])
+        b = canonicalize(g, {"w"}, (), [(ULOOP, poly(Q, (2, 1)))])
+        assert a.pair is b.pair is graded_ideal(g, {"w"}).pair
+
+    def test_quotient_builds_follow_distinct_exit_keys(self, monkeypatch):
+        families = []
+        for seed in range(1, 400):
+            cfg = GeneratorConfig(seed=seed, field=FieldSpec.prime_field(2 + seed % 2),
+                                  max_poly_degree=2)
+            g = random_graph(cfg)
+            try:
+                family = random_prime_power_family(cfg, g)
+            except (Unsatisfiable, TooLarge):
+                continue
+            if any(m.parts for m in family):
+                families.append((graph_to_json(g), [ideal_to_json(m) for m in family]))
+            if len(families) == 30:
+                break
+        assert len(families) == 30
+
+        builds, keys, calls = [], set(), []
+        build = graphs_module.quotient_graph
+        exits = ideals_module.quotient_cycle_exits
+
+        def counted_build(graph, pair):
+            builds.append(1)
+            return build(graph, pair)
+
+        def counted_exits(graph, pair, cycle):
+            calls.append(1)
+            keys.add((id(graph), pair, cycle))
+            return exits(graph, pair, cycle)
+
+        monkeypatch.setattr(graphs_module, "quotient_graph", counted_build)
+        monkeypatch.setattr(ideals_module, "quotient_cycle_exits", counted_exits)
+        graphs = []
+        for graph_json, members_json in families:
+            g = graph_from_json(graph_json)
+            graphs.append(g)
+            members = [ideal_from_json(g, m) for m in members_json]
+            product = multiply(members)
+            assert factor_prime_powers(product) is not None
+            factor_completely_irreducible(product)
+        assert 0 < len(builds) <= len(keys) < len(calls) / 4, \
+            (len(builds), len(keys), len(calls))
+        for g in graphs:
+            assert not any(isinstance(x, (Graph, Quotient))
+                           for x in _memo_contents(g))
 
 
 class TestSerialization:
