@@ -2,9 +2,12 @@
 
 Lists run lowest degree first with no trailing zeros; modulo m (a prime p,
 or a power of p while Hensel lifting) coefficients are kept in range(m).
-poly.factor and poly.is_irreducible_laurent convert at the boundary, and
-only they import this module, on their first call, so a process that never
-factors never loads it.
+The list arithmetic itself (sum, product, division with remainder, monic,
+gcd, derivative) is the kernel set of the poly module, which Poly runs on
+too; m = None there is exact arithmetic over Q, used here for the gcd of
+the square-free part.  poly.factor and poly.is_irreducible_laurent convert
+at the boundary, and only they import this module, on their first call, so
+a process that never factors never loads it.
 
 Over GF(p): square-free decomposition aware of characteristic p,
 distinct-degree factorization through x^(p^i) mod f, and Cantor-Zassenhaus
@@ -23,75 +26,8 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from .errors import DegreeTooLarge
-from .poly import _is_prime
+from .poly import _add, _divmod, _derivative, _gcd, _is_prime, _monic, _mul, _sub, _trim
 from .rng import SplitMix64
-
-
-# -- coefficient lists --------------------------------------------------------
-
-
-def _trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _add(a: list, b: list, m: int) -> list:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim([c % m for c in out])
-
-
-def _sub(a: list, b: list, m: int) -> list:
-    return _add(a, [-c for c in b], m)
-
-
-def _mul(a: list, b: list, m: int) -> list:
-    """a * b modulo m, schoolbook."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % m for c in out])
-
-
-def _divmod(a: list, b: list, m: int):
-    """Quotient and remainder of a by the monic b, modulo m."""
-    n = len(b) - 1
-    if len(a) <= n:
-        return [], list(a)
-    r = list(a)
-    q = [0] * (len(r) - n)
-    for i in range(len(r) - n - 1, -1, -1):
-        c = r[i + n] % m
-        if c:
-            q[i] = c
-            for j in range(n):
-                r[i + j] -= c * b[j]
-    return _trim(q), _trim([c % m for c in r[:n]])
-
-
-def _monic(a: list, p: int) -> list:
-    if a[-1] == 1:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd over GF(p); a is nonzero."""
-    while b:
-        b = _monic(b, p)
-        a, b = b, _divmod(a, b, p)[1]
-    return _monic(a, p)
-
-
-def _derivative(a: list, m: int) -> list:
-    return _trim([i * c % m for i, c in enumerate(a)][1:])
 
 
 #: From this modulus degree on, _Residues multiplies by packing (below it the
@@ -314,16 +250,7 @@ def _exact_quotient(a: list, b: list):
 
 def _squarefree_part(f: list) -> list:
     """f / gcd(f, f') for the primitive f, primitive; the gcd is taken over Q."""
-    a, b = f, [i * c for i, c in enumerate(f)][1:]
-    while b:
-        r = [Fraction(c) for c in a]
-        n, inv = len(b) - 1, Fraction(1) / b[-1]
-        for i in range(len(r) - n - 1, -1, -1):
-            c = r[i + n] * inv
-            for j in range(n + 1):
-                r[i + j] -= c * b[j]
-        a, b = b, _trim(r[:n])
-    return _exact_quotient(f, primitive(a))
+    return _exact_quotient(f, primitive(_gcd(f, _derivative(f, None), None)))
 
 
 def _good_primes(f: list):
@@ -345,12 +272,9 @@ def _bezout(g: list, h: list, p: int):
     for coprime g and monic h."""
     r0, r1, s0, s1 = g, h, [1], []
     while r1:  # invariant: r_i = s_i * g modulo h
-        inv = pow(r1[-1], -1, p)
-        q, r = _divmod(r0, [c * inv % p for c in r1], p)
-        q = [c * inv % p for c in q]
+        q, r = _divmod(r0, r1, p)
         r0, r1, s0, s1 = r1, r, s1, _sub(s0, _mul(q, s1, p), p)
-    inv = pow(r0[0], -1, p)
-    s = _divmod([c * inv % p for c in s0], h, p)[1]
+    s = _divmod(_mul(s0, [pow(r0[0], -1, p)], p), h, p)[1]
     return s, _divmod(_sub([1], _mul(s, g, p), p), h, p)[0]
 
 

@@ -54,14 +54,15 @@ class Graph:
     """Immutable finite directed multigraph with slot multiplicities.
 
     The infinite emitters are found once, on construction.  Reachability
-    sets, the maximal tails, validated admissible pairs and the exits of
-    cycles in quotients are computed once, on first use, and kept for as
-    long as the graph lives; none of these memos holds a graph.
+    sets, the strongly connected components, the maximal tails, validated
+    admissible pairs and the exits of cycles in quotients are computed once,
+    on first use, and kept for as long as the graph lives; none of these
+    memos holds a graph.
     """
 
     __slots__ = ("vertices", "edges", "infinite_emitters", "_vset", "_out",
-                 "_in", "_by_id", "_descendants", "_reaching", "_tails",
-                 "_pairs", "_exits")
+                 "_in", "_by_id", "_descendants", "_reaching", "_components",
+                 "_tails", "_pairs", "_exits")
 
     def __init__(self, vertices, edges):
         vertices = list(vertices)
@@ -105,6 +106,7 @@ class Graph:
         object.__setattr__(self, "_by_id", {e.id: e for e in es})
         object.__setattr__(self, "_descendants", {})
         object.__setattr__(self, "_reaching", {})
+        object.__setattr__(self, "_components", None)
         object.__setattr__(self, "_tails", None)
         object.__setattr__(self, "_pairs", {})
         object.__setattr__(self, "_exits", {})
@@ -553,6 +555,13 @@ def condition_l(graph: Graph):
 
 
 def _strongly_connected_components(graph: Graph) -> dict:
+    """vertex -> frozenset(component), found once per graph."""
+    if graph._components is None:
+        object.__setattr__(graph, "_components", _tarjan(graph))
+    return graph._components
+
+
+def _tarjan(graph: Graph) -> dict:
     """Tarjan SCCs; returns vertex -> frozenset(component)."""
     index = {}
     low = {}

@@ -4,6 +4,12 @@ Polynomials are dense coefficient tuples, lowest degree first, so [1, 0, 1]
 is 1 + x**2.  Coefficients are fractions.Fraction over Q and Python ints in
 range(p) over GF(p); all arithmetic is exact, nothing is ever floated.
 
+All polynomial arithmetic runs on one set of kernels on plain coefficient
+lists, defined here: sum, product, division with remainder, monic, gcd and
+derivative, each taking a modulus m.  Poly passes its field's p, which is
+None over Q, and None means exact arithmetic on Fractions; the factoring
+module passes a prime or, while Hensel lifting, a prime power.
+
 The module also provides the Laurent normal form used by the ideal calculus:
 in K[x, 1/x] the units are the monomials a*x**k, so every nonzero Laurent
 polynomial is an associate of a unique monic ordinary polynomial with nonzero
@@ -37,6 +43,95 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+# -- dense coefficient lists ------------------------------------------------------
+#
+# The one implementation of polynomial arithmetic, shared by Poly and by the
+# factoring module.  Lists (or tuples) run lowest degree first with no
+# trailing zeros.  m is a modulus: a prime p, or a power of p while factoring
+# lifts factors, and every result then has its coefficients in range(m).
+# m = None is exact arithmetic over Q: results hold Fractions (zeros
+# included) when the inputs do, as Poly's do over Q.
+
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _reduce(a: list, m) -> list:
+    return _trim([c % m for c in a] if m else a)
+
+
+def _inv(c, m):
+    return pow(c, -1, m) if m else 1 / Fraction(c)
+
+
+def _add(a, b, m) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _reduce(out, m)
+
+
+def _sub(a, b, m) -> list:
+    return _add(a, [-c for c in b], m)
+
+
+def _mul(a, b, m) -> list:
+    """a * b, schoolbook."""
+    if not a or not b:
+        return []
+    out = [0 if m else Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _reduce(out, m)
+
+
+def _divmod(a, b, m):
+    """Quotient and remainder of a by the nonzero b, whose leading coefficient
+    must be invertible modulo m."""
+    n = len(b) - 1
+    if len(a) <= n:
+        return [], list(a)
+    inv = 1 if b[-1] == 1 else _inv(b[-1], m)
+    r = list(a)
+    q = [0 if m else Fraction(0)] * (len(r) - n)
+    for i in range(len(r) - n - 1, -1, -1):
+        c = r[i + n] * inv
+        if m:
+            c %= m
+        if c:
+            q[i] = c
+            for j in range(n):
+                r[i + j] -= c * b[j]
+    return _trim(q), _reduce(r[:n], m)
+
+
+def _monic(a, m):
+    """The nonzero a over its leading coefficient."""
+    if a[-1] == 1:
+        return a
+    inv = _inv(a[-1], m)
+    return [c * inv % m for c in a] if m else [c * inv for c in a]
+
+
+def _gcd(a, b, m):
+    """Monic gcd; a is nonzero."""
+    while b:
+        b = _monic(b, m)
+        a, b = b, _divmod(a, b, m)[1]
+    return _monic(a, m)
+
+
+def _derivative(a, m) -> list:
+    return _reduce([i * c for i, c in enumerate(a)][1:], m)
 
 
 @dataclass(frozen=True)
@@ -75,7 +170,7 @@ class FieldSpec:
     def label(self) -> str:
         return "Q" if self.kind == "Q" else f"GF({self.p})"
 
-    # -- scalar arithmetic ------------------------------------------------
+    # -- scalars ------------------------------------------------------------
 
     def coerce(self, x):
         """Coerce an int, Fraction, or "a/b" string into a field scalar."""
@@ -98,26 +193,6 @@ class FieldSpec:
     def one(self):
         return Fraction(1) if self.kind == "Q" else 1
 
-    def add(self, a, b):
-        return a + b if self.kind == "Q" else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.kind == "Q" else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.kind == "Q" else (a * b) % self.p
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return Fraction(1) / a if self.kind == "Q" else pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def neg(self, a):
-        return -a if self.kind == "Q" else (-a) % self.p
-
     def scalar_to_json(self, a):
         if self.kind == "GF":
             return a
@@ -137,11 +212,17 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs):
-        cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = _trim([field.coerce(c) for c in coeffs])
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    @classmethod
+    def _of(cls, field: FieldSpec, coeffs) -> "Poly":
+        """A Poly from coefficients already in the field, with no trailing zeros."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -203,76 +284,42 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         _check_same_field(self, other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a, b, F = self.coeffs, other.coeffs, self.field
-        return Poly(F, [
-            F.add(a[i] if i < len(a) else F.zero(), b[i] if i < len(b) else F.zero())
-            for i in range(n)
-        ])
+        return Poly._of(self.field, _add(self.coeffs, other.coeffs, self.field.p))
 
     def __neg__(self) -> "Poly":
-        return Poly(self.field, [self.field.neg(c) for c in self.coeffs])
+        return Poly._of(self.field, _sub((), self.coeffs, self.field.p))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        _check_same_field(self, other)
+        return Poly._of(self.field, _sub(self.coeffs, other.coeffs, self.field.p))
 
     def __mul__(self, other: "Poly") -> "Poly":
         _check_same_field(self, other)
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, [])
-        F = self.field
-        out = [F.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return Poly(F, out)
+        return Poly._of(self.field, _mul(self.coeffs, other.coeffs, self.field.p))
 
     def scale(self, c) -> "Poly":
         c = self.field.coerce(c)
-        return Poly(self.field, [self.field.mul(c, a) for a in self.coeffs])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k (k >= 0)."""
-        if k < 0:
-            raise ValueError("shift exponent must be >= 0")
-        if self.is_zero():
-            return self
-        return Poly(self.field, [self.field.zero()] * k + list(self.coeffs))
+        return Poly._of(self.field, _mul(self.coeffs, [c], self.field.p))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = Poly(self.field, [self.field.one()])
-        base = self
+        m = self.field.p
+        out, base = [self.field.one()], self.coeffs
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = _mul(out, base, m)
             n >>= 1
-        return out
+            if n:
+                base = _mul(base, base, m)
+        return Poly._of(self.field, out)
 
     def __divmod__(self, other: "Poly"):
         _check_same_field(self, other)
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
-        F = self.field
-        rem = list(self.coeffs)
-        d = other.degree
-        lead_inv = F.inv(other.leading())
-        if self.degree < d:
-            return Poly(F, []), self
-        quot = [F.zero()] * (self.degree - d + 1)
-        for i in range(self.degree - d, -1, -1):
-            c = rem[i + d]
-            if c == 0:
-                continue
-            q = F.mul(c, lead_inv)
-            quot[i] = q
-            for j, b in enumerate(other.coeffs):
-                rem[i + j] = F.sub(rem[i + j], F.mul(q, b))
-        return Poly(F, quot), Poly(F, rem)
+        q, r = _divmod(self.coeffs, other.coeffs, self.field.p)
+        return Poly._of(self.field, q), Poly._of(self.field, r)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -283,19 +330,18 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ZeroPolynomial("cannot normalize the zero polynomial")
-        return self.scale(self.field.inv(self.leading()))
+        return Poly._of(self.field, _monic(self.coeffs, self.field.p))
 
     def derivative(self) -> "Poly":
-        F = self.field
-        return Poly(F, [
-            F.mul(F.coerce(i), c) for i, c in enumerate(self.coeffs) if i > 0
-        ])
+        return Poly._of(self.field, _derivative(self.coeffs, self.field.p))
 
     def evaluate(self, x):
-        x = self.field.coerce(x)
+        """Value at x by Horner's rule on scalars; it shares no code with the
+        list kernels, so tests check them against it."""
+        x, p = self.field.coerce(x), self.field.p
         acc = self.field.zero()
         for c in reversed(self.coeffs):
-            acc = self.field.add(self.field.mul(acc, x), c)
+            acc = (acc * x + c) % p if p else acc * x + c
         return acc
 
     def to_json(self) -> list:
@@ -312,15 +358,14 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     _check_same_field(f, g)
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("gcd of the zero polynomial")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    return Poly._of(f.field, _gcd(f.coeffs, g.coeffs, f.field.p))
 
 
 def poly_lcm(f: Poly, g: Poly) -> Poly:
     """Monic least common multiple; both inputs must be nonzero."""
-    return ((f * g) // poly_gcd(f, g)).monic()
+    m = f.field.p
+    quotient = _divmod(f.coeffs, poly_gcd(f, g).coeffs, m)[0]
+    return Poly._of(f.field, _monic(_mul(quotient, g.coeffs, m), m))
 
 
 def divides(f: Poly, g: Poly) -> bool:
@@ -328,7 +373,7 @@ def divides(f: Poly, g: Poly) -> bool:
     _check_same_field(f, g)
     if f.is_zero():
         return g.is_zero()
-    return (g % f).is_zero()
+    return not _divmod(g.coeffs, f.coeffs, f.field.p)[1]
 
 
 # -- Laurent normal form ----------------------------------------------------
@@ -370,18 +415,12 @@ class LaurentClass:
         return self.rep.pretty()
 
 
-def normalize_laurent(f: Poly, shift: int = 0) -> LaurentClass:
-    """Laurent normal form of x**shift * f: strip x factors, make monic.
-
-    The shift only moves f by a unit, so it never affects the result; it is
-    accepted so callers holding genuine Laurent data need no preprocessing.
-    """
-    if not isinstance(shift, int):
-        raise ValueError("shift must be an integer")
+def normalize_laurent(f: Poly) -> LaurentClass:
+    """Laurent normal form of f: strip x factors, make monic."""
     if f.is_zero():
         raise ZeroPolynomial("Laurent normal form of zero")
     k = next(i for i, c in enumerate(f.coeffs) if c != 0)
-    return LaurentClass(Poly(f.field, f.coeffs[k:]).monic())
+    return LaurentClass(Poly._of(f.field, _monic(f.coeffs[k:], f.field.p)))
 
 
 # -- factorization --------------------------------------------------------------
@@ -412,10 +451,10 @@ def factor(f: Poly) -> list[tuple[Poly, int]]:
     from . import factoring  # loaded on first use; see its docstring
 
     if field.kind == "GF":
-        out = [(Poly(field, g), e)
+        out = [(Poly._of(field, g), e)
                for g, e in factoring.factor_gf(list(f.coeffs), field.p)]
     else:
-        out = [(Poly(field, [Fraction(c, g[-1]) for c in g]), e)
+        out = [(Poly._of(field, [Fraction(c, g[-1]) for c in g]), e)
                for g, e in factoring.factor_z(factoring.primitive(f.coeffs),
                                               MODULAR_FACTOR_CAP)]
     return sorted(out, key=lambda ge: (ge[0].degree, ge[0].coeffs))

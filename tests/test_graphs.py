@@ -6,7 +6,10 @@ import pathlib
 
 import pytest
 
-from lpaideals.classify import irreducible_equals_completely_irreducible
+from lpaideals.classify import (
+    classify_algebra,
+    irreducible_equals_completely_irreducible,
+)
 from lpaideals.errors import (
     EmptySet,
     InvalidGraph,
@@ -522,6 +525,28 @@ class TestGraphMemos:
                 messages.append(str(info.value))
             assert messages[0] == messages[1]
             assert (frozenset(hset), frozenset(sset)) not in graph._pairs
+
+    def test_components_are_found_once_per_graph(self, monkeypatch):
+        runs = collections.Counter()
+        tarjan = graphs_module._tarjan
+
+        def counted(graph):
+            runs[id(graph)] += 1
+            return tarjan(graph)
+
+        monkeypatch.setattr(graphs_module, "_tarjan", counted)
+        fresh = [graph_from_json(graph_to_json(g)) for g in corpus().values()]
+        fresh += _memo_corpus()[:100]
+        for g in fresh:
+            # classify_algebra asks for (K) four times and for (L) once
+            classify_algebra(g)
+            for reader in (cycles_without_k, cycle_vertices, condition_k,
+                           condition_l, maximal_tails):
+                reader(g)
+            assert runs[id(g)] == 1, g
+            comp = graphs_module._strongly_connected_components(g)
+            assert comp is graphs_module._strongly_connected_components(g)
+            assert comp == tarjan(g)
 
     def test_pairs_and_tails_are_shared_and_immutable(self):
         g = petals()
