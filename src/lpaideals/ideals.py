@@ -82,9 +82,16 @@ class CaseResult:
 
 
 class Ideal:
-    """Ideal in canonical form; build through canonicalize, not directly."""
+    """Ideal in canonical form; build through canonicalize, not directly.
 
-    __slots__ = ("graph", "pair", "parts")
+    An Ideal is immutable, so prime_power_decompose and factor_prime_powers
+    keep their answers on it (slots _decomposition and _report, unset until
+    the first call; a None answer is kept too) for as long as it lives.  The
+    self-checks of each therefore run once per ideal.  Equality and hashing
+    read only the graph, the pair and the parts.
+    """
+
+    __slots__ = ("graph", "pair", "parts", "_decomposition", "_report")
 
     def __init__(self, graph: Graph, pair: AdmissiblePair, parts=()):
         parts = tuple(parts)
@@ -382,6 +389,14 @@ def enumerate_graded_primes(graph: Graph) -> list:
 def prime_power_decompose(ideal: Ideal):
     """(P, n) with P prime and ideal = P**n, or None when not a prime power."""
     _require_proper(ideal)
+    memo = getattr(ideal, "_decomposition", None)
+    if memo is None:
+        memo = (_decompose(ideal),)
+        object.__setattr__(ideal, "_decomposition", memo)
+    return memo[0]
+
+
+def _decompose(ideal: Ideal):
     if not ideal.parts:
         return (ideal, 1) if is_prime(ideal).holds else None
     if len(ideal.parts) != 1:
@@ -525,9 +540,9 @@ def _combine(classified, mode: str) -> Ideal:
     return result
 
 
-def _irredundant(classified, mode: str) -> list:
-    """Greedy left-to-right sublist whose combination is unchanged."""
-    target = _combine(classified, mode)
+def _irredundant(classified, mode: str, target: Ideal) -> list:
+    """Greedy left-to-right sublist whose combination is still target, the
+    combination of the whole list."""
     kept = list(classified)
     i = 0
     while i < len(kept):
@@ -554,7 +569,8 @@ def make_irredundant(factors, mode: str) -> list:
     """Greedy left-to-right sublist whose combination is unchanged."""
     if mode not in ("product", "intersection"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _irredundant(_classify(list(factors)), mode)
+    classified = _classify(list(factors))
+    return _irredundant(classified, mode, _combine(classified, mode))
 
 
 # -- factorization ------------------------------------------------------------------
@@ -649,6 +665,14 @@ def factor_prime_powers(ideal: Ideal):
     verified to recompose the input before the report is issued.
     """
     _require_proper(ideal)
+    memo = getattr(ideal, "_report", None)
+    if memo is None:
+        memo = (_factor_prime_powers(ideal),)
+        object.__setattr__(ideal, "_report", memo)
+    return memo[0]
+
+
+def _factor_prime_powers(ideal: Ideal):
     graph = ideal.graph
     quotient = quotient_graph(graph, ideal.pair)
     tails = _irredundant_tail_cover(maximal_tails(quotient.graph),
@@ -699,7 +723,7 @@ def factor_prime_powers(ideal: Ideal):
     powers = _classified_powers(factors)
     if _combine(powers, "product") != ideal:
         return None
-    assert len(_irredundant(powers, "product")) == len(powers), \
+    assert len(_irredundant(powers, "product", ideal)) == len(powers), \
         "tail factorization is redundant"
     factors.sort(key=_factor_sort_key)
     return FactorizationReport(tuple(factors), "product", True,
@@ -723,9 +747,10 @@ def _factor_sort_key(entry):
 def factor_completely_irreducible(ideal: Ideal):
     """Factor into completely irreducible ideals; None when impossible.
 
-    Builds on factor_prime_powers; every graded factor must itself be
-    completely irreducible, and both the product and the intersection of
-    the factors are verified to recompose the input.
+    Builds on factor_prime_powers, whose report the ideal keeps, so the
+    quotient, the tails and the product check are not redone; every graded
+    factor must itself be completely irreducible, and the intersection of
+    the factors is verified to recompose the input.
     """
     report = factor_prime_powers(ideal)
     if report is None:

@@ -24,12 +24,14 @@ MODULAR_FACTOR_CAP modular factors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldMismatch, ZeroPolynomial
 
 _PRIME_LIMIT = 2**31
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _is_prime(n: int) -> bool:
@@ -173,13 +175,21 @@ class FieldSpec:
     # -- scalars ------------------------------------------------------------
 
     def coerce(self, x):
-        """Coerce an int, Fraction, or "a/b" string into a field scalar."""
+        """Coerce an int, Fraction, or "a/b" string into a field scalar.
+
+        Over Q nothing else is accepted: Fraction would also parse decimal
+        and exponent strings, and "1e999999999" would make it build a
+        billion-digit integer.
+        """
         if self.kind == "Q":
-            if isinstance(x, bool) or isinstance(x, float):
-                raise ValueError(f"inexact scalar {x!r} rejected over Q")
+            if isinstance(x, bool) or not (
+                    isinstance(x, (int, Fraction))
+                    or isinstance(x, str) and _RATIONAL.fullmatch(x)):
+                raise ValueError(f"scalar {x!r} rejected over Q: expected an "
+                                 f"int, a Fraction or an \"a/b\" string")
             try:
                 return Fraction(x)
-            except (TypeError, ZeroDivisionError) as exc:
+            except ZeroDivisionError as exc:
                 raise ValueError(f"scalar {x!r} rejected over Q: {exc}") from exc
         if isinstance(x, str):
             x = int(x)
@@ -207,9 +217,15 @@ def _check_same_field(f: "Poly", g: "Poly") -> None:
 
 
 class Poly:
-    """Immutable dense polynomial over a FieldSpec."""
+    """Immutable dense polynomial over a FieldSpec.
 
-    __slots__ = ("field", "coeffs")
+    factor and is_irreducible_laurent keep their answers on the polynomial
+    (slots _factors and _irreducible, unset until the first call), so each
+    polynomial is factored and tested for irreducibility at most once.
+    Equality and hashing read only the field and the coefficients.
+    """
+
+    __slots__ = ("field", "coeffs", "_factors", "_irreducible")
 
     def __init__(self, field: FieldSpec, coeffs):
         cs = _trim([field.coerce(c) for c in coeffs])
@@ -445,6 +461,14 @@ def factor(f: Poly) -> list[tuple[Poly, int]]:
         raise ZeroPolynomial("factor of zero")
     if f.degree < 1 or f.constant_term() == 0:
         raise ValueError("factor expects degree >= 1 and nonzero constant term")
+    memo = getattr(f, "_factors", None)
+    if memo is None:
+        memo = tuple(_factor(f))
+        object.__setattr__(f, "_factors", memo)
+    return list(memo)
+
+
+def _factor(f: Poly) -> list[tuple[Poly, int]]:
     field = f.field
     if f.degree == 1:
         return [(f.monic(), 1)]
@@ -469,6 +493,14 @@ def is_irreducible_laurent(cls: LaurentClass) -> bool:
     the representative must be square-free with one Zassenhaus factor.
     """
     f = cls.rep
+    known = getattr(f, "_irreducible", None)
+    if known is None:
+        known = _irreducible(f)
+        object.__setattr__(f, "_irreducible", known)
+    return known
+
+
+def _irreducible(f: Poly) -> bool:
     if f.degree <= 1:
         return f.degree == 1
     from . import factoring  # loaded on first use; see its docstring

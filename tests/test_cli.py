@@ -196,6 +196,16 @@ class TestExitCodes:
                       "--ideal", str(DATA / "loop_x_plus_1.json"))[0]
         assert code == 2
 
+    def test_exponent_coefficient_rejected(self, capsys, tmp_path):
+        # parsed as a Fraction, "1e999999999" would build a billion-digit
+        # integer; a coefficient string must have the form "a" or "a/b"
+        ideal = tmp_path / "ideal.json"
+        ideal.write_text(json.dumps({"field": "Q", "parts": [
+            {"cycle": ["v", "e"], "poly": ["1e99999", 1]}]}))
+        code, out, err = invoke(capsys, "ideal-classify", "--graph",
+                                graph("one_loop"), "--ideal", str(ideal))
+        assert code == 2 and not out and '"a/b" string' in err
+
     def test_unknown_subcommand(self, capsys):
         assert invoke(capsys, "frobnicate")[0] == 2
 

@@ -1,9 +1,17 @@
 """Products, intersections, and factorization into prime powers."""
 
+import json
+
 import pytest
 
 from lpaideals import ideals as ideals_module
-from lpaideals.errors import GraphMismatch, ImproperIdeal, UnsupportedOperands
+from lpaideals.errors import (
+    GraphMismatch,
+    ImproperIdeal,
+    TooLarge,
+    Unsatisfiable,
+    UnsupportedOperands,
+)
 from lpaideals.gallery import (
     double_loop_chain,
     loop_chain,
@@ -13,7 +21,7 @@ from lpaideals.gallery import (
     petals,
     sink_fork,
 )
-from lpaideals.graphs import Cycle, Edge, Graph
+from lpaideals.graphs import Cycle, Edge, Graph, graph_from_json, graph_to_json
 from lpaideals.ideals import (
     canonicalize,
     contains,
@@ -21,14 +29,18 @@ from lpaideals.ideals import (
     factor_completely_irreducible,
     factor_prime_powers,
     graded_ideal,
+    ideal_from_json,
     ideal_power,
+    ideal_to_json,
     intersect,
     is_prime,
     make_irredundant,
     multiply,
+    prime_power_decompose,
     whole_ideal,
     zero_ideal,
 )
+from lpaideals.oracles import GeneratorConfig, random_graph, random_prime_power_family
 from lpaideals.poly import FieldSpec, Poly, poly
 
 Q = FieldSpec.rationals()
@@ -242,3 +254,113 @@ class TestWorkCounts:
         report = factor_prime_powers(source)
         assert len(report.factors) == 2
         assert len(calls) == 1
+
+    def test_factor_prime_powers_combines_once_per_trial(self, monkeypatch):
+        # one recomposition, then one irredundancy trial per factor
+        source = one_loop_part(GF2, (1, 1, 0, 1, 1))
+        calls = self.counting(monkeypatch, "_combine")
+        assert len(factor_prime_powers(source).factors) == 2
+        assert len(calls) == 1 + 2
+
+    @pytest.mark.parametrize("source", [
+        graded_ideal(petals(), ("v0",)),
+        one_loop_part(GF2, Poly(GF2, (1, 1)) ** 3)], ids=["graded", "power"])
+    def test_complete_factorization_reuses_the_report(self, monkeypatch, source):
+        calls = self.counting(monkeypatch, "enumerate_graded_primes")
+        report = factor_prime_powers(source)
+        assert factor_completely_irreducible(source) is report
+        assert factor_prime_powers(source) is report
+        assert len(calls) == 1
+
+    def test_operations_decompose_each_member_once(self, monkeypatch):
+        # every member has a cycle part, so each decomposition factors once
+        powers = [one_loop_part(GF2, Poly(GF2, c) ** r)
+                  for c, r in (((1, 1), 2), ((1, 1, 1), 1), ((1, 1, 0, 1), 3))]
+        calls = self.counting(monkeypatch, "factor_poly")
+        multiply(powers)
+        intersect(powers)
+        make_irredundant(powers, "product")
+        make_irredundant(powers, "intersection")
+        assert len(calls) == len(powers)
+
+
+class TestMemos:
+    """prime_power_decompose and factor_prime_powers keep answers on the Ideal."""
+
+    def test_improper_raises_on_every_call(self):
+        whole = whole_ideal(one_loop())
+        for ask in (prime_power_decompose, factor_prime_powers,
+                    factor_completely_irreducible):
+            for _ in range(2):
+                with pytest.raises(ImproperIdeal):
+                    ask(whole)
+
+    def test_none_answers_are_kept(self, monkeypatch):
+        # (x + 1)^2 (x^2 + x + 1) is no prime power; a second answer must not
+        # reach the computation
+        source = one_loop_part(GF2, (1, 1, 0, 1, 1))
+        assert prime_power_decompose(source) is None
+        monkeypatch.setattr(ideals_module, "_decompose", None)
+        assert prime_power_decompose(source) is None
+        zero = zero_ideal(one_loop())
+        assert factor_completely_irreducible(zero) is None
+        monkeypatch.setattr(ideals_module, "_factor_prime_powers", None)
+        assert factor_prime_powers(zero) is not None
+        assert factor_completely_irreducible(zero) is None
+
+    @staticmethod
+    def _families(count):
+        out = []
+        for seed in range(1, 400):
+            cfg = GeneratorConfig(seed=seed, field=FieldSpec.prime_field(2 + seed % 2),
+                                  max_poly_degree=2)
+            g = random_graph(cfg)
+            try:
+                family = random_prime_power_family(cfg, g)
+            except (Unsatisfiable, TooLarge):
+                continue
+            out.append((g, family))
+            if len(out) == count:
+                return out
+        raise AssertionError("too few families")
+
+    @staticmethod
+    def _answers(product, family):
+        return [
+            [prime_power_decompose(m) for m in family],
+            factor_prime_powers(product),
+            factor_completely_irreducible(product),
+        ]
+
+    @staticmethod
+    def _encode(answers):
+        def enc(x):
+            if isinstance(x, (list, tuple)):
+                return [enc(y) for y in x]
+            if hasattr(x, "to_json"):
+                return x.to_json()
+            if hasattr(x, "pair"):
+                return ideal_to_json(x)
+            return x
+        return json.dumps(enc(answers), sort_keys=True)
+
+    def test_memoized_answers_match_fresh_ideals(self):
+        for g, family in self._families(40):
+            product = multiply(family)
+            intersect(family)
+            warm = self._answers(product, family)
+            assert self._encode(self._answers(product, family)) \
+                == self._encode(warm)
+            fresh_graph = graph_from_json(graph_to_json(g))
+            fresh = [ideal_from_json(fresh_graph, ideal_to_json(m)) for m in family]
+            cold = self._answers(multiply(fresh), fresh)
+            assert self._encode(cold) == self._encode(warm), graph_to_json(g)
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        for g, family in self._families(10):
+            product = multiply(family)
+            factor_completely_irreducible(product)
+            for ideal in family + [product]:
+                twin = ideal_from_json(g, ideal_to_json(ideal))
+                assert twin == ideal and hash(twin) == hash(ideal)
+                assert {ideal: 1}[twin] == 1

@@ -66,6 +66,14 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             Q.coerce(True)
 
+    @pytest.mark.parametrize("literal", ["1e99999", "1.5", "0x10", "1_000",
+                                         " 1/2", "1/-2", ""])
+    def test_coerce_rationals_only_plain_forms(self, literal):
+        # Fraction would parse several of these; "1e999999999" would make it
+        # build a billion-digit integer
+        with pytest.raises(ValueError, match='"a/b" string'):
+            Q.coerce(literal)
+
     def test_coerce_prime_field(self):
         assert GF3.coerce(5) == 2
         assert GF3.coerce("-1") == 2
@@ -408,6 +416,76 @@ def _eisenstein_prime(g):
         if all(c % q == 0 for c in lower) and lower[0] % (q * q):
             return q
     return None
+
+
+class TestMemos:
+    """factor and is_irreducible_laurent keep their answers on the Poly."""
+
+    @staticmethod
+    def counting(monkeypatch, name):
+        from lpaideals import factoring
+
+        calls = []
+        original = getattr(factoring, name)
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(factoring, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("field,coeffs,kernel", [
+        (GF2, (1, 1, 0, 1, 1), "factor_gf"),
+        (Q, (-1, 0, 0, 0, 1), "factor_z")])
+    def test_factor_runs_once_per_poly(self, monkeypatch, field, coeffs, kernel):
+        f = poly(field, coeffs)
+        calls = self.counting(monkeypatch, kernel)
+        first = factor(f)
+        assert factor(f) == first and len(calls) == 1
+        # an equal polynomial built afresh is factored again, to the same answer
+        assert factor(poly(field, coeffs)) == first and len(calls) == 2
+
+    @pytest.mark.parametrize("field,coeffs,kernel", [
+        (GF2, (1, 1, 0, 1), "irreducible_gf"),
+        (Q, (2, 0, 1), "irreducible_z")])
+    def test_irreducibility_runs_once_per_rep(self, monkeypatch, field, coeffs,
+                                              kernel):
+        c = normalize_laurent(poly(field, coeffs))
+        calls = self.counting(monkeypatch, kernel)
+        assert is_irreducible_laurent(c) and is_irreducible_laurent(c)
+        assert is_irreducible_laurent(LaurentClass(c.rep))
+        assert len(calls) == 1
+
+    def test_factor_returns_a_fresh_list(self):
+        f = poly(GF2, (1, 0, 0, 1))  # (x + 1)(x^2 + x + 1)
+        first = factor(f)
+        expected = list(first)
+        first.append((f, 7))
+        first.reverse()
+        assert factor(f) == expected and factor(f) is not factor(f)
+
+    def test_reducible_and_irreducible_answers_both_kept(self):
+        reducible = normalize_laurent(poly(GF2, (1, 0, 1)))  # (x + 1)^2
+        assert not is_irreducible_laurent(reducible)
+        assert not is_irreducible_laurent(reducible)
+        assert factor(reducible.rep) == [(poly(GF2, (1, 1)), 2)]
+
+    def test_errors_are_raised_on_every_call(self):
+        for f, error in ((poly(Q, ()), ZeroPolynomial), (poly(Q, (0, 1)), ValueError),
+                         (poly(Q, (3,)), ValueError)):
+            for _ in range(2):
+                with pytest.raises(error):
+                    factor(f)
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        for field, coeffs in ((GF2, (1, 1, 1)), (Q, (Fraction(1, 2), 0, 1))):
+            known, fresh = poly(field, coeffs), poly(field, coeffs)
+            factor(known)
+            is_irreducible_laurent(normalize_laurent(known))
+            assert known == fresh and hash(known) == hash(fresh)
+            assert {known: 1}[fresh] == 1
+            assert known != poly(field, coeffs + (1,))
 
 
 class TestFactorizationProperties:
