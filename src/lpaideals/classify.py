@@ -1,7 +1,10 @@
 """Whole-algebra classification: which ideal-theoretic regimes hold for L_K(E).
 
 Each predicate inspects the graph alone; statements about all ideals of
-the algebra reduce to finite graph conditions.
+the algebra reduce to finite graph conditions, and none of them walks the
+ideal lattice: the hereditary saturated sets they need are the principal
+closures and the tail complements, and the strong cycle-to-sink property
+costs one condensation per graph or quotient.
 Negative verdicts always carry a concrete witness (a bad cycle, an
 incomparable pair of admissible pairs, a quotient failing the strong
 cycle-to-sink property) so a counterexample can be rendered or re-checked
@@ -17,11 +20,11 @@ from .graphs import (
     AdmissiblePair,
     Graph,
     admissible_leq,
-    admissible_pairs,
     breaking_vertices,
     condition_k,
     condition_l,
     downward_directed,
+    principal_closures,
     quotient_graph,
     strong_csp,
     tail_complements,
@@ -60,13 +63,6 @@ class AlgebraReport:
         raise KeyError(predicate)
 
 
-def _csp_witness(report) -> dict:
-    out = {"core": sorted(report.witness)}
-    if report.missing is not None:
-        out["unreachable"] = report.missing
-    return out
-
-
 def _pair_json(pair: AdmissiblePair) -> dict:
     return {"H": sorted(pair.vertices), "S": sorted(pair.breaking)}
 
@@ -98,18 +94,53 @@ def zero_completely_irreducible(graph: Graph) -> PredicateResult:
     csp = strong_csp(graph)
     if not csp.holds:
         return PredicateResult(name, False,
-                               {"condition": "strong_csp", **_csp_witness(csp)})
+                               {"condition": "strong_csp",
+                                "core": sorted(csp.witness)})
     return PredicateResult(name, True)
+
+
+def _principal_pairs(graph: Graph) -> list:
+    """Admissible pairs (H, S) with H empty or a principal closure, sorted by key.
+
+    Of the subsets S of B_H it builds only those that can be part of the
+    first incomparable pair, in key order, of all such pairs: the empty
+    set, each single vertex and each prefix of sorted(B_H).  The first
+    member of that incomparable pair has |S| <= 1, since once some B_H
+    holds b1 < b2, (H, {b1}) and (H, {b2}) are already incomparable.
+    Against a pair (H, S) with |S| <= 1, the first incomparable pair over
+    another set H' is (H', {}) or a prefix of sorted(B_H'), and over H
+    itself it is (H, {b}) for the breaking vertex b after S.  When no B_H
+    has two vertices, these are all the pairs.
+    """
+    hsets = {frozenset(), *principal_closures(graph).values()}
+    pairs = []
+    for hset in hsets:
+        candidates = sorted(breaking_vertices(graph, hset))
+        subsets = {frozenset(candidates[:k]) for k in range(len(candidates) + 1)}
+        subsets.update(frozenset((v,)) for v in candidates)
+        pairs.extend(AdmissiblePair(hset, sset) for sset in subsets)
+    pairs.sort(key=lambda p: p.key())
+    return pairs
 
 
 def every_proper_ideal_completely_irreducible(graph: Graph) -> PredicateResult:
     """All proper ideals completely irreducible: condition (K), the admissible
-    pairs form a chain, and every proper quotient has the strong CSP."""
+    pairs form a chain, and every proper quotient has the strong CSP.
+
+    The hereditary saturated sets are the down-sets of the free components,
+    so they form a chain exactly when the principal closures are nested,
+    and they are then the empty set and those closures.  The scan therefore
+    runs over the pairs of _principal_pairs, never over the whole lattice.
+    The chain witness is the first incomparable pair among them in key
+    order (the first among the pairs (H, S) with H empty or a principal
+    closure and S a subset of B_H); the strong-CSP witness is the first
+    proper pair in key order whose quotient fails, as on the whole lattice.
+    """
     name = "every_proper_ideal_completely_irreducible"
     k = _condition_k(name, graph)
     if not k:
         return k
-    pairs = admissible_pairs(graph)
+    pairs = _principal_pairs(graph)
     for p1, p2 in itertools.combinations(pairs, 2):
         if not (admissible_leq(p1, p2) or admissible_leq(p2, p1)):
             return PredicateResult(name, False,
@@ -125,7 +156,7 @@ def every_proper_ideal_completely_irreducible(graph: Graph) -> PredicateResult:
             return PredicateResult(name, False,
                                    {"condition": "strong_csp",
                                     "pair": _pair_json(pair),
-                                    **_csp_witness(csp)})
+                                    "core": sorted(csp.witness)})
     return PredicateResult(name, True)
 
 
@@ -144,7 +175,7 @@ def irreducible_equals_completely_irreducible(graph: Graph) -> PredicateResult:
             return PredicateResult(name, False,
                                    {"condition": "strong_csp",
                                     "H": sorted(hset),
-                                    **_csp_witness(csp)})
+                                    "core": sorted(csp.witness)})
     return PredicateResult(name, True)
 
 

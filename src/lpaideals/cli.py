@@ -66,9 +66,6 @@ def _cmd_analyze(args, graph):
     k_holds, k_witness = condition_k(graph)
     dd_holds, dd_witness = downward_directed(graph)
     csp = strong_csp(graph)
-    csp_json = {"holds": csp.holds, "core": sorted(csp.witness)}
-    if csp.missing is not None:
-        csp_json["unreachable"] = csp.missing
     return {
         "vertices": list(graph.vertices),
         "edge_count": len(graph.edges),
@@ -79,7 +76,7 @@ def _cmd_analyze(args, graph):
             "holds": dd_holds,
             "witness": None if dd_witness is None else sorted(dd_witness),
         },
-        "strong_csp": csp_json,
+        "strong_csp": {"holds": csp.holds, "core": sorted(csp.witness)},
         "maximal_tails": [sorted(t) for t in maximal_tails(graph)],
     }
 

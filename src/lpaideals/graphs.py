@@ -12,6 +12,21 @@ closure, breaking vertices, admissible pairs and quotient graphs, simple
 cycles with their exit structure, conditions (L) and (K), downward directed
 vertex sets, maximal tails, and the existence of a reachable minimum among
 the nonempty hereditary saturated sets.
+
+Most of these are read off the condensation of the graph.  Call a strongly
+connected component *free* when it holds a cycle, is a sink, or is an
+infinite emitter.  A vertex in no free component is regular and on no
+cycle, so heredity and saturation put it into a hereditary saturated set H
+exactly when every free component it reaches lies in H.  Hence H is fixed
+by the free components it contains, which form a down-set of the
+reachability order, and the lattice of hereditary saturated sets is the
+lattice of those down-sets.  The graph keeps, per vertex, the set of
+components it reaches as a bitmask, with the bitmask of the free ones
+(`condensation`), found in one pass over the components.  The principal
+closures, the strong cycle-to-sink property, downward directedness and the
+anchors of the maximal tails follow from it without a closure or a walk of
+the lattice.  Only `enumerate_hereditary_saturated` and `admissible_pairs`
+walk the lattice, and they refuse it past LATTICE_CAP.
 """
 
 from __future__ import annotations
@@ -54,15 +69,15 @@ class Graph:
     """Immutable finite directed multigraph with slot multiplicities.
 
     The infinite emitters are found once, on construction.  Reachability
-    sets, the strongly connected components, the maximal tails, validated
-    admissible pairs and the exits of cycles in quotients are computed once,
-    on first use, and kept for as long as the graph lives; none of these
-    memos holds a graph.
+    sets, the strongly connected components and the components each vertex
+    reaches, the maximal tails, validated admissible pairs and the exits of
+    cycles in quotients are computed once, on first use, and kept for as
+    long as the graph lives; none of these memos holds a graph.
     """
 
     __slots__ = ("vertices", "edges", "infinite_emitters", "_vset", "_out",
                  "_in", "_by_id", "_descendants", "_reaching", "_components",
-                 "_tails", "_pairs", "_exits")
+                 "_condensation", "_tails", "_pairs", "_exits")
 
     def __init__(self, vertices, edges):
         vertices = list(vertices)
@@ -107,6 +122,7 @@ class Graph:
         object.__setattr__(self, "_descendants", {})
         object.__setattr__(self, "_reaching", {})
         object.__setattr__(self, "_components", None)
+        object.__setattr__(self, "_condensation", None)
         object.__setattr__(self, "_tails", None)
         object.__setattr__(self, "_pairs", {})
         object.__setattr__(self, "_exits", {})
@@ -562,7 +578,12 @@ def _strongly_connected_components(graph: Graph) -> dict:
 
 
 def _tarjan(graph: Graph) -> dict:
-    """Tarjan SCCs; returns vertex -> frozenset(component)."""
+    """Tarjan SCCs; returns vertex -> frozenset(component).
+
+    The vertices enter the dict component by component, in the order the
+    components are completed, so each component comes after every
+    component it reaches.
+    """
     index = {}
     low = {}
     stack = []
@@ -615,6 +636,64 @@ def _tarjan(graph: Graph) -> dict:
     return comp
 
 
+def _is_free(graph: Graph, members) -> bool:
+    """A component is free when it holds a cycle, is a sink or an infinite emitter."""
+    if len(members) > 1:
+        return True
+    (v,) = members
+    return not graph.is_regular(v) or any(e.dst == v for e in graph._out[v])
+
+
+def condensation(graph: Graph) -> tuple:
+    """(components, reach, free), found once per graph.
+
+    components lists the strongly connected components in the order _tarjan
+    completes them; reach maps each vertex to the bitmask of the components
+    it reaches, its own included, bit i standing for components[i]; free is
+    the bitmask of the free components.  One pass in that order finds every
+    mask, since each component comes after all those it reaches; for the
+    same reason a vertex's own component is the highest bit of its mask.
+    Every vertex of a finite graph reaches a sink or a cycle, so reach[v] &
+    free is never 0.
+    """
+    if graph._condensation is None:
+        out = graph._out
+        components, reach, free = [], {}, 0
+        for members in dict.fromkeys(_strongly_connected_components(graph).values()):
+            bit = 1 << len(components)
+            mask = bit
+            for v in members:
+                for e in out[v]:
+                    if e.dst not in members:
+                        mask |= reach[e.dst]
+            if _is_free(graph, members):
+                free |= bit
+            components.append(members)
+            for v in members:
+                reach[v] = mask
+        object.__setattr__(graph, "_condensation",
+                           (tuple(components), reach, free))
+    return graph._condensation
+
+
+def _free_reach(graph: Graph) -> dict:
+    """vertex -> bitmask of the free components it reaches."""
+    _, reach, free = condensation(graph)
+    return {v: r & free for v, r in reach.items()}
+
+
+def principal_closures(graph: Graph) -> dict:
+    """vertex v -> closure({v}), one frozenset per distinct closure.
+
+    closure({v}) is the down-set of the free components v reaches, so it
+    holds exactly the vertices that reach no free component v does not.
+    """
+    below = _free_reach(graph)
+    closure = {m: frozenset(w for w, r in below.items() if not r & ~m)
+               for m in set(below.values())}
+    return {v: closure[below[v]] for v in graph.vertices}
+
+
 def cycles_without_k(graph: Graph) -> list:
     """Cycles whose vertices lie on no other return path, sorted by start.
 
@@ -657,19 +736,27 @@ def condition_k(graph: Graph):
 def downward_directed(graph: Graph, subset=None):
     """Whether each vertex pair in the subset reaches a common subset vertex.
 
-    Returns (True, None) or (False, (u, v)) with a pair lacking a common
-    lower bound.  The subset defaults to all vertices and must be nonempty.
+    Returns (True, None) or (False, (u, v)) with the first pair, in vertex
+    order, lacking a common lower bound.  The subset defaults to all
+    vertices and must be nonempty.  Two vertices reach a common subset
+    vertex exactly when they reach a common component that meets the
+    subset, so the condensation decides it: the subset is downward directed
+    exactly when all its vertices reach one such component, and only
+    otherwise are the pairs scanned for the witness.
     """
-    vs = sorted(subset) if subset is not None else list(graph.vertices)
+    vs = sorted(subset) if subset is not None else graph.vertices
     if not vs:
         raise EmptySet("downward directedness of the empty vertex set")
-    inside = frozenset(vs)
-    desc = {v: graph.descendants(v) & inside for v in vs}
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if not (desc[u] & desc[v]):
-                return False, (u, v)
-    return True, None
+    _, reach, _ = condensation(graph)
+    common, meets = -1, 0
+    for v in vs:
+        graph.check_vertex(v)
+        common &= reach[v]
+        meets |= 1 << (reach[v].bit_length() - 1)  # v's own component
+    if common & meets:
+        return True, None
+    return False, next((u, v) for i, u in enumerate(vs) for v in vs[i + 1:]
+                       if not reach[u] & reach[v] & meets)
 
 
 def maximal_tails(graph: Graph) -> tuple:
@@ -678,13 +765,15 @@ def maximal_tails(graph: Graph) -> tuple:
     A maximal tail is a nonempty vertex set that is closed under predecessors,
     gives every regular member an edge back into the set, and is downward
     directed.  In a finite graph each one is the reaching set of a sink, an
-    infinite emitter, or a cycle vertex.  The tails are found and certified
+    infinite emitter, or a cycle vertex, that is of a vertex in a free
+    component; all vertices of one component share their reaching set, so
+    each free component gives one tail.  The tails are found and certified
     once per graph.
     """
     if graph._tails is None:
-        anchors = cycle_vertices(graph).union(
-            v for v in graph.vertices if not graph.is_regular(v))
-        tails = {graph.reaching_set(w) for w in anchors}
+        components, _, free = condensation(graph)
+        tails = {graph.reaching_set(min(members))
+                 for i, members in enumerate(components) if free >> i & 1}
         out = tuple(sorted(tails, key=lambda s: (len(s), sorted(s))))
         for m in out:
             assert _is_maximal_tail(graph, m), \
@@ -726,32 +815,32 @@ class StrongCsp:
     """Result of the reachable-minimum test on hereditary saturated sets.
 
     witness is the intersection of all nonempty hereditary saturated sets;
-    holds is True when that intersection is nonempty and every vertex reaches
-    it.  When it is nonempty but missed by some vertex, missing names one.
+    holds is True when that intersection is nonempty, and every vertex then
+    reaches it.
     """
 
     holds: bool
     witness: frozenset
-    missing: object = None
 
 
 def strong_csp(graph: Graph) -> StrongCsp:
     """Whether a least nonempty hereditary saturated set exists and all reach it.
 
-    A nonempty hereditary saturated set contains closure({v}) for each of its
-    members v, and each closure({v}) is such a set, so the intersection of
-    all nonempty hereditary saturated sets is that of the n singleton
-    closures.
+    The nonempty hereditary saturated sets are the nonempty down-sets of
+    free components, and the least of these are the sets {m} of one
+    minimal free component m, one that reaches no other.  So the
+    intersection of all of them is nonempty exactly when one free
+    component is minimal, and it is then the set of vertices that reach no
+    other free component.  Every vertex of a finite graph reaches a
+    minimal free component, so every vertex reaches that core.  No closure
+    is taken.
     """
-    core = frozenset(graph.vertices)
-    for v in graph.vertices:
-        core &= hereditary_saturated_closure(graph, (v,))
-    if not core:
-        return StrongCsp(False, core)
-    for v in graph.vertices:
-        if not (graph.descendants(v) & core):
-            return StrongCsp(False, core, v)
-    return StrongCsp(True, core)
+    below = _free_reach(graph)
+    minimal = {m for m in below.values() if not m & (m - 1)}
+    if len(minimal) != 1:
+        return StrongCsp(False, frozenset())
+    (bit,) = minimal
+    return StrongCsp(True, frozenset(v for v, m in below.items() if m == bit))
 
 
 # -- serialization ---------------------------------------------------------------

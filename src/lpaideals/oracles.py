@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
+from .classify import _pair_json
 from .errors import DegreeTooLarge, NotALattice, TooLarge, Unsatisfiable
 from .graphs import (
     OMEGA,
@@ -22,6 +23,8 @@ from .graphs import (
     Edge,
     Graph,
     StrongCsp,
+    admissible_leq,
+    admissible_pairs,
     condition_k,
     cycles_without_exits,
     maximal_tails,
@@ -121,7 +124,7 @@ def strong_csp_oracle(graph: Graph) -> StrongCsp:
         return StrongCsp(False, core)
     for v in graph.vertices:
         if not any(_reaches_literal(graph, v, w) for w in core):
-            return StrongCsp(False, core, v)
+            return StrongCsp(False, core)
     return StrongCsp(True, core)
 
 
@@ -173,6 +176,37 @@ def lub_oracle(pairs, p1: AdmissiblePair, p2: AdmissiblePair) -> AdmissiblePair:
     if len(bottoms) != 1:
         raise NotALattice(f"lub of {p1} and {p2} is not unique: {bottoms}")
     return bottoms[0]
+
+
+# -- the chain predicate over the whole lattice ------------------------------------
+
+
+def comp_irred_chain_walk(graph: Graph):
+    """Whether every proper ideal is completely irreducible, on the whole lattice.
+
+    Condition (K), then every two admissible pairs of graphs.admissible_pairs
+    compared, then the strong CSP of every proper quotient.  Returns
+    (True, None) or (False, witness) with the witness JSON of the classify
+    predicate; the chain witness is the first incomparable pair of the whole
+    lattice in key order.  TooLarge past graphs.LATTICE_CAP.
+    """
+    k_holds, bad = condition_k(graph)
+    if not k_holds:
+        return False, {"condition": "K", "cycle": bad.to_json()}
+    pairs = admissible_pairs(graph)
+    for p1, p2 in itertools.combinations(pairs, 2):
+        if not (admissible_leq(p1, p2) or admissible_leq(p2, p1)):
+            return False, {"condition": "chain",
+                           "pairs": [_pair_json(p1), _pair_json(p2)]}
+    everything = frozenset(graph.vertices)
+    for pair in pairs:
+        if pair.vertices == everything:
+            continue
+        csp = strong_csp(quotient_graph(graph, pair).graph)
+        if not csp.holds:
+            return False, {"condition": "strong_csp", "pair": _pair_json(pair),
+                           "core": sorted(csp.witness)}
+    return True, None
 
 
 # -- maximal tails -------------------------------------------------------------------

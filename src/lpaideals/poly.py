@@ -32,6 +32,7 @@ from .errors import FieldMismatch, ZeroPolynomial
 
 _PRIME_LIMIT = 2**31
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _is_prime(n: int) -> bool:
@@ -179,7 +180,9 @@ class FieldSpec:
 
         Over Q nothing else is accepted: Fraction would also parse decimal
         and exponent strings, and "1e999999999" would make it build a
-        billion-digit integer.
+        billion-digit integer.  Over GF(p) a string must be "a", decimal
+        digits with an optional sign: int() would also take "1_000", " 5 "
+        and non-ASCII digits.
         """
         if self.kind == "Q":
             if isinstance(x, bool) or not (
@@ -192,6 +195,9 @@ class FieldSpec:
             except ZeroDivisionError as exc:
                 raise ValueError(f"scalar {x!r} rejected over Q: {exc}") from exc
         if isinstance(x, str):
+            if not _INTEGER.fullmatch(x):
+                raise ValueError(f"scalar {x!r} rejected over {self.label}: "
+                                 f"expected an int or an \"a\" string")
             x = int(x)
         if isinstance(x, bool) or not isinstance(x, int):
             raise ValueError(f"scalar {x!r} rejected over {self.label}")

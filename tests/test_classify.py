@@ -2,6 +2,8 @@
 
 import pytest
 
+from lpaideals import classify as classify_module
+from lpaideals import graphs as graphs_module
 from lpaideals.classify import (
     all_ideals_graded,
     classify_algebra,
@@ -21,6 +23,7 @@ from lpaideals.gallery import (
     two_sinks,
 )
 from lpaideals.graphs import condition_k
+from lpaideals.oracles import GeneratorConfig, random_graph
 
 PREDICATES = [
     "all_ideals_graded",
@@ -131,3 +134,25 @@ class TestAlgebraReport:
             assert prod == condition_k(graph)[0] == graded, name
             for row in rep.to_json():
                 assert row["verdict"] or row["witness"] is not None, (name, row)
+
+
+class TestWork:
+    def test_no_lattice_walk_and_no_closure(self, monkeypatch):
+        # the predicates read the free-component condensation instead
+        calls = []
+        for name in ("enumerate_hereditary_saturated", "admissible_pairs",
+                     "hereditary_saturated_closure"):
+            original = getattr(graphs_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            for module in (graphs_module, classify_module):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        graphs = list(corpus().values())
+        graphs += [random_graph(GeneratorConfig(seed=s, omega_probability=0.3))
+                   for s in range(1, 201)]
+        for graph in graphs:
+            classify_algebra(graph)
+        assert calls == []

@@ -206,6 +206,17 @@ class TestExitCodes:
                                 graph("one_loop"), "--ideal", str(ideal))
         assert code == 2 and not out and '"a/b" string' in err
 
+    @pytest.mark.parametrize("literal", ["1_000", " 5 ", "\uff11\uff12"],
+                             ids=["underscore", "spaces", "fullwidth_digits"])
+    def test_gf_coefficient_string_rejected(self, capsys, tmp_path, literal):
+        # int() takes these; over GF(p), as over Q, a string must be digits
+        ideal = tmp_path / "ideal.json"
+        ideal.write_text(json.dumps({"field": "GF(3)", "parts": [
+            {"cycle": ["v", "e"], "poly": [literal, 1]}]}))
+        code, out, err = invoke(capsys, "ideal-classify", "--graph",
+                                graph("one_loop"), "--ideal", str(ideal))
+        assert code == 2 and not out and '"a" string' in err
+
     def test_unknown_subcommand(self, capsys):
         assert invoke(capsys, "frobnicate")[0] == 2
 
@@ -223,8 +234,11 @@ class TestExitCodes:
         assert code == 4 and "error:" in err and "lattice cap 8" in err
         monkeypatch.setattr(graphs_module, "LATTICE_CAP", 5)
         assert invoke(capsys, "hsets", "--graph", graph("omega_fan"))[0] == 0
-        code, _, err = invoke(capsys, "algebra-check", "--graph", graph("omega_fan"))
-        assert code == 4 and "lattice cap 5" in err
+        # algebra-check walks no lattice, so the cap does not bind it
+        data = run_json(capsys, "algebra-check", "--graph", graph("omega_fan"))
+        chain = data["predicates"][2]
+        assert chain["witness"]["pairs"] == [{"H": ["w1"], "S": []},
+                                             {"H": ["w2"], "S": []}]
 
     def test_primes_and_factors_past_the_lattice_cap(self, capsys, tmp_path):
         # 17 isolated sinks have 2^17 sets but only 17 maximal tails
@@ -237,8 +251,12 @@ class TestExitCodes:
         data = run_json(capsys, "ideal-factor", "--graph", str(sinks),
                         "--ideal", str(zero))
         assert len(data["report"]["factors"]) == 17
-        code, _, err = invoke(capsys, "algebra-check", "--graph", str(sinks))
-        assert code == 4 and "lattice cap 65536" in err
+        data = run_json(capsys, "algebra-check", "--graph", str(sinks))
+        chain = data["predicates"][2]
+        assert chain["predicate"] == "every_proper_ideal_completely_irreducible"
+        assert not chain["verdict"]
+        assert chain["witness"]["pairs"] == [{"H": ["s00"], "S": []},
+                                             {"H": ["s01"], "S": []}]
 
     @staticmethod
     def _ring_and_chain(tmp_path):
@@ -299,6 +317,39 @@ class TestExitCodes:
                        "dst": f"v{(i + 1) % n:02d}"} for i in range(n)]}))
         data = run_json(capsys, "algebra-check", "--graph", str(ring))
         assert [row["verdict"] for row in data["predicates"]] == [False] * 5
+
+    def test_long_chain_needs_no_recursion(self, capsys, tmp_path):
+        # one condensation per graph or quotient, walked without recursion
+        n = 2000
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps({
+            "vertices": [f"v{i:04d}" for i in range(n)],
+            "edges": [{"id": f"e{i:04d}", "src": f"v{i:04d}",
+                       "dst": f"v{i - 1:04d}"} for i in range(1, n)]}))
+        data = run_json(capsys, "analyze", "--graph", str(chain))
+        assert data["strong_csp"] == {"core": data["vertices"], "holds": True}
+        assert data["downward_directed"]["holds"]
+        data = run_json(capsys, "algebra-check", "--graph", str(chain))
+        assert [row["verdict"] for row in data["predicates"]] == [True] * 5
+
+    def test_omega_fan_with_many_breaking_vertices(self, capsys, tmp_path):
+        # each b_i sends an infinite bundle to the sink a and one edge to c,
+        # which has two loops and an edge to a; so all 20 break over
+        # closure({a}) = {a}: 2^20 pairs over one set
+        fan = tmp_path / "fan.json"
+        fan.write_text(json.dumps({
+            "vertices": ["a", "c"] + [f"b{i:02d}" for i in range(20)],
+            "edges": [{"id": "ca", "src": "c", "dst": "a"},
+                      {"id": "c1", "src": "c", "dst": "c"},
+                      {"id": "c2", "src": "c", "dst": "c"}]
+            + [{"id": f"f{i:02d}", "src": f"b{i:02d}", "dst": "a",
+                "mult": "inf"} for i in range(20)]
+            + [{"id": f"g{i:02d}", "src": f"b{i:02d}", "dst": "c"}
+               for i in range(20)]}))
+        data = run_json(capsys, "algebra-check", "--graph", str(fan))
+        chain = data["predicates"][2]
+        assert chain["witness"]["pairs"] == [{"H": ["a"], "S": ["b00"]},
+                                             {"H": ["a"], "S": ["b01"]}]
 
     @pytest.mark.parametrize("command",
                              ["algebra-check", "ideal-classify", "ideal-factor"])

@@ -1,5 +1,6 @@
 """Independent oracles and the seeded random generators."""
 
+import functools
 import itertools
 
 import pytest
@@ -13,11 +14,18 @@ from lpaideals.gallery import (
     one_loop,
     sink_fork,
 )
+from lpaideals.classify import every_proper_ideal_completely_irreducible
 from lpaideals.graphs import (
+    AdmissiblePair,
     Graph,
+    admissible_leq,
     admissible_pair,
+    breaking_vertices,
+    downward_directed,
     hereditary_saturated_closure,
     maximal_tails,
+    principal_closures,
+    strong_csp,
 )
 from lpaideals.ideals import (
     Ideal,
@@ -29,12 +37,14 @@ from lpaideals.oracles import (
     GeneratorConfig,
     bruteforce_factor_gf,
     closure_oracle,
+    comp_irred_chain_walk,
     enumerate_admissible_pairs,
     glb_oracle,
     lub_oracle,
     maximal_tails_bruteforce,
     random_graph,
     random_prime_power_family,
+    strong_csp_oracle,
 )
 from lpaideals.poly import (
     FieldSpec,
@@ -127,6 +137,87 @@ class TestOracleAgreement:
                 assert expected == factor(f), (field.label, coeffs)
                 assert is_irreducible_laurent(normalize_laurent(f)) \
                     == (expected == [(f, 1)]), (field.label, coeffs)
+
+
+@functools.cache
+def omega_corpus():
+    """The gallery plus 4,000 seeded graphs of up to 8 vertices, with 30% of
+    their slots infinite bundles."""
+    graphs = list(corpus().values())
+    graphs += [random_graph(GeneratorConfig(seed=s, max_vertices=8,
+                                            omega_probability=0.3))
+               for s in range(1, 4001)]
+    return graphs
+
+
+def _pair_json(pair):
+    return {"H": sorted(pair.vertices), "S": sorted(pair.breaking)}
+
+
+def _comparable(p1, p2):
+    return admissible_leq(p1, p2) or admissible_leq(p2, p1)
+
+
+class TestCondensation:
+    """The free-component condensation against closures and lattice walks."""
+
+    def test_principal_closures_are_closures(self):
+        for g in omega_corpus():
+            closures = principal_closures(g)
+            for v in g.vertices:
+                assert closures[v] == hereditary_saturated_closure(g, {v}), (g, v)
+
+    def test_strong_csp_matches_subset_scan(self):
+        for g in omega_corpus():
+            assert strong_csp(g) == strong_csp_oracle(g), g
+
+    def test_downward_directed_matches_definition(self):
+        for g in omega_corpus()[:1000]:
+            desc = {v: {w for w in g.vertices if g.reaches(v, w)}
+                    for v in g.vertices}
+            for sub in all_subsets(g.vertices):
+                if not sub:
+                    continue
+                bad = next(((u, v) for i, u in enumerate(sub) for v in sub[i + 1:]
+                            if not desc[u] & desc[v] & set(sub)), None)
+                assert downward_directed(g, sub) == (bad is None, bad), (g, sub)
+
+    def test_chain_predicate_matches_lattice_walk(self):
+        changed = 0
+        for g in omega_corpus():
+            got = every_proper_ideal_completely_irreducible(g)
+            verdict, witness = comp_irred_chain_walk(g)
+            assert got.verdict == verdict, g
+            if got.witness == witness:
+                continue
+            # only the chain witness may differ: it is read off the
+            # principal-closure pairs instead of the whole lattice
+            assert got.witness["condition"] == witness["condition"] == "chain", g
+            changed += 1
+            lattice = {str(_pair_json(p)): p for p in enumerate_admissible_pairs(g)}
+            found = [lattice[str(p)] for p in got.witness["pairs"]]
+            assert not _comparable(*found), g
+        assert changed > 0
+
+    def test_chain_witness_is_first_over_all_principal_pairs(self):
+        # every S of each B_H built, against the few subsets the predicate
+        # builds; denser bundles give more breaking vertices per set
+        dense = [random_graph(GeneratorConfig(seed=s, max_vertices=8,
+                                              edge_density=0.3,
+                                              omega_probability=0.6))
+                 for s in range(1, 4001)]
+        for g in omega_corpus() + dense:
+            got = every_proper_ideal_completely_irreducible(g)
+            if got.verdict or got.witness["condition"] != "chain":
+                continue
+            pairs = sorted(
+                (AdmissiblePair(h, frozenset(s))
+                 for h in {frozenset(), *principal_closures(g).values()}
+                 for s in all_subsets(breaking_vertices(g, h))),
+                key=lambda p: p.key())
+            first = next((p1, p2) for p1, p2 in itertools.combinations(pairs, 2)
+                         if not _comparable(p1, p2))
+            assert got.witness["pairs"] == [_pair_json(p) for p in first], g
 
 
 class TestGenerators:
