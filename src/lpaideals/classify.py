@@ -3,8 +3,9 @@
 Each predicate inspects the graph alone; statements about all ideals of
 the algebra reduce to finite graph conditions, and none of them walks the
 ideal lattice: the hereditary saturated sets they need are the principal
-closures and the tail complements, and the strong cycle-to-sink property
-costs one condensation per graph or quotient.
+closures and the tail complements.  The strong cycle-to-sink property of
+the graph and of each quotient it asks about is read off the graph's one
+condensation, so no closure is taken and no quotient graph is built.
 Negative verdicts always carry a concrete witness (a bad cycle, an
 incomparable pair of admissible pairs, a quotient failing the strong
 cycle-to-sink property) so a counterexample can be rendered or re-checked
@@ -25,7 +26,6 @@ from .graphs import (
     condition_l,
     downward_directed,
     principal_closures,
-    quotient_graph,
     strong_csp,
     tail_complements,
 )
@@ -129,29 +129,34 @@ def every_proper_ideal_completely_irreducible(graph: Graph) -> PredicateResult:
 
     The hereditary saturated sets are the down-sets of the free components,
     so they form a chain exactly when the principal closures are nested,
-    and they are then the empty set and those closures.  The scan therefore
+    and they are then the empty set and those closures.  The test therefore
     runs over the pairs of _principal_pairs, never over the whole lattice.
-    The chain witness is the first incomparable pair among them in key
-    order (the first among the pairs (H, S) with H empty or a principal
-    closure and S a subset of B_H); the strong-CSP witness is the first
-    proper pair in key order whose quotient fails, as on the whole lattice.
+    A pair below another has no larger |H| and no larger |H | S|, so the
+    pairs form a chain exactly when each is below the next in that order;
+    only when they do not are all pairs scanned, in key order, for the
+    first incomparable two (the first among the pairs (H, S) with H empty
+    or a principal closure and S a subset of B_H).  The strong-CSP witness
+    is the first proper pair in key order whose quotient fails, as on the
+    whole lattice; no quotient is built.
     """
     name = "every_proper_ideal_completely_irreducible"
     k = _condition_k(name, graph)
     if not k:
         return k
     pairs = _principal_pairs(graph)
-    for p1, p2 in itertools.combinations(pairs, 2):
-        if not (admissible_leq(p1, p2) or admissible_leq(p2, p1)):
-            return PredicateResult(name, False,
-                                   {"condition": "chain",
-                                    "pairs": [_pair_json(p1), _pair_json(p2)]})
+    ranked = sorted(pairs, key=lambda p: (len(p.vertices),
+                                          len(p.vertices | p.breaking)))
+    if not all(itertools.starmap(admissible_leq, itertools.pairwise(ranked))):
+        p1, p2 = next((p1, p2) for p1, p2 in itertools.combinations(pairs, 2)
+                      if not (admissible_leq(p1, p2) or admissible_leq(p2, p1)))
+        return PredicateResult(name, False,
+                               {"condition": "chain",
+                                "pairs": [_pair_json(p1), _pair_json(p2)]})
     everything = frozenset(graph.vertices)
     for pair in pairs:
         if pair.vertices == everything:
             continue
-        q = quotient_graph(graph, pair).graph
-        csp = strong_csp(q)
+        csp = strong_csp(graph, pair)
         if not csp.holds:
             return PredicateResult(name, False,
                                    {"condition": "strong_csp",
@@ -162,15 +167,14 @@ def every_proper_ideal_completely_irreducible(graph: Graph) -> PredicateResult:
 
 def irreducible_equals_completely_irreducible(graph: Graph) -> PredicateResult:
     """Irreducible and completely irreducible ideals coincide: condition (K)
-    plus the strong CSP on the quotient of every prime candidate pair."""
+    plus the strong CSP on the quotient of every prime candidate pair, read
+    off the graph with no quotient built."""
     name = "irreducible_equals_completely_irreducible"
     k = _condition_k(name, graph)
     if not k:
         return k
     for hset in tail_complements(graph):
-        pair = AdmissiblePair(hset, breaking_vertices(graph, hset))
-        q = quotient_graph(graph, pair).graph
-        csp = strong_csp(q)
+        csp = strong_csp(graph, AdmissiblePair(hset, breaking_vertices(graph, hset)))
         if not csp.holds:
             return PredicateResult(name, False,
                                    {"condition": "strong_csp",

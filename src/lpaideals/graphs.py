@@ -23,15 +23,16 @@ reachability order, and the lattice of hereditary saturated sets is the
 lattice of those down-sets.  The graph keeps, per vertex, the set of
 components it reaches as a bitmask, with the bitmask of the free ones
 (`condensation`), found in one pass over the components.  The principal
-closures, the strong cycle-to-sink property, downward directedness and the
-anchors of the maximal tails follow from it without a closure or a walk of
-the lattice.  Only `enumerate_hereditary_saturated` and `admissible_pairs`
-walk the lattice, and they refuse it past LATTICE_CAP.
+closures, the strong cycle-to-sink property of the graph and of each of
+its quotients, downward directedness and the anchors of the maximal tails
+follow from it without a closure, a quotient graph or a walk of the
+lattice.  Only `enumerate_hereditary_saturated` walks the lattice: it adds
+one free component at a time to the down-sets found so far, takes one
+closure per set, and refuses the graph past LATTICE_CAP sets.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,14 +71,15 @@ class Graph:
 
     The infinite emitters are found once, on construction.  Reachability
     sets, the strongly connected components and the components each vertex
-    reaches, the maximal tails, validated admissible pairs and the exits of
-    cycles in quotients are computed once, on first use, and kept for as
-    long as the graph lives; none of these memos holds a graph.
+    reaches, the cycles without (K), the maximal tails, validated admissible
+    pairs and the exits of cycles in quotients are computed once, on first
+    use, and kept for as long as the graph lives; none of these memos holds
+    a graph.
     """
 
     __slots__ = ("vertices", "edges", "infinite_emitters", "_vset", "_out",
                  "_in", "_by_id", "_descendants", "_reaching", "_components",
-                 "_condensation", "_tails", "_pairs", "_exits")
+                 "_condensation", "_lone_cycles", "_tails", "_pairs", "_exits")
 
     def __init__(self, vertices, edges):
         vertices = list(vertices)
@@ -123,6 +125,7 @@ class Graph:
         object.__setattr__(self, "_reaching", {})
         object.__setattr__(self, "_components", None)
         object.__setattr__(self, "_condensation", None)
+        object.__setattr__(self, "_lone_cycles", None)
         object.__setattr__(self, "_tails", None)
         object.__setattr__(self, "_pairs", {})
         object.__setattr__(self, "_exits", {})
@@ -277,26 +280,31 @@ def hereditary_saturated_closure(graph: Graph, subset) -> frozenset:
 def enumerate_hereditary_saturated(graph: Graph) -> list:
     """All hereditary saturated vertex sets, sorted by size then lexicographically.
 
-    Every such set is reached from the empty set by joins with principal
-    closures: the join of a set S with closure({v}) is closure(S | {v}).  The
-    search makes at most n closures per set found, each linear in the graph,
-    so its cost follows the number of sets; it raises TooLarge once more
-    than LATTICE_CAP sets are found.
+    Each set is a down-set of free components, found once from a smaller
+    one: from a set S whose free components make the down-set D, a free
+    component c outside D whose lower free components all lie in D gives
+    the set closure(S | {min(c)}), with free components D | {c}.  A down-set
+    already found is skipped before its closure is taken, so the search
+    takes one closure per set after the empty one; it raises TooLarge once
+    more than LATTICE_CAP sets are found.
     """
-    found = {frozenset()}
-    todo = [frozenset()]
+    components, reach, free = condensation(graph)
+    joins = [(1 << i, reach[v] & free, v)
+             for i, v in enumerate(min(members) for members in components)
+             if free >> i & 1]
+    found = {0: frozenset()}
+    todo = [0]
     while todo:
-        s = todo.pop()
-        for v in graph.vertices:
-            if v not in s:
-                t = hereditary_saturated_closure(graph, s | {v})
-                if t not in found:
-                    found.add(t)
-                    todo.append(t)
-                    if len(found) > LATTICE_CAP:
-                        raise TooLarge("more hereditary saturated sets than "
-                                       f"the lattice cap {LATTICE_CAP}")
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
+        mask = todo.pop()
+        for bit, below, v in joins:
+            if below & ~mask == bit and mask | bit not in found:
+                found[mask | bit] = hereditary_saturated_closure(
+                    graph, found[mask] | {v})
+                todo.append(mask | bit)
+                if len(found) > LATTICE_CAP:
+                    raise TooLarge("more hereditary saturated sets than "
+                                   f"the lattice cap {LATTICE_CAP}")
+    return sorted(found.values(), key=lambda s: (len(s), sorted(s)))
 
 
 def breaking_vertices(graph: Graph, hset) -> frozenset:
@@ -360,20 +368,6 @@ def admissible_pair(graph: Graph, hset, sset=()) -> AdmissiblePair:
     return pair
 
 
-def admissible_pairs(graph: Graph) -> list:
-    """All admissible pairs (H, S), sorted by key; TooLarge past LATTICE_CAP."""
-    pairs = []
-    for hset in enumerate_hereditary_saturated(graph):
-        candidates = sorted(breaking_vertices(graph, hset))
-        if len(pairs) + 2 ** len(candidates) > LATTICE_CAP:
-            raise TooLarge(f"more admissible pairs than the lattice cap {LATTICE_CAP}")
-        for r in range(len(candidates) + 1):
-            for combo in itertools.combinations(candidates, r):
-                pairs.append(AdmissiblePair(hset, frozenset(combo)))
-    pairs.sort(key=lambda p: p.key())
-    return pairs
-
-
 def admissible_leq(p1: AdmissiblePair, p2: AdmissiblePair) -> bool:
     """Ideal containment I(p1) <= I(p2) on the graded level."""
     return p1.vertices <= p2.vertices and p1.breaking <= p2.vertices | p2.breaking
@@ -384,6 +378,20 @@ def _fresh_name(base: str, taken) -> str:
     while cand in taken:
         cand += "'"
     return cand
+
+
+def _primed_names(kept, split) -> dict:
+    """Breaking vertex -> the name of the sink that the quotient adds for it.
+
+    kept is the vertices outside H.  In vertex order, each vertex of split
+    takes the first of v', v'', ... that is neither kept nor already given.
+    """
+    taken = set(kept)
+    names = {}
+    for v in sorted(split):
+        names[v] = name = _fresh_name(v, taken)
+        taken.add(name)
+    return names
 
 
 @dataclass(frozen=True)
@@ -415,12 +423,7 @@ def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
     hset, sset = pair.vertices, pair.breaking
     split = breaking_vertices(graph, hset) - sset
     kept = [v for v in graph.vertices if v not in hset]
-    taken = set(kept)
-    primed_vertex = {}
-    for v in sorted(split):
-        name = _fresh_name(v, taken)
-        taken.add(name)
-        primed_vertex[v] = name
+    primed_vertex = _primed_names(kept, split)
     edges = []
     primed_edge = {}
     edge_ids = {e.id for e in graph.edges}
@@ -694,34 +697,31 @@ def principal_closures(graph: Graph) -> dict:
     return {v: closure[below[v]] for v in graph.vertices}
 
 
-def cycles_without_k(graph: Graph) -> list:
+def cycles_without_k(graph: Graph) -> tuple:
     """Cycles whose vertices lie on no other return path, sorted by start.
 
     A cycle is such exactly when its vertex set is a whole strongly connected
     component each vertex of which keeps exactly one slot inside it, of
     multiplicity one; the cycle is traced from the component's least vertex.
+    Found once per graph.
     """
-    comp = _strongly_connected_components(graph)
-    out = []
-    for start, members in sorted((min(m), m) for m in set(comp.values())):
-        step = {}
-        for v in members:
-            inside = [e for e in graph.out_edges(v) if e.dst in members]
-            if len(inside) != 1 or inside[0].mult != 1:
-                break
-            step[v] = inside[0]
-        else:
-            vs = [start]
-            while step[vs[-1]].dst != start:
-                vs.append(step[vs[-1]].dst)
-            out.append(Cycle(tuple(vs), tuple(step[v].id for v in vs)))
-    return out
-
-
-def cycle_vertices(graph: Graph) -> frozenset:
-    """Vertices on some cycle: sources of slots that stay inside their component."""
-    comp = _strongly_connected_components(graph)
-    return frozenset(e.src for e in graph.edges if e.dst in comp[e.src])
+    if graph._lone_cycles is None:
+        comp = _strongly_connected_components(graph)
+        out = []
+        for start, members in sorted((min(m), m) for m in set(comp.values())):
+            step = {}
+            for v in members:
+                inside = [e for e in graph.out_edges(v) if e.dst in members]
+                if len(inside) != 1 or inside[0].mult != 1:
+                    break
+                step[v] = inside[0]
+            else:
+                vs = [start]
+                while step[vs[-1]].dst != start:
+                    vs.append(step[vs[-1]].dst)
+                out.append(Cycle(tuple(vs), tuple(step[v].id for v in vs)))
+        object.__setattr__(graph, "_lone_cycles", tuple(out))
+    return graph._lone_cycles
 
 
 def condition_k(graph: Graph):
@@ -823,7 +823,7 @@ class StrongCsp:
     witness: frozenset
 
 
-def strong_csp(graph: Graph) -> StrongCsp:
+def strong_csp(graph: Graph, pair: AdmissiblePair | None = None) -> StrongCsp:
     """Whether a least nonempty hereditary saturated set exists and all reach it.
 
     The nonempty hereditary saturated sets are the nonempty down-sets of
@@ -834,8 +834,51 @@ def strong_csp(graph: Graph) -> StrongCsp:
     other free component.  Every vertex of a finite graph reaches a
     minimal free component, so every vertex reaches that core.  No closure
     is taken.
+
+    Given a proper admissible pair, the answer is that of
+    quotient_graph(graph, pair).graph, core in the quotient's vertex
+    names, read off this graph's condensation with no quotient built.  H is
+    hereditary, so the components outside H and the paths between them are
+    those of the quotient.  A breaking vertex keeps finitely many edges, so
+    if its component is one vertex with no loop it is regular there and
+    not free.  Each b in B_H \\ S adds a free sink b', reached by every vertex
+    that reaches b by a path of length at least one.
     """
-    below = _free_reach(graph)
+    if pair is None:
+        return _least_free(_free_reach(graph))
+    components, reach, free = condensation(graph)
+    hset = pair.vertices
+    if len(hset) == len(graph.vertices):
+        raise InvalidGraph("the quotient by every vertex has no vertex")
+    out, inc = graph._out, graph._in
+    inside = 0
+    for v in hset:
+        inside |= reach[v]
+    keep = free & ~inside
+    split = {}
+    for b in breaking_vertices(graph, hset):
+        i = reach[b].bit_length() - 1
+        if len(components[i]) == 1 and not any(e.dst == b for e in out[b]):
+            keep &= ~(1 << i)
+        if b not in pair.breaking:
+            split[b] = 0
+            for e in inc[b]:
+                split[b] |= 1 << (reach[e.src].bit_length() - 1)
+    below = {v: r & keep for v, r in reach.items() if v not in hset}
+    if split:
+        names = _primed_names(below, split)
+        bit = 1 << len(components)
+        for b, before in split.items():
+            for v, r in reach.items():
+                if r & before:  # never true inside the hereditary H
+                    below[v] |= bit
+            below[names[b]] = bit
+            bit <<= 1
+    return _least_free(below)
+
+
+def _least_free(below: dict) -> StrongCsp:
+    """Strong CSP from vertex -> bitmask of the free components it reaches."""
     minimal = {m for m in below.values() if not m & (m - 1)}
     if len(minimal) != 1:
         return StrongCsp(False, frozenset())

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .classify import _pair_json
 from .errors import DegreeTooLarge, NotALattice, TooLarge, Unsatisfiable
+from . import graphs
 from .graphs import (
     OMEGA,
     AdmissiblePair,
@@ -24,9 +25,11 @@ from .graphs import (
     Graph,
     StrongCsp,
     admissible_leq,
-    admissible_pairs,
+    breaking_vertices,
     condition_k,
     cycles_without_exits,
+    enumerate_hereditary_saturated,
+    hereditary_saturated_closure,
     maximal_tails,
     quotient_graph,
     strong_csp,
@@ -155,6 +158,48 @@ def enumerate_admissible_pairs(graph: Graph) -> list:
     return pairs
 
 
+def hereditary_saturated_join_walk(graph: Graph) -> list:
+    """All hereditary saturated sets by joins with principal closures.
+
+    The reference for graphs.enumerate_hereditary_saturated: every such set
+    is reached from the empty set by joins, and the join of a set S with
+    closure({v}) is closure(S | {v}).  It takes a closure for every set
+    found and every vertex outside it, and sorts as the enumeration does.
+    """
+    found = {frozenset()}
+    todo = [frozenset()]
+    while todo:
+        s = todo.pop()
+        for v in graph.vertices:
+            if v not in s:
+                t = hereditary_saturated_closure(graph, s | {v})
+                if t not in found:
+                    found.add(t)
+                    todo.append(t)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def admissible_pairs(graph: Graph) -> list:
+    """All admissible pairs (H, S) over graphs.enumerate_hereditary_saturated,
+    sorted by key; TooLarge past graphs.LATTICE_CAP, read at call time."""
+    cap = graphs.LATTICE_CAP
+    pairs = []
+    for hset in enumerate_hereditary_saturated(graph):
+        candidates = sorted(breaking_vertices(graph, hset))
+        if len(pairs) + 2 ** len(candidates) > cap:
+            raise TooLarge(f"more admissible pairs than the lattice cap {cap}")
+        for sset in _subsets(candidates):
+            pairs.append(AdmissiblePair(hset, sset))
+    pairs.sort(key=lambda p: p.key())
+    return pairs
+
+
+def cycle_vertices(graph: Graph) -> frozenset:
+    """Vertices on some cycle: sources of slots whose target reaches back."""
+    return frozenset(e.src for e in graph.edges
+                     if _reaches_literal(graph, e.dst, e.src))
+
+
 def _leq_literal(p1: AdmissiblePair, p2: AdmissiblePair) -> bool:
     return p1.vertices <= p2.vertices \
         and p1.breaking <= p2.vertices | p2.breaking
@@ -184,7 +229,7 @@ def lub_oracle(pairs, p1: AdmissiblePair, p2: AdmissiblePair) -> AdmissiblePair:
 def comp_irred_chain_walk(graph: Graph):
     """Whether every proper ideal is completely irreducible, on the whole lattice.
 
-    Condition (K), then every two admissible pairs of graphs.admissible_pairs
+    Condition (K), then every two admissible pairs of admissible_pairs
     compared, then the strong CSP of every proper quotient.  Returns
     (True, None) or (False, witness) with the witness JSON of the classify
     predicate; the chain witness is the first incomparable pair of the whole

@@ -22,8 +22,21 @@ from lpaideals.gallery import (
     sink_fork,
     two_sinks,
 )
-from lpaideals.graphs import condition_k
-from lpaideals.oracles import GeneratorConfig, random_graph
+from lpaideals.graphs import (
+    AdmissiblePair,
+    StrongCsp,
+    admissible_leq,
+    breaking_vertices,
+    condition_k,
+    quotient_graph,
+    tail_complements,
+)
+from lpaideals.oracles import (
+    GeneratorConfig,
+    enumerate_admissible_pairs,
+    random_graph,
+    strong_csp_oracle,
+)
 
 PREDICATES = [
     "all_ideals_graded",
@@ -138,9 +151,10 @@ class TestAlgebraReport:
 
 class TestWork:
     def test_no_lattice_walk_and_no_closure(self, monkeypatch):
-        # the predicates read the free-component condensation instead
+        # the predicates read the free-component condensation instead, for
+        # the graph and for each quotient they ask about
         calls = []
-        for name in ("enumerate_hereditary_saturated", "admissible_pairs",
+        for name in ("enumerate_hereditary_saturated", "quotient_graph",
                      "hereditary_saturated_closure"):
             original = getattr(graphs_module, name)
 
@@ -156,3 +170,45 @@ class TestWork:
         for graph in graphs:
             classify_algebra(graph)
         assert calls == []
+
+
+class TestWitnesses:
+    """Every negative witness re-checked against the subset-scan oracles.
+
+    On a finite graph the strong-CSP witnesses do not arise: when the pairs
+    form a chain, so do the hereditary saturated sets of every quotient,
+    and the quotient by a tail complement is downward directed; either way
+    the quotient has one minimal free component.  They are checked all the
+    same wherever they appear.
+    """
+
+    def test_chain_and_strong_csp_witnesses(self):
+        chains = 0
+        graphs = list(corpus().values())
+        graphs += [random_graph(GeneratorConfig(seed=s, omega_probability=0.3))
+                   for s in range(1, 201)]
+        for g in graphs:
+            rep = classify_algebra(g)
+            pairs = {(tuple(sorted(p.vertices)), tuple(sorted(p.breaking))): p
+                     for p in enumerate_admissible_pairs(g)}
+            chain = rep["every_proper_ideal_completely_irreducible"].witness or {}
+            if chain.get("condition") == "chain":
+                p1, p2 = (pairs[tuple(p["H"]), tuple(p["S"])]
+                          for p in chain["pairs"])
+                assert not admissible_leq(p1, p2), g
+                assert not admissible_leq(p2, p1), g
+                chains += 1
+            elif chain.get("condition") == "strong_csp":
+                h, s = chain["pair"]["H"], chain["pair"]["S"]
+                assert (tuple(h), tuple(s)) in pairs and len(h) < len(g.vertices)
+                quotient = quotient_graph(g, pairs[tuple(h), tuple(s)]).graph
+                assert strong_csp_oracle(quotient) == StrongCsp(
+                    False, frozenset(chain["core"])), g
+            match = rep["irreducible_equals_completely_irreducible"].witness or {}
+            if match.get("condition") == "strong_csp":
+                h = frozenset(match["H"])
+                assert h in tail_complements(g), g
+                pair = AdmissiblePair(h, breaking_vertices(g, h))
+                assert strong_csp_oracle(quotient_graph(g, pair).graph) == \
+                    StrongCsp(False, frozenset(match["core"])), g
+        assert chains > 20, chains

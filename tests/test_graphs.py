@@ -38,12 +38,10 @@ from lpaideals.graphs import (
     Graph,
     admissible_leq,
     admissible_pair,
-    admissible_pairs,
     breaking_vertices,
     condition_k,
     condition_l,
     cycle_exits,
-    cycle_vertices,
     cycles,
     cycles_without_exits,
     cycles_without_k,
@@ -72,7 +70,10 @@ from lpaideals.ideals import (
 from lpaideals.oracles import (
     GeneratorConfig,
     _breaking_literal,
+    admissible_pairs,
+    cycle_vertices,
     enumerate_admissible_pairs,
+    hereditary_saturated_join_walk,
     random_graph,
     random_prime_power_family,
     strong_csp_oracle,
@@ -204,8 +205,20 @@ class TestHereditarySaturated:
                   _layered_omega_dag(rng, 16)):
             calls.clear()
             found = enumerate_hereditary_saturated(g)
-            n = len(g.vertices)
-            assert 0 < len(calls) <= (n + 1) * (len(found) + 1), (g, len(found))
+            # one closure per set after the empty one
+            assert len(calls) == len(found) - 1 > 0, (g, len(found))
+
+    def test_enumeration_matches_join_walk_past_the_subset_scan(self):
+        # 17 to 48 vertices: too many for the subset scans of oracles
+        rng = SplitMix64(17)
+        sizes = 0
+        for n in range(17, 49):
+            for g in (_ring_with_chords(rng, n), _chain_with_loops(rng, n),
+                      _layered_omega_dag(rng, n)):
+                found = enumerate_hereditary_saturated(g)
+                assert found == hereditary_saturated_join_walk(g), g
+                sizes = max(sizes, len(found))
+        assert sizes > 100, sizes
 
     def test_breaking_vertices(self):
         g = omega_fan()
@@ -319,7 +332,7 @@ class TestCycles:
                     if all(through[v] == 1 for v in c.vertices)
                     and all(g.edge(e).mult == 1 for e in c.edges)]
             assert cycles_without_exits(g) == exitless, g
-            assert cycles_without_k(g) == lone, g
+            assert cycles_without_k(g) == tuple(lone), g
             assert cycle_vertices(g) == set(through), g
 
     def test_check_in(self):
@@ -540,8 +553,8 @@ class TestGraphMemos:
         for g in fresh:
             # classify_algebra asks for (K) four times and for (L) once
             classify_algebra(g)
-            for reader in (cycles_without_k, cycle_vertices, condition_k,
-                           condition_l, maximal_tails):
+            for reader in (cycles_without_k, condition_k, condition_l,
+                           maximal_tails):
                 reader(g)
             assert runs[id(g)] == 1, g
             comp = graphs_module._strongly_connected_components(g)
@@ -554,6 +567,9 @@ class TestGraphMemos:
         tails = maximal_tails(g)
         assert isinstance(tails, tuple) and tails is maximal_tails(g)
         assert all(isinstance(t, frozenset) for t in tails)
+        chain = loop_chain()
+        lone = cycles_without_k(chain)
+        assert isinstance(lone, tuple) and lone and lone is cycles_without_k(chain)
 
 
 class TestSerialization:
