@@ -2,14 +2,14 @@
 
 Each predicate inspects the graph alone; statements about all ideals of
 the algebra reduce to finite graph conditions, and none of them walks the
-ideal lattice: the hereditary saturated sets they need are the principal
-closures and the tail complements.  The strong cycle-to-sink property of
-the graph and of each quotient it asks about is read off the graph's one
-condensation, so no closure is taken and no quotient graph is built.
-Negative verdicts always carry a concrete witness (a bad cycle, an
-incomparable pair of admissible pairs, a quotient failing the strong
-cycle-to-sink property) so a counterexample can be rendered or re-checked
-directly.
+ideal lattice: the only hereditary saturated sets they need are the
+principal closures.  No predicate checks the strong cycle-to-sink property
+the paper asks of the graph and its quotients: every vertex of a finite
+graph reaches a free component, so a downward directed graph has exactly
+one minimal free component, and that is the strong CSP; oracles keeps the
+walks that check it.  Negative verdicts always carry a concrete witness (a
+bad cycle, two vertices with no common lower bound, an incomparable pair
+of admissible pairs) so a counterexample can be rendered or re-checked.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .graphs import (
     condition_l,
     downward_directed,
     principal_closures,
-    strong_csp,
-    tail_complements,
 )
 
 
@@ -79,8 +77,8 @@ def all_ideals_graded(graph: Graph) -> PredicateResult:
 
 
 def zero_completely_irreducible(graph: Graph) -> PredicateResult:
-    """The zero ideal is completely irreducible iff (L), downward directedness,
-    and the strong cycle-to-sink property all hold for the graph itself."""
+    """The zero ideal is completely irreducible iff (L) and downward
+    directedness hold for the graph itself; the strong CSP then follows."""
     name = "zero_completely_irreducible"
     l_holds, bad_cycle = condition_l(graph)
     if not l_holds:
@@ -91,11 +89,6 @@ def zero_completely_irreducible(graph: Graph) -> PredicateResult:
         return PredicateResult(name, False,
                                {"condition": "downward_directed",
                                 "pair": sorted(bad_pair)})
-    csp = strong_csp(graph)
-    if not csp.holds:
-        return PredicateResult(name, False,
-                               {"condition": "strong_csp",
-                                "core": sorted(csp.witness)})
     return PredicateResult(name, True)
 
 
@@ -124,8 +117,8 @@ def _principal_pairs(graph: Graph) -> list:
 
 
 def every_proper_ideal_completely_irreducible(graph: Graph) -> PredicateResult:
-    """All proper ideals completely irreducible: condition (K), the admissible
-    pairs form a chain, and every proper quotient has the strong CSP.
+    """All proper ideals completely irreducible: condition (K) and the
+    admissible pairs form a chain.
 
     The hereditary saturated sets are the down-sets of the free components,
     so they form a chain exactly when the principal closures are nested,
@@ -135,9 +128,9 @@ def every_proper_ideal_completely_irreducible(graph: Graph) -> PredicateResult:
     pairs form a chain exactly when each is below the next in that order;
     only when they do not are all pairs scanned, in key order, for the
     first incomparable two (the first among the pairs (H, S) with H empty
-    or a principal closure and S a subset of B_H).  The strong-CSP witness
-    is the first proper pair in key order whose quotient fails, as on the
-    whole lattice; no quotient is built.
+    or a principal closure and S a subset of B_H).  Every proper quotient
+    then has the strong CSP: its hereditary saturated sets form a chain, so
+    it has a least nonempty one.
     """
     name = "every_proper_ideal_completely_irreducible"
     k = _condition_k(name, graph)
@@ -152,35 +145,14 @@ def every_proper_ideal_completely_irreducible(graph: Graph) -> PredicateResult:
         return PredicateResult(name, False,
                                {"condition": "chain",
                                 "pairs": [_pair_json(p1), _pair_json(p2)]})
-    everything = frozenset(graph.vertices)
-    for pair in pairs:
-        if pair.vertices == everything:
-            continue
-        csp = strong_csp(graph, pair)
-        if not csp.holds:
-            return PredicateResult(name, False,
-                                   {"condition": "strong_csp",
-                                    "pair": _pair_json(pair),
-                                    "core": sorted(csp.witness)})
     return PredicateResult(name, True)
 
 
 def irreducible_equals_completely_irreducible(graph: Graph) -> PredicateResult:
     """Irreducible and completely irreducible ideals coincide: condition (K)
-    plus the strong CSP on the quotient of every prime candidate pair, read
-    off the graph with no quotient built."""
-    name = "irreducible_equals_completely_irreducible"
-    k = _condition_k(name, graph)
-    if not k:
-        return k
-    for hset in tail_complements(graph):
-        csp = strong_csp(graph, AdmissiblePair(hset, breaking_vertices(graph, hset)))
-        if not csp.holds:
-            return PredicateResult(name, False,
-                                   {"condition": "strong_csp",
-                                    "H": sorted(hset),
-                                    "core": sorted(csp.witness)})
-    return PredicateResult(name, True)
+    plus the strong CSP of the quotient by each tail complement E^0 \\ M,
+    which is the downward directed tail M and so always has it."""
+    return _condition_k("irreducible_equals_completely_irreducible", graph)
 
 
 def every_proper_ideal_product_of_comp_irred(graph: Graph) -> PredicateResult:

@@ -23,12 +23,12 @@ reachability order, and the lattice of hereditary saturated sets is the
 lattice of those down-sets.  The graph keeps, per vertex, the set of
 components it reaches as a bitmask, with the bitmask of the free ones
 (`condensation`), found in one pass over the components.  The principal
-closures, the strong cycle-to-sink property of the graph and of each of
-its quotients, downward directedness and the anchors of the maximal tails
-follow from it without a closure, a quotient graph or a walk of the
-lattice.  Only `enumerate_hereditary_saturated` walks the lattice: it adds
-one free component at a time to the down-sets found so far, takes one
-closure per set, and refuses the graph past LATTICE_CAP sets.
+closures, the strong cycle-to-sink property, downward directedness and
+the anchors of the maximal tails follow from it without a closure or a
+walk of the lattice.  Only `enumerate_hereditary_saturated` walks the
+lattice: it adds one free component at a time to the down-sets found so
+far, takes one closure per set, and refuses the graph past LATTICE_CAP
+sets.
 """
 
 from __future__ import annotations
@@ -373,25 +373,13 @@ def admissible_leq(p1: AdmissiblePair, p2: AdmissiblePair) -> bool:
     return p1.vertices <= p2.vertices and p1.breaking <= p2.vertices | p2.breaking
 
 
-def _fresh_name(base: str, taken) -> str:
+def _fresh_name(base: str, taken: set) -> str:
+    """The first of base', base'', ... not in taken, which then takes it."""
     cand = base + "'"
     while cand in taken:
         cand += "'"
+    taken.add(cand)
     return cand
-
-
-def _primed_names(kept, split) -> dict:
-    """Breaking vertex -> the name of the sink that the quotient adds for it.
-
-    kept is the vertices outside H.  In vertex order, each vertex of split
-    takes the first of v', v'', ... that is neither kept nor already given.
-    """
-    taken = set(kept)
-    names = {}
-    for v in sorted(split):
-        names[v] = name = _fresh_name(v, taken)
-        taken.add(name)
-    return names
 
 
 @dataclass(frozen=True)
@@ -423,7 +411,8 @@ def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
     hset, sset = pair.vertices, pair.breaking
     split = breaking_vertices(graph, hset) - sset
     kept = [v for v in graph.vertices if v not in hset]
-    primed_vertex = _primed_names(kept, split)
+    taken = set(kept)
+    primed_vertex = {v: _fresh_name(v, taken) for v in sorted(split)}
     edges = []
     primed_edge = {}
     edge_ids = {e.id for e in graph.edges}
@@ -433,9 +422,7 @@ def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
         # hereditary hset: e.dst outside hset forces e.src outside as well
         edges.append(e)
         if e.dst in split:
-            eid = _fresh_name(e.id, edge_ids)
-            edge_ids.add(eid)
-            primed_edge[e.id] = eid
+            eid = primed_edge[e.id] = _fresh_name(e.id, edge_ids)
             edges.append(Edge(eid, e.src, primed_vertex[e.dst], e.mult))
     q = Graph(kept + list(primed_vertex.values()), edges)
     split_source = {name: v for v, name in primed_vertex.items()}
@@ -823,7 +810,7 @@ class StrongCsp:
     witness: frozenset
 
 
-def strong_csp(graph: Graph, pair: AdmissiblePair | None = None) -> StrongCsp:
+def strong_csp(graph: Graph) -> StrongCsp:
     """Whether a least nonempty hereditary saturated set exists and all reach it.
 
     The nonempty hereditary saturated sets are the nonempty down-sets of
@@ -834,51 +821,8 @@ def strong_csp(graph: Graph, pair: AdmissiblePair | None = None) -> StrongCsp:
     other free component.  Every vertex of a finite graph reaches a
     minimal free component, so every vertex reaches that core.  No closure
     is taken.
-
-    Given a proper admissible pair, the answer is that of
-    quotient_graph(graph, pair).graph, core in the quotient's vertex
-    names, read off this graph's condensation with no quotient built.  H is
-    hereditary, so the components outside H and the paths between them are
-    those of the quotient.  A breaking vertex keeps finitely many edges, so
-    if its component is one vertex with no loop it is regular there and
-    not free.  Each b in B_H \\ S adds a free sink b', reached by every vertex
-    that reaches b by a path of length at least one.
     """
-    if pair is None:
-        return _least_free(_free_reach(graph))
-    components, reach, free = condensation(graph)
-    hset = pair.vertices
-    if len(hset) == len(graph.vertices):
-        raise InvalidGraph("the quotient by every vertex has no vertex")
-    out, inc = graph._out, graph._in
-    inside = 0
-    for v in hset:
-        inside |= reach[v]
-    keep = free & ~inside
-    split = {}
-    for b in breaking_vertices(graph, hset):
-        i = reach[b].bit_length() - 1
-        if len(components[i]) == 1 and not any(e.dst == b for e in out[b]):
-            keep &= ~(1 << i)
-        if b not in pair.breaking:
-            split[b] = 0
-            for e in inc[b]:
-                split[b] |= 1 << (reach[e.src].bit_length() - 1)
-    below = {v: r & keep for v, r in reach.items() if v not in hset}
-    if split:
-        names = _primed_names(below, split)
-        bit = 1 << len(components)
-        for b, before in split.items():
-            for v, r in reach.items():
-                if r & before:  # never true inside the hereditary H
-                    below[v] |= bit
-            below[names[b]] = bit
-            bit <<= 1
-    return _least_free(below)
-
-
-def _least_free(below: dict) -> StrongCsp:
-    """Strong CSP from vertex -> bitmask of the free components it reaches."""
+    below = _free_reach(graph)
     minimal = {m for m in below.values() if not m & (m - 1)}
     if len(minimal) != 1:
         return StrongCsp(False, frozenset())

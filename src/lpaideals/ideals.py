@@ -431,9 +431,8 @@ def is_completely_irreducible(ideal: Ideal) -> CaseResult:
     """Complete irreducibility with a case tag.
 
     Case 1: graded, and the zero ideal of the quotient graph is completely
-    irreducible (condition (L), downward directed, and a reachable least
-    nonempty hereditary saturated set).  Case 2: a power of a non-graded
-    prime.
+    irreducible (condition (L) and downward directed; the strong CSP then
+    follows).  Case 2: a power of a non-graded prime.
     """
     _require_proper(ideal)
     if not ideal.parts:

@@ -33,6 +33,7 @@ from .errors import FieldMismatch, ZeroPolynomial
 _PRIME_LIMIT = 2**31
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_GF_LABEL = re.compile(r"GF\(([0-9]+)\)")
 
 
 def _is_prime(n: int) -> bool:
@@ -158,13 +159,14 @@ class FieldSpec:
 
     @staticmethod
     def parse(label: str) -> "FieldSpec":
-        """Parse "Q" or "GF(p)"."""
+        """Parse "Q" or "GF(p)", p in ASCII digits only, as coerce asks of scalars."""
         label = label.strip()
         if label == "Q":
             return FieldSpec.rationals()
-        if label.startswith("GF(") and label.endswith(")"):
+        gf = _GF_LABEL.fullmatch(label)
+        if gf:
             try:
-                return FieldSpec.prime_field(int(label[3:-1]))
+                return FieldSpec.prime_field(int(gf[1]))
             except ValueError as exc:
                 raise ValueError(f"bad field label {label!r}: {exc}") from exc
         raise ValueError(f"bad field label {label!r} (expected Q or GF(p))")

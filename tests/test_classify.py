@@ -22,20 +22,11 @@ from lpaideals.gallery import (
     sink_fork,
     two_sinks,
 )
-from lpaideals.graphs import (
-    AdmissiblePair,
-    StrongCsp,
-    admissible_leq,
-    breaking_vertices,
-    condition_k,
-    quotient_graph,
-    tail_complements,
-)
+from lpaideals.graphs import admissible_leq, condition_k
 from lpaideals.oracles import (
     GeneratorConfig,
     enumerate_admissible_pairs,
     random_graph,
-    strong_csp_oracle,
 )
 
 PREDICATES = [
@@ -151,8 +142,8 @@ class TestAlgebraReport:
 
 class TestWork:
     def test_no_lattice_walk_and_no_closure(self, monkeypatch):
-        # the predicates read the free-component condensation instead, for
-        # the graph and for each quotient they ask about
+        # the predicates read the free-component condensation instead, and
+        # build no quotient
         calls = []
         for name in ("enumerate_hereditary_saturated", "quotient_graph",
                      "hereditary_saturated_closure"):
@@ -173,14 +164,7 @@ class TestWork:
 
 
 class TestWitnesses:
-    """Every negative witness re-checked against the subset-scan oracles.
-
-    On a finite graph the strong-CSP witnesses do not arise: when the pairs
-    form a chain, so do the hereditary saturated sets of every quotient,
-    and the quotient by a tail complement is downward directed; either way
-    the quotient has one minimal free component.  They are checked all the
-    same wherever they appear.
-    """
+    """Every negative witness re-checked against the subset-scan oracles."""
 
     def test_chain_and_strong_csp_witnesses(self):
         chains = 0
@@ -198,17 +182,4 @@ class TestWitnesses:
                 assert not admissible_leq(p1, p2), g
                 assert not admissible_leq(p2, p1), g
                 chains += 1
-            elif chain.get("condition") == "strong_csp":
-                h, s = chain["pair"]["H"], chain["pair"]["S"]
-                assert (tuple(h), tuple(s)) in pairs and len(h) < len(g.vertices)
-                quotient = quotient_graph(g, pairs[tuple(h), tuple(s)]).graph
-                assert strong_csp_oracle(quotient) == StrongCsp(
-                    False, frozenset(chain["core"])), g
-            match = rep["irreducible_equals_completely_irreducible"].witness or {}
-            if match.get("condition") == "strong_csp":
-                h = frozenset(match["H"])
-                assert h in tail_complements(g), g
-                pair = AdmissiblePair(h, breaking_vertices(g, h))
-                assert strong_csp_oracle(quotient_graph(g, pair).graph) == \
-                    StrongCsp(False, frozenset(match["core"])), g
         assert chains > 20, chains

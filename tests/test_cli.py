@@ -179,11 +179,29 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert invoke(capsys, "analyze", "--graph", str(bad))[0] == 2
 
+    @pytest.mark.parametrize("operand", ["graph", "ideal"])
+    def test_deeply_nested_json(self, capsys, tmp_path, operand):
+        # the JSON parser recurses once per bracket
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        files = {"graph": graph("one_loop"), "ideal": str(DATA / "zero_ideal.json"),
+                 operand: str(deep)}
+        code, out, err = invoke(capsys, "ideal-classify", "--graph", files["graph"],
+                                "--ideal", files["ideal"])
+        assert code == 2 and not out and "deep.json" in err
+
     def test_invalid_field(self, capsys):
-        code = invoke(capsys, "ideal-classify", "--graph", graph("one_loop"),
-                      "--field", "GF(4)",
-                      "--ideal", str(DATA / "loop_x_plus_1.json"))[0]
-        assert code == 2
+        # the characteristic must be ASCII digits, as a GF(p) scalar must be;
+        # the zero ideal has no part, so only the label can be refused
+        def field_code(label):
+            return invoke(capsys, "ideal-classify", "--graph", graph("one_loop"),
+                          "--field", label,
+                          "--ideal", str(DATA / "zero_ideal.json"))[0]
+
+        assert field_code("GF(7)") == 0
+        for label in ("GF(4)", "GF(1_000_003)", "GF( 7 )", "GF(+7)",
+                      "GF(\uff17)"):
+            assert field_code(label) == 2, label
 
     def test_field_conflict(self, capsys):
         code = invoke(capsys, "ideal-classify", "--graph", graph("one_loop"),

@@ -284,6 +284,24 @@ class TestQuotient:
         q = quotient_graph(g, admissible_pair(g, frozenset()))
         assert q.graph == g
 
+    def test_taken_primed_name_gives_the_next_prime(self):
+        # b keeps its loop over H = {h}; the name b' is taken, so b's gap
+        # idempotent lands on the new sink b''
+        g = Graph(["b", "b'", "h"], [Edge("loop", "b", "b"),
+                                     Edge("down", "b", "h", OMEGA),
+                                     Edge("in", "b'", "b")])
+        q = quotient_graph(g, admissible_pair(g, {"h"}))
+        assert q.graph.vertices == ("b", "b'", "b''")
+        assert q.sink_for("b") == "b''" and q.split_source == {"b''": "b"}
+        assert q.graph.is_sink("b''")
+        assert q.graph.edge("loop'").dst == "b''"
+        assert q.graph.edge("in'").dst == "b''"
+
+    def test_quotient_by_every_vertex_is_rejected(self):
+        g = loop_chain()
+        with pytest.raises(InvalidGraph):
+            quotient_graph(g, admissible_pair(g, g.vertices))
+
 
 class TestCycles:
     def test_rotation_normalization(self):
