@@ -69,17 +69,24 @@ class Edge:
 class Graph:
     """Immutable finite directed multigraph with slot multiplicities.
 
-    The infinite emitters are found once, on construction.  Reachability
-    sets, the strongly connected components and the components each vertex
-    reaches, the cycles without (K), the maximal tails, validated admissible
-    pairs and the exits of cycles in quotients are computed once, on first
-    use, and kept for as long as the graph lives; none of these memos holds
-    a graph.
+    The infinite emitters are found once, on construction.  The hash,
+    reachability sets, the strongly connected components and the components
+    each vertex reaches, the cycles without (K), the maximal tails,
+    validated admissible pairs and the exits of cycles in quotients are
+    computed once, on first use, and kept for as long as the graph lives;
+    none of these memos holds a graph.
+
+    The graph also holds the ideals built on it (`_ideals`, one `Ideal` per
+    canonical form, filled by the `Ideal` constructor) and the products and
+    intersections computed from them (`_combinations`, filled by
+    `ideals._combine`).  These hold ideals, which hold the graph: the
+    cycle is freed by the cyclic garbage collector.
     """
 
     __slots__ = ("vertices", "edges", "infinite_emitters", "_vset", "_out",
-                 "_in", "_by_id", "_descendants", "_reaching", "_components",
-                 "_condensation", "_lone_cycles", "_tails", "_pairs", "_exits")
+                 "_in", "_by_id", "_hash", "_descendants", "_reaching",
+                 "_components", "_condensation", "_lone_cycles", "_tails",
+                 "_pairs", "_exits", "_ideals", "_combinations")
 
     def __init__(self, vertices, edges):
         vertices = list(vertices)
@@ -121,6 +128,7 @@ class Graph:
         object.__setattr__(self, "_out", {v: tuple(l) for v, l in out.items()})
         object.__setattr__(self, "_in", {v: tuple(l) for v, l in inc.items()})
         object.__setattr__(self, "_by_id", {e.id: e for e in es})
+        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_descendants", {})
         object.__setattr__(self, "_reaching", {})
         object.__setattr__(self, "_components", None)
@@ -129,16 +137,21 @@ class Graph:
         object.__setattr__(self, "_tails", None)
         object.__setattr__(self, "_pairs", {})
         object.__setattr__(self, "_exits", {})
+        object.__setattr__(self, "_ideals", {})
+        object.__setattr__(self, "_combinations", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Graph) and self.vertices == other.vertices
-                and self.edges == other.edges)
+        return self is other or (isinstance(other, Graph)
+                                 and self.vertices == other.vertices
+                                 and self.edges == other.edges)
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edge slots)"

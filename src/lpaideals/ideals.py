@@ -84,16 +84,30 @@ class CaseResult:
 class Ideal:
     """Ideal in canonical form; build through canonicalize, not directly.
 
+    The canonical form is unique, so a graph holds one Ideal per form: a
+    construction whose (pair, parts) the graph has seen returns the ideal
+    already built, and only a new form is validated and registered.  A
+    rejected construction raises and is never kept.  Two ideals over one
+    graph are therefore equal exactly when they are the same object;
+    across graphs, equality reads the graph, the pair and the parts.
+
     An Ideal is immutable, so prime_power_decompose and factor_prime_powers
     keep their answers on it (slots _decomposition and _report, unset until
-    the first call; a None answer is kept too) for as long as it lives.  The
-    self-checks of each therefore run once per ideal.  Equality and hashing
-    read only the graph, the pair and the parts.
+    the first call; a None answer is kept too).  The graph keeps the ideal,
+    so the answers last as long as the graph, and the self-checks of each
+    run once per distinct ideal of a graph.  The hash is computed once, on
+    construction.
     """
 
-    __slots__ = ("graph", "pair", "parts", "_decomposition", "_report")
+    __slots__ = ("graph", "pair", "parts", "_hash", "_decomposition", "_report")
+
+    def __new__(cls, graph: Graph, pair: AdmissiblePair, parts=()):
+        known = graph._ideals.get((pair, tuple(parts)))
+        return known if known is not None else object.__new__(cls)
 
     def __init__(self, graph: Graph, pair: AdmissiblePair, parts=()):
+        if hasattr(self, "_hash"):
+            return  # __new__ found this ideal in the graph's table
         parts = tuple(parts)
         # defensive re-validation keeps the canonical invariants honest; the
         # graph validates each pair once and hands back one shared object
@@ -117,16 +131,24 @@ class Ideal:
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "parts", parts)
+        key = (pair, parts)
+        # equal ideals have equal keys, so the hash can leave the graph out
+        object.__setattr__(self, "_hash", hash(key))
+        graph._ideals[key] = self
 
     def __setattr__(self, name, value):
         raise AttributeError("Ideal is immutable")
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Ideal) and self.graph == other.graph
-                and self.pair == other.pair and self.parts == other.parts)
+        if self is other:
+            return True
+        # one graph builds one Ideal per canonical form
+        return (isinstance(other, Ideal) and self.graph is not other.graph
+                and self.graph == other.graph and self.pair == other.pair
+                and self.parts == other.parts)
 
     def __hash__(self):
-        return hash((self.graph, self.pair, self.parts))
+        return self._hash
 
     def __repr__(self) -> str:
         h = ",".join(sorted(self.pair.vertices))
@@ -263,8 +285,9 @@ def graded_part(ideal: Ideal) -> Ideal:
 
 
 def _check_same_graph(*ideals) -> None:
+    graph = ideals[0].graph
     for other in ideals[1:]:
-        if other.graph != ideals[0].graph:
+        if other.graph is not graph and other.graph != graph:
             raise GraphMismatch("ideals live over different graphs")
 
 
@@ -505,7 +528,20 @@ def _absorb(classified, mode: str):
 
 
 def _combine(classified, mode: str) -> Ideal:
-    """Product or intersection of a classified factor list (see _classify)."""
+    """Product or intersection of a classified factor list (see _classify).
+
+    The graph keeps each answer, keyed by the classified list and the mode,
+    so each combination and its containment asserts run once per graph.
+    """
+    memo = classified[0][0].graph._combinations
+    key = (tuple(classified), mode)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = _combination(classified, mode)
+    return result
+
+
+def _combination(classified, mode: str) -> Ideal:
     graph = classified[0][0].graph
 
     # merge factors sharing (pair, cycle); distinct exitless cycles force

@@ -42,7 +42,7 @@ from .ideals import (
     is_prime,
     prime_power_decompose,
 )
-from .poly import FieldSpec, Poly
+from .poly import FieldSpec, LaurentClass, Poly, is_irreducible_laurent
 from .rng import SplitMix64
 
 
@@ -523,16 +523,33 @@ def random_graph(config: GeneratorConfig) -> Graph:
     return Graph(vertices, edges)
 
 
+#: Largest characteristic whose irreducibles _random_irreducible sieves.
+_SIEVE_MAX_P = 5
+
+
 def _random_irreducible(rng: SplitMix64, field: FieldSpec, max_degree: int) -> Poly:
-    """Monic irreducible with nonzero constant term, degree <= max_degree."""
+    """Monic irreducible with nonzero constant term, degree <= max_degree.
+
+    Over GF(p) with p <= _SIEVE_MAX_P it picks one from the sieved list.  A
+    larger p would sieve p**degree candidates, so there it draws monic
+    polynomials of the degree with nonzero constant term from the same
+    stream until Ben-Or's test accepts one (about one draw in degree).
+    """
     degree = 1 + rng.below(max_degree)
-    if field.kind == "GF":
+    if field.kind == "GF" and field.p <= _SIEVE_MAX_P:
         pool = [g for g in monic_irreducibles(field, degree)
                 if g.degree == degree and g.constant_term() != field.zero()]
         if not pool:
             pool = [g for g in monic_irreducibles(field, degree)
                     if g.constant_term() != field.zero()]
         return rng.choice(pool)
+    if field.kind == "GF":
+        while True:
+            coeffs = ([1 + rng.below(field.p - 1)]
+                      + [rng.below(field.p) for _ in range(degree - 1)] + [1])
+            g = Poly(field, coeffs)
+            if is_irreducible_laurent(LaurentClass(g)):
+                return g
     # over the rationals, x^d + q for prime q is irreducible by Eisenstein
     q = rng.choice([2, 3, 5, 7, 11, 13])
     sign = rng.choice([1, -1])

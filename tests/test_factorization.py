@@ -272,6 +272,30 @@ class TestWorkCounts:
         assert factor_prime_powers(source) is report
         assert len(calls) == 1
 
+    def test_one_query_computes_each_combination_once(self, monkeypatch):
+        families = TestMemos._families(40)
+        asked = self.counting(monkeypatch, "_combine")
+        computed = []
+        original = ideals_module._combination
+
+        def counted(classified, mode):
+            computed.append((tuple(classified), mode))
+            return original(classified, mode)
+
+        monkeypatch.setattr(ideals_module, "_combination", counted)
+        repeats = 0
+        for _, family in families:
+            asked.clear()
+            computed.clear()
+            product = multiply(family)
+            intersect(family)
+            make_irredundant(family, "product")
+            factor_prime_powers(product)
+            factor_completely_irreducible(product)
+            assert len(computed) == len(set(computed))
+            repeats += len(asked) - len(computed)
+        assert repeats > 0
+
     def test_operations_decompose_each_member_once(self, monkeypatch):
         # every member has a cycle part, so each decomposition factors once
         powers = [one_loop_part(GF2, Poly(GF2, c) ** r)
@@ -353,14 +377,21 @@ class TestMemos:
                 == self._encode(warm)
             fresh_graph = graph_from_json(graph_to_json(g))
             fresh = [ideal_from_json(fresh_graph, ideal_to_json(m)) for m in family]
-            cold = self._answers(multiply(fresh), fresh)
+            assert not any(f is m for f, m in zip(fresh, family))
+            fresh_product = multiply(fresh)
+            assert fresh_product == product and fresh_product is not product
+            cold = self._answers(fresh_product, fresh)
             assert self._encode(cold) == self._encode(warm), graph_to_json(g)
 
     def test_equality_and_hash_ignore_the_memo(self):
         for g, family in self._families(10):
             product = multiply(family)
             factor_completely_irreducible(product)
+            # over one graph an equal ideal is the same object, so the twin
+            # lives on a reparsed graph and starts with empty memos
+            twin_graph = graph_from_json(graph_to_json(g))
             for ideal in family + [product]:
-                twin = ideal_from_json(g, ideal_to_json(ideal))
+                twin = ideal_from_json(twin_graph, ideal_to_json(ideal))
+                assert twin is not ideal
                 assert twin == ideal and hash(twin) == hash(ideal)
                 assert {ideal: 1}[twin] == 1

@@ -135,6 +135,14 @@ class TestGraphModel:
         assert g.reaching_set("s") == {"s", "u", "w"}
         assert g.descendants("s") == {"s"}
 
+    def test_hash_is_kept_on_first_use(self):
+        g = loop_chain()
+        assert g._hash is None  # building a graph does not hash its edges
+        assert hash(g) == hash((g.vertices, g.edges)) == g._hash
+        twin = graph_from_json(graph_to_json(g))
+        assert twin == g and hash(twin) == hash(g) and twin is not g
+        assert g != Graph(["u", "w"], [Edge("uu", "u", "u")])
+
 
 class TestHereditarySaturated:
     def test_predicates(self):

@@ -305,16 +305,21 @@ class TestGraphMemos:
         chain = plain_chain()
         assert contains(whole_ideal(chain), zero_ideal(chain))
         graded_ideal(chain, {"v1", "v2", "v3"})
+        kept = dict(chain._ideals)
         for _ in range(2):
             with pytest.raises(NotHereditarySaturated, match="not saturated"):
                 Ideal(chain, AdmissiblePair(frozenset({"v1"}), frozenset()))
+        assert chain._ideals == kept
 
         g = loop_chain()
         valid = canonicalize(g, {"w"}, (), [(ULOOP, poly(Q, (1, 1)))])
         assert valid.pair.vertices == {"w"}
+        zero = zero_ideal(g)
+        kept = dict(g._ideals)
         for _ in range(2):
             with pytest.raises(ValueError, match="has an exit in the quotient"):
-                Ideal(g, zero_ideal(g).pair, valid.parts)
+                Ideal(g, zero.pair, valid.parts)
+        assert g._ideals == kept
 
     def test_pairs_are_shared_between_ideals(self):
         g = loop_chain()
@@ -366,6 +371,43 @@ class TestGraphMemos:
         for g in graphs:
             assert not any(isinstance(x, (Graph, Quotient))
                            for x in _memo_contents(g))
+
+
+class TestInterning:
+    """A graph holds one Ideal per canonical form."""
+
+    def test_equal_constructions_are_one_object(self):
+        g = loop_chain()
+        a = canonicalize(g, {"w"}, (), [(ULOOP, poly(Q, (1, 1)))])
+        assert canonicalize(g, {"w"}, (), [(ULOOP, poly(Q, (3, 3)))]) is a
+        assert canonicalize(g, (), (), [(ULOOP, poly(Q, (1, 1))),
+                                        (WLOOP, poly(Q, (1,)))]) is a
+        assert ideal_from_json(g, ideal_to_json(a)) is a
+        assert graded_part(a) is graded_ideal(g, {"w"}) is join_graded(graded_part(a))
+        assert zero_ideal(g) is graded_ideal(g, ()) is meet_graded(zero_ideal(g))
+
+        loop = one_loop()
+        prime = canonicalize(loop, (), (), [(LOOP, poly(GF2, (1, 1)))])
+        square = canonicalize(loop, (), (), [(LOOP, poly(GF2, (1, 0, 1)))])
+        assert ideal_power(prime, 2) is square
+        assert multiply([prime, prime]) is square
+        assert prime_power_decompose(square) == (prime, 2)
+        assert prime_power_decompose(square)[0] is prime
+
+    def test_a_reparsed_graph_holds_its_own_ideals(self):
+        g = loop_chain()
+        twin_graph = graph_from_json(graph_to_json(g))
+        assert twin_graph == g and hash(twin_graph) == hash(g)
+        for ideal in (canonicalize(g, {"w"}, (), [(ULOOP, poly(Q, (1, 1)))]),
+                      zero_ideal(g), whole_ideal(g)):
+            twin = ideal_from_json(twin_graph, ideal_to_json(ideal))
+            assert twin == ideal and hash(twin) == hash(ideal)
+            assert twin is not ideal and twin.graph is twin_graph
+            assert {ideal: 1}[twin] == 1
+            assert contains(twin, ideal) and contains(ideal, twin)
+        other = ideal_from_json(twin_graph, {"H": ["w"], "S": []})
+        assert other != canonicalize(g, {"w"}, (), [(ULOOP, poly(Q, (1, 1)))])
+        assert other == graded_ideal(g, {"w"})
 
 
 class TestSerialization:

@@ -2,10 +2,11 @@
 
 import functools
 import itertools
+import time
 
 import pytest
 
-from lpaideals.errors import Unsatisfiable
+from lpaideals.errors import TooLarge, Unsatisfiable
 from lpaideals.gallery import (
     corpus,
     double_loop_chain,
@@ -35,8 +36,10 @@ from lpaideals.graphs import (
 )
 from lpaideals.ideals import (
     Ideal,
+    intersect,
     join_graded,
     meet_graded,
+    multiply,
     prime_power_decompose,
 )
 from lpaideals.oracles import (
@@ -276,6 +279,29 @@ class TestGenerators:
         for member in random_prime_power_family(cfg, one_loop()):
             base = prime_power_decompose(member)[0]
             assert base.parts[0].poly.rep.coeffs in ((1, 1), (1, 1, 1))
+
+    @pytest.mark.parametrize("p", [1009, 2**31 - 1])
+    def test_large_prime_families_are_drawn_fast(self, p):
+        # past the sieve's fields, polynomials are drawn and tested instead
+        field = FieldSpec.prime_field(p)
+        start = time.perf_counter()
+        bases = 0
+        for seed in range(1, 25):
+            cfg = GeneratorConfig(seed=seed, field=field, max_poly_degree=3)
+            graph = random_graph(cfg)
+            try:
+                family = random_prime_power_family(cfg, graph)
+            except (Unsatisfiable, TooLarge):
+                continue
+            for member in family:
+                if member.parts:
+                    base = prime_power_decompose(member)[0].parts[0].poly
+                    assert base.field == field and 1 <= base.degree <= 3
+                    assert is_irreducible_laurent(base)
+                    bases += 1
+            assert multiply(family) == intersect(family), seed
+        assert bases >= 10
+        assert time.perf_counter() - start < 1.0
 
     def test_isolated_vertex_has_no_proper_nonzero_prime(self):
         with pytest.raises(Unsatisfiable):
