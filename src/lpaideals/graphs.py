@@ -409,7 +409,6 @@ class Quotient:
     base: Graph
     pair: AdmissiblePair
     primed_vertex: dict
-    primed_edge: dict
     split_source: dict  # primed sink -> the breaking vertex it splits off
 
     def sink_for(self, v: str) -> str:
@@ -422,12 +421,13 @@ class Quotient:
 
 def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
     hset, sset = pair.vertices, pair.breaking
+    if len(hset) == len(graph.vertices):
+        raise InvalidGraph("the quotient by every vertex has no vertices")
     split = breaking_vertices(graph, hset) - sset
     kept = [v for v in graph.vertices if v not in hset]
     taken = set(kept)
     primed_vertex = {v: _fresh_name(v, taken) for v in sorted(split)}
     edges = []
-    primed_edge = {}
     edge_ids = {e.id for e in graph.edges}
     for e in graph.edges:
         if e.dst in hset:
@@ -435,11 +435,11 @@ def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
         # hereditary hset: e.dst outside hset forces e.src outside as well
         edges.append(e)
         if e.dst in split:
-            eid = primed_edge[e.id] = _fresh_name(e.id, edge_ids)
-            edges.append(Edge(eid, e.src, primed_vertex[e.dst], e.mult))
+            edges.append(Edge(_fresh_name(e.id, edge_ids), e.src,
+                              primed_vertex[e.dst], e.mult))
     q = Graph(kept + list(primed_vertex.values()), edges)
     split_source = {name: v for v, name in primed_vertex.items()}
-    return Quotient(q, graph, pair, primed_vertex, primed_edge, split_source)
+    return Quotient(q, graph, pair, primed_vertex, split_source)
 
 
 # -- cycles and exit structure --------------------------------------------------

@@ -12,11 +12,14 @@ intersections, primality, prime powers, complete irreducibility, and
 factorization) runs on the symbolic form without ever materializing algebra
 elements.
 
-Products and intersections are supported for factor lists in which every
-factor is graded or a prime power.  That class is closed under the calculus
-used here and is exactly where the classical product and intersection
-identities pin the answer down; anything outside it fails loudly with
-UnsupportedOperands rather than guessing.
+Products and intersections take factor lists in which every factor is
+graded or a prime power; _check_operands is the only gate, and anything
+else fails loudly with UnsupportedOperands rather than guessing.  The answer
+is read off the canonical forms: its graded part is the meet of the pairs,
+a cycle part survives where every other factor holds the cycle's start in
+its H, and factors on one (pair, cycle) multiply their polynomials for a
+product or take their lcm for an intersection.  A factor containing another
+changes none of this, so no factor is dropped first.
 """
 
 from __future__ import annotations
@@ -471,84 +474,41 @@ def is_completely_irreducible(ideal: Ideal) -> CaseResult:
 # -- products and intersections ----------------------------------------------------
 
 
-def _classify(factors) -> list:
-    """[(factor, prime)] with prime None for a graded factor; raises otherwise.
-
-    Every factor must be graded or a proper prime power over one graph.
-    """
+def _check_operands(factors) -> list:
+    """The factor list, once every factor is graded or a prime power over
+    one graph; raises otherwise.  The only gate of multiply, intersect and
+    make_irredundant."""
     if not factors:
         raise ValueError("factor list must be nonempty")
     _check_same_graph(*factors)
-    out = []
     for index, f in enumerate(factors):
-        if is_graded(f):
-            out.append((f, None))
-            continue
-        if not is_proper(f):
-            raise UnsupportedOperands(f"factor {index} is improper with parts")
-        decomposed = prime_power_decompose(f)
-        if decomposed is None:
+        if f.parts and prime_power_decompose(f) is None:
             raise UnsupportedOperands(
                 f"factor {index} is neither graded nor a prime power: {f!r}")
-        out.append((f, decomposed[0]))
-    return out
+    return factors
 
 
-def _absorb(classified, mode: str):
-    """Indices of factors that survive absorption, in original order.
+def _combine(factors, mode: str) -> Ideal:
+    """Product or intersection of factors that pass _check_operands.
 
-    In both modes a factor is dropped when another live factor makes it
-    redundant: any factor containing a strictly smaller one goes, duplicates
-    collapse to their first copy, and in product mode a prime power goes
-    only when a live graded factor sits inside it or a strictly smaller
-    prime underlies another live power (powers of one prime must multiply,
-    not absorb).
+    The graph keeps each answer, keyed by the factor list and the mode, so
+    each combination and its containment asserts run once per graph.
     """
-    alive = list(range(len(classified)))
-    changed = True
-    while changed:
-        changed = False
-        for j in list(alive):
-            fj, pj = classified[j]
-            for i in alive:
-                if i == j:
-                    continue
-                fi, pi = classified[i]
-                if mode == "intersection" or pj is None:
-                    drop = contains(fj, fi) and (fi != fj or i < j)
-                elif pi is None:
-                    drop = contains(fj, fi)
-                else:
-                    drop = pi != pj and contains(pj, pi)
-                if drop:
-                    alive.remove(j)
-                    changed = True
-                    break
-    return alive
-
-
-def _combine(classified, mode: str) -> Ideal:
-    """Product or intersection of a classified factor list (see _classify).
-
-    The graph keeps each answer, keyed by the classified list and the mode,
-    so each combination and its containment asserts run once per graph.
-    """
-    memo = classified[0][0].graph._combinations
-    key = (tuple(classified), mode)
+    memo = factors[0].graph._combinations
+    key = (tuple(factors), mode)
     result = memo.get(key)
     if result is None:
-        result = memo[key] = _combination(classified, mode)
+        result = memo[key] = _combination(factors, mode)
     return result
 
 
-def _combination(classified, mode: str) -> Ideal:
-    graph = classified[0][0].graph
+def _combination(factors, mode: str) -> Ideal:
+    graph = factors[0].graph
 
     # merge factors sharing (pair, cycle); distinct exitless cycles force
     # distinct pairs, so keying by (pair, cycle) never conflates factors
     merged = {}
-    for j in _absorb(classified, mode):
-        f = classified[j][0]
+    for f in factors:
         key = (f.pair, f.parts[0].cycle if f.parts else None)
         if key not in merged:
             merged[key] = f
@@ -569,16 +529,16 @@ def _combination(classified, mode: str) -> Ideal:
 
     pair = _meet(graph, [f.pair for f in survivors])
     result = canonicalize(graph, pair.vertices, pair.breaking, parts)
-    for index, (f, _) in enumerate(classified):
+    for index, f in enumerate(factors):
         assert contains(f, result), \
             f"combination escaped factor {index}: {f!r}"
     return result
 
 
-def _irredundant(classified, mode: str, target: Ideal) -> list:
+def _irredundant(factors, mode: str, target: Ideal) -> list:
     """Greedy left-to-right sublist whose combination is still target, the
     combination of the whole list."""
-    kept = list(classified)
+    kept = list(factors)
     i = 0
     while i < len(kept):
         if len(kept) > 1:
@@ -587,25 +547,25 @@ def _irredundant(classified, mode: str, target: Ideal) -> list:
                 kept = trial
                 continue
         i += 1
-    return [f for f, _ in kept]
+    return kept
 
 
 def multiply(factors) -> Ideal:
     """Product of the factors; each must be graded or a prime power."""
-    return _combine(_classify(list(factors)), "product")
+    return _combine(_check_operands(list(factors)), "product")
 
 
 def intersect(factors) -> Ideal:
     """Intersection of the factors; each must be graded or a prime power."""
-    return _combine(_classify(list(factors)), "intersection")
+    return _combine(_check_operands(list(factors)), "intersection")
 
 
 def make_irredundant(factors, mode: str) -> list:
     """Greedy left-to-right sublist whose combination is unchanged."""
     if mode not in ("product", "intersection"):
         raise ValueError(f"unknown mode {mode!r}")
-    classified = _classify(list(factors))
-    return _irredundant(classified, mode, _combine(classified, mode))
+    factors = _check_operands(list(factors))
+    return _irredundant(factors, mode, _combine(factors, mode))
 
 
 # -- factorization ------------------------------------------------------------------
@@ -754,8 +714,9 @@ def _factor_prime_powers(ideal: Ideal):
             assert is_prime(prime).holds, "cycle tail produced a non-prime"
             factors.append((prime, mult))
 
-    # each factor's prime is known, so the checks skip classification
-    powers = _classified_powers(factors)
+    # the powers are prime powers by construction, so the checks skip
+    # _check_operands
+    powers = [ideal_power(p, r) for p, r in factors]
     if _combine(powers, "product") != ideal:
         return None
     assert len(_irredundant(powers, "product", ideal)) == len(powers), \
@@ -763,11 +724,6 @@ def _factor_prime_powers(ideal: Ideal):
     factors.sort(key=_factor_sort_key)
     return FactorizationReport(tuple(factors), "product", True,
                                _ideal_checksum(ideal))
-
-
-def _classified_powers(factors) -> list:
-    """[(prime ** r, prime or None when graded)] for (prime, r) factor pairs."""
-    return [(ideal_power(p, r), p if p.parts else None) for p, r in factors]
 
 
 def _factor_sort_key(entry):
@@ -797,7 +753,8 @@ def factor_completely_irreducible(ideal: Ideal):
         else:
             assert is_completely_irreducible(
                 ideal_power(prime, exponent)).holds
-    if _combine(_classified_powers(report.factors), "intersection") != ideal:
+    powers = [ideal_power(p, r) for p, r in report.factors]
+    if _combine(powers, "intersection") != ideal:
         return None
     return report
 

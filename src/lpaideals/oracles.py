@@ -36,7 +36,10 @@ from .graphs import (
     tail_complements,
 )
 from .ideals import (
+    Ideal,
+    _combine,
     canonicalize,
+    contains,
     enumerate_graded_primes,
     ideal_power,
     is_prime,
@@ -327,6 +330,58 @@ def products_of_comp_irred_walk(graph: Graph):
                 return False, {"condition": "tail_strong_csp", "pair": pair,
                                "tail": sorted(t), "csp": csp}
     return True, None
+
+
+# -- products and intersections by absorption -----------------------------------------
+
+
+def absorb(factors, mode: str) -> list:
+    """The factors left by the containment fixpoint, in their given order.
+
+    Each factor is graded or a prime power.  A factor is dropped when
+    another live factor makes it redundant: any factor containing a
+    strictly smaller one goes, duplicates collapse to their first copy, and
+    in product mode a prime power goes only when a live graded factor sits
+    inside it or a strictly smaller prime underlies another live power
+    (powers of one prime must multiply, not absorb).
+    """
+    factors = list(factors)
+    primes = [prime_power_decompose(f)[0] if f.parts else None for f in factors]
+    alive = list(range(len(factors)))
+    changed = True
+    while changed:
+        changed = False
+        for j in list(alive):
+            fj, pj = factors[j], primes[j]
+            for i in alive:
+                if i == j:
+                    continue
+                fi, pi = factors[i], primes[i]
+                if mode == "intersection" or pj is None:
+                    drop = contains(fj, fi) and (fi != fj or i < j)
+                elif pi is None:
+                    drop = contains(fj, fi)
+                else:
+                    drop = pi != pj and contains(pj, pi)
+                if drop:
+                    alive.remove(j)
+                    changed = True
+                    break
+    return [factors[j] for j in alive]
+
+
+def combine_with_absorption(factors, mode: str) -> Ideal:
+    """Product or intersection that absorbs contained factors first.
+
+    The reference for ideals.multiply and ideals.intersect, which combine
+    every factor as given: the survivors of absorb are combined by
+    ideals._combine, and the answer must contain each factor, dropped ones
+    included.
+    """
+    factors = list(factors)
+    result = _combine(absorb(factors, mode), mode)
+    assert all(contains(f, result) for f in factors), "absorbed factor escaped"
+    return result
 
 
 # -- reference polynomial factorization --------------------------------------------

@@ -245,6 +245,15 @@ class TestExitCodes:
                               "--ideal", str(DATA / "loop_x_plus_1.json"))
         assert code == 3 and "error:" in err
 
+    def test_export_dot_of_the_whole_ideal(self, capsys, tmp_path):
+        whole = tmp_path / "whole.json"
+        whole.write_text(json.dumps({"H": ["h", "u"], "S": [], "parts": []}))
+        code, out, err = invoke(capsys, "export-dot",
+                                "--graph", graph("omega_loop"),
+                                "--ideal", str(whole))
+        assert code == 2 and out == ""
+        assert "the quotient by every vertex has no vertices" in err
+
     def test_enumeration_bound(self, capsys, monkeypatch):
         # petals3 has 9 hereditary saturated sets, omega_fan 5 sets, 6 pairs
         monkeypatch.setattr(graphs_module, "LATTICE_CAP", 8)

@@ -227,7 +227,7 @@ class TestFactorCompletelyIrreducible:
 
 
 class TestWorkCounts:
-    """Each factor is classified once per factor list, never per trial."""
+    """Each factor is decomposed once per factor list, never per trial."""
 
     @staticmethod
     def counting(monkeypatch, name):
@@ -278,9 +278,9 @@ class TestWorkCounts:
         computed = []
         original = ideals_module._combination
 
-        def counted(classified, mode):
-            computed.append((tuple(classified), mode))
-            return original(classified, mode)
+        def counted(factors, mode):
+            computed.append((tuple(factors), mode))
+            return original(factors, mode)
 
         monkeypatch.setattr(ideals_module, "_combination", counted)
         repeats = 0

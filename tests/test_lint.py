@@ -10,6 +10,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lpaideals"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+def _parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def _unused_imports(tree: ast.Module) -> list:
     """Names bound by a module-level import and never read in the module."""
     bound = {}
@@ -26,11 +30,65 @@ def _unused_imports(tree: ast.Module) -> list:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _unused_imports(tree) == []
+    assert _unused_imports(_parse(path)) == []
 
 
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom .graphs import Graph, strong_csp\n"
                      "def f(g: Graph):\n    return os.sep\n")
     assert _unused_imports(tree) == [(2, "strong_csp")]
+
+
+def _unused_private(trees: dict) -> list:
+    """Module-level private functions, classes and constants that no module
+    of the package reads.
+
+    A definition is read by a name in its own module, by an import from
+    another module, or as an attribute anywhere in the package.
+    """
+    shared = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                shared.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                shared.add(node.attr)
+    out = []
+    for module, tree in sorted(trees.items()):
+        read = shared | {node.id for node in ast.walk(tree)
+                         if isinstance(node, ast.Name)
+                         and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) \
+                    and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            out.extend((module, node.lineno, name) for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read)
+    return sorted(out)
+
+
+def test_no_unread_private_definitions():
+    trees = {path.name: _parse(path) for path in SRC.glob("*.py")}
+    assert _unused_private(trees) == []
+
+
+def test_the_check_sees_an_unread_private_definition():
+    trees = {
+        "a.py": ast.parse("_CAP = 3\n_STALE: int = 4\n"
+                          "def _helper():\n    return _CAP\n"
+                          "def _leftover():\n    return 1\n"
+                          "class _Gone:\n    pass\n"
+                          "def _reached():\n    return 2\n"),
+        "b.py": ast.parse("from .a import _helper\nfrom . import a\n"
+                          "def f():\n    return _helper() + a._reached()\n"),
+    }
+    assert _unused_private(trees) == [("a.py", 2, "_STALE"),
+                                      ("a.py", 5, "_leftover"),
+                                      ("a.py", 7, "_Gone")]

@@ -38,14 +38,17 @@ from lpaideals.ideals import (
     Ideal,
     intersect,
     join_graded,
+    make_irredundant,
     meet_graded,
     multiply,
     prime_power_decompose,
 )
 from lpaideals.oracles import (
     GeneratorConfig,
+    absorb,
     bruteforce_factor_gf,
     closure_oracle,
+    combine_with_absorption,
     comp_irred_chain_walk,
     enumerate_admissible_pairs,
     glb_oracle,
@@ -62,6 +65,7 @@ from lpaideals.poly import (
     is_irreducible_laurent,
     normalize_laurent,
 )
+from lpaideals.rng import SplitMix64
 
 GF2 = FieldSpec.prime_field(2)
 GF3 = FieldSpec.prime_field(3)
@@ -317,3 +321,69 @@ class TestGenerators:
             GeneratorConfig(seed=1, omega_probability=-0.1)
         with pytest.raises(ValueError):
             GeneratorConfig(seed=1, max_poly_degree=0)
+
+
+class TestAbsorption:
+    """multiply, intersect and make_irredundant combine every factor as
+    given; absorbing the contained factors first gives the same answers."""
+
+    MODES = ("product", "intersection")
+
+    @staticmethod
+    def _mixes(seeds, per_seed=6):
+        """Lists of 2-4 factors, each drawn with even odds from the nonzero
+        graded ideals of a random graph or from three prime-power families
+        on it, which may repeat primes."""
+        fields = (GF2, FieldSpec.prime_field(5), FieldSpec.rationals())
+        mixes = []
+        for seed in seeds:
+            cfg = GeneratorConfig(seed=seed, max_vertices=6,
+                                  omega_probability=0.3,
+                                  field=fields[seed % 3], max_poly_degree=2)
+            graph = random_graph(cfg)
+            graded = [Ideal(graph, pair)
+                      for pair in enumerate_admissible_pairs(graph)
+                      if pair.vertices or pair.breaking]
+            powers = []
+            for draw in range(3):
+                try:
+                    powers += random_prime_power_family(
+                        GeneratorConfig(seed=seed + 1000 * draw,
+                                        field=cfg.field, max_poly_degree=2),
+                        graph, distinct=False)
+                except Unsatisfiable:
+                    break
+            rng = SplitMix64(seed)
+            for _ in range(per_seed):
+                mixes.append([rng.choice(powers if powers and rng.chance(0.5)
+                                         else graded)
+                              for _ in range(2 + rng.below(3))])
+        return mixes
+
+    @staticmethod
+    def _irredundant_by_absorption(factors, mode):
+        target = combine_with_absorption(factors, mode)
+        kept = list(factors)
+        i = 0
+        while i < len(kept):
+            if len(kept) > 1:
+                trial = kept[:i] + kept[i + 1:]
+                if combine_with_absorption(trial, mode) == target:
+                    kept = trial
+                    continue
+            i += 1
+        return kept
+
+    def test_combining_every_factor_matches_absorption(self):
+        mixes = self._mixes(range(200))
+        assert len(mixes) == 1200
+        shrunk = dict.fromkeys(self.MODES, 0)
+        for mix in mixes:
+            for mode in self.MODES:
+                combine = multiply if mode == "product" else intersect
+                assert combine(mix) == combine_with_absorption(mix, mode), \
+                    (mode, mix)
+                assert make_irredundant(mix, mode) \
+                    == self._irredundant_by_absorption(mix, mode), (mode, mix)
+                shrunk[mode] += len(absorb(mix, mode)) < len(mix)
+        assert shrunk == {"product": 1146, "intersection": 1159}
