@@ -29,6 +29,13 @@ walk of the lattice.  Only `enumerate_hereditary_saturated` walks the
 lattice: it adds one free component at a time to the down-sets found so
 far, takes one closure per set, and refuses the graph past LATTICE_CAP
 sets.
+
+The quotient by an admissible pair is read off the graph and the same
+condensation: its vertex names and edges (`quotient_view`), its cycle
+exits (`quotient_cycle_exits`), and its maximal tails, (L) and downward
+directedness (`quotient_facts`), each kept per pair on the graph.  The ideal
+calculus builds no quotient graph; `quotient_graph` builds one for
+rendering and for the oracles.
 """
 
 from __future__ import annotations
@@ -72,9 +79,10 @@ class Graph:
     The infinite emitters are found once, on construction.  The hash,
     reachability sets, the strongly connected components and the components
     each vertex reaches, the cycles without (K), the maximal tails,
-    validated admissible pairs and the exits of cycles in quotients are
-    computed once, on first use, and kept for as long as the graph lives;
-    none of these memos holds a graph.
+    validated admissible pairs, the views of the quotients by them and the
+    exits of cycles in those quotients are computed once, on first use, and
+    kept for as long as the graph lives; none of these memos holds a graph,
+    and no quotient graph is built for them.
 
     The graph also holds the ideals built on it (`_ideals`, one `Ideal` per
     canonical form, filled by the `Ideal` constructor) and the products and
@@ -86,7 +94,7 @@ class Graph:
     __slots__ = ("vertices", "edges", "infinite_emitters", "_vset", "_out",
                  "_in", "_by_id", "_hash", "_descendants", "_reaching",
                  "_components", "_condensation", "_lone_cycles", "_tails",
-                 "_pairs", "_exits", "_ideals", "_combinations")
+                 "_pairs", "_quotients", "_exits", "_ideals", "_combinations")
 
     def __init__(self, vertices, edges):
         vertices = list(vertices)
@@ -136,6 +144,7 @@ class Graph:
         object.__setattr__(self, "_lone_cycles", None)
         object.__setattr__(self, "_tails", None)
         object.__setattr__(self, "_pairs", {})
+        object.__setattr__(self, "_quotients", {})
         object.__setattr__(self, "_exits", {})
         object.__setattr__(self, "_ideals", {})
         object.__setattr__(self, "_combinations", {})
@@ -299,12 +308,18 @@ def enumerate_hereditary_saturated(graph: Graph) -> list:
     the set closure(S | {min(c)}), with free components D | {c}.  A down-set
     already found is skipped before its closure is taken, so the search
     takes one closure per set after the empty one; it raises TooLarge once
-    more than LATTICE_CAP sets are found.
+    more than LATTICE_CAP sets are found.  Any set of minimal free
+    components, those with no free component below them, is a down-set, so
+    k of them make at least 2**k sets: past the cap, the graph is refused
+    before any closure.
     """
     components, reach, free = condensation(graph)
     joins = [(1 << i, reach[v] & free, v)
              for i, v in enumerate(min(members) for members in components)
              if free >> i & 1]
+    if 2 ** sum(below == bit for bit, below, _ in joins) > LATTICE_CAP:
+        raise TooLarge("more hereditary saturated sets than "
+                       f"the lattice cap {LATTICE_CAP}")
     found = {0: frozenset()}
     todo = [0]
     while todo:
@@ -408,18 +423,16 @@ class Quotient:
     graph: Graph
     base: Graph
     pair: AdmissiblePair
-    primed_vertex: dict
     split_source: dict  # primed sink -> the breaking vertex it splits off
-
-    def sink_for(self, v: str) -> str:
-        """Quotient sink carrying the gap idempotent of breaking vertex v."""
-        return self.primed_vertex[v]
 
     def is_primed_vertex(self, v: str) -> bool:
         return v in self.split_source
 
 
 def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
+    """The quotient graph itself, built edge by edge: export-dot renders it,
+    and the oracles and tests check quotient_view, which answers the ideal
+    calculus without building it, against it."""
     hset, sset = pair.vertices, pair.breaking
     if len(hset) == len(graph.vertices):
         raise InvalidGraph("the quotient by every vertex has no vertices")
@@ -439,7 +452,183 @@ def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
                               primed_vertex[e.dst], e.mult))
     q = Graph(kept + list(primed_vertex.values()), edges)
     split_source = {name: v for v, name in primed_vertex.items()}
-    return Quotient(q, graph, pair, primed_vertex, split_source)
+    return Quotient(q, graph, pair, split_source)
+
+
+@dataclass(frozen=True, slots=True)
+class QuotientFacts:
+    """The maximal tails of a quotient, in the order of maximal_tails, and
+    its verdicts on condition (L) and downward directedness."""
+
+    tails: tuple
+    condition_l: bool
+    downward_directed: bool
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class QuotientView:
+    """The quotient E/(H, S) of quotient_graph, read off the base graph.
+
+    vertices are the quotient's vertex names, sorted; split_source maps each
+    primed sink to the breaking vertex it splits off, and copies maps each
+    base edge into a split vertex to its primed copy, named as
+    quotient_graph names them.  edge and out_edges answer as the quotient
+    graph's methods do, so Cycle.check_in and cycle_exits take a view in
+    place of a graph.  facts is filled by quotient_facts on first use.  A
+    view holds the base graph's edge tables, never the graph.
+    """
+
+    pair: AdmissiblePair
+    vertices: tuple
+    split_source: dict
+    copies: dict
+    out: dict  # the base graph's out-edges by vertex
+    by_id: dict  # the base graph's edges by id
+    facts: QuotientFacts = None
+
+    def edge(self, edge_id: str) -> Edge:
+        e = self.by_id.get(edge_id)
+        if e is not None and e.dst not in self.pair.vertices:
+            return e
+        for copy in self.copies.values():
+            if copy.id == edge_id:
+                return copy
+        raise UnknownVertex(f"unknown edge id {edge_id!r}")
+
+    def out_edges(self, v: str) -> list:
+        """Out-edges of a vertex outside H, sorted by id as the quotient sorts."""
+        kept = [e for e in self.out[v] if e.dst not in self.pair.vertices]
+        primed = [self.copies[e.id] for e in kept if e.id in self.copies]
+        return sorted(kept + primed, key=lambda e: e.id) if primed else kept
+
+    def image(self, pair: AdmissiblePair) -> frozenset:
+        """Vertices of the quotient in the image of the graded ideal of a pair.
+
+        The pair must lie above the view's.  Real vertices land by membership
+        in its H, except split breaking vertices, which land exactly when all
+        their edges leaving the view's H do; a primed sink lands when the gap
+        idempotent of its source does.
+        """
+        hp = pair.vertices
+        gaps = hp | pair.breaking
+        split = set(self.split_source.values())
+        out = set()
+        for w in self.vertices:
+            source = self.split_source.get(w)
+            if source is not None:
+                if source in gaps:
+                    out.add(w)
+            elif w in split:
+                if all(e.dst in hp for e in self.out[w]
+                       if e.dst not in self.pair.vertices):
+                    out.add(w)
+            elif w in hp:
+                out.add(w)
+        return frozenset(out)
+
+
+def quotient_view(graph: Graph, pair: AdmissiblePair) -> QuotientView:
+    """The quotient of the graph by an admissible pair, without building it.
+
+    Kept per pair on the graph.  Raises InvalidGraph for the pair of every
+    vertex, whose quotient has no vertices.
+    """
+    view = graph._quotients.get(pair)
+    if view is None:
+        hset = pair.vertices
+        if len(hset) == len(graph.vertices):
+            raise InvalidGraph("the quotient by every vertex has no vertices")
+        split = breaking_vertices(graph, hset) - pair.breaking
+        kept = [v for v in graph.vertices if v not in hset]
+        taken = set(kept)
+        primed = {v: _fresh_name(v, taken) for v in sorted(split)}
+        edge_ids = set(graph._by_id)
+        copies = {e.id: Edge(_fresh_name(e.id, edge_ids), e.src, primed[e.dst],
+                             e.mult)
+                  for e in sorted((e for v in split for e in graph._in[v]),
+                                  key=lambda e: e.id)}
+        view = graph._quotients[pair] = QuotientView(
+            pair=pair, vertices=tuple(sorted(kept + list(primed.values()))),
+            split_source={name: v for v, name in primed.items()},
+            copies=copies, out=graph._out, by_id=graph._by_id)
+    return view
+
+
+def quotient_facts(graph: Graph, pair: AdmissiblePair) -> QuotientFacts:
+    """Maximal tails, (L) and downward directedness of the quotient by a
+    pair, read off the graph's condensation, once per pair.
+
+    Paths between vertices outside the hereditary set H never enter H, so
+    the quotient's components outside the primed sinks are the graph's
+    components outside H, with the same reaching sets and lone cycles.  A
+    breaking vertex keeps finitely many edges, so it is regular in the
+    quotient and its component stays free only with a loop.  Each primed
+    sink u' is a free component of its own, reached from the sources of
+    the edges into u.  So the maximal tails are the graph's tails
+    reaching_set(min C) for the free components C outside H, less those of
+    loopless single breaking vertices, plus one tail per primed sink u':
+    u' and the reaching sets of the sources of u's in-edges.  The graph's
+    tails are certified by maximal_tails, once per graph; each primed tail
+    is certified here.  (L) fails exactly on a lone cycle outside H every
+    vertex of which emits one edge in the quotient, and the quotient is
+    downward directed exactly when its whole vertex set is one of its
+    tails.
+    """
+    view = quotient_view(graph, pair)
+    if view.facts is None:
+        object.__setattr__(view, "facts", _read_facts(graph, view))
+    return view.facts
+
+
+def _read_facts(graph: Graph, view: QuotientView) -> QuotientFacts:
+    hset = view.pair.vertices
+    breaking = view.pair.breaking.union(view.split_source.values())  # B_H
+    components, _, free = condensation(graph)
+    maximal_tails(graph)  # certifies the graph's tails, once per graph
+    tails = []
+    for i, members in enumerate(components):
+        v = min(members)
+        if free >> i & 1 and v not in hset and not (
+                v in breaking and len(members) == 1
+                and all(e.dst != v for e in graph._out[v])):
+            tails.append(graph.reaching_set(v))
+    for name, u in view.split_source.items():
+        sources = {e.src for e in graph._in[u]}
+        reaching = frozenset().union(*map(graph.reaching_set, sources))
+        assert _is_primed_tail(graph, hset, u, sources, reaching), \
+            f"primed tail certification failed: {name}"
+        tails.append(reaching | {name})
+    tails.sort(key=lambda s: (len(s), sorted(s)))
+
+    def emits_one(v):  # one edge in total leaves v in the quotient
+        return sum(e.mult for e in view.out_edges(v)) == 1
+
+    lone = [c for c in cycles_without_k(graph) if c.start not in hset]
+    return QuotientFacts(
+        tails=tuple(tails),
+        condition_l=not any(all(map(emits_one, c.vertices)) for c in lone),
+        downward_directed=any(len(t) == len(view.vertices) for t in tails))
+
+
+def _is_primed_tail(graph: Graph, hset, u: str, sources, reaching) -> bool:
+    """Whether u' and reaching, the sources of u's in-edges and all that
+    reach them, make a maximal tail of the quotient by hset: no edge enters
+    them from outside, each regular member keeps an edge inside (one into u
+    lands on u' as well), and every member reaches u'."""
+    _, reach, _ = condensation(graph)
+    below = 0
+    for s in sources:
+        below |= 1 << (reach[s].bit_length() - 1)  # s's own component
+    for w in reaching:
+        if any(e.src not in reaching for e in graph._in[w]):
+            return False
+        kept = [e for e in graph._out[w] if e.dst not in hset]
+        if kept and not any(e.is_omega() for e in kept) and not any(
+                e.dst in reaching or e.dst == u for e in kept):
+            return False
+        if not reach[w] & below:
+            return False
+    return True
 
 
 # -- cycles and exit structure --------------------------------------------------
@@ -546,18 +735,18 @@ def quotient_cycle_exits(graph: Graph, pair: AdmissiblePair, cycle: Cycle) -> tu
     Each exit is (edge, is_parallel, source): edge and is_parallel as in
     cycle_exits on quotient_graph(graph, pair).graph, and source the
     breaking vertex split off when the edge lands on a primed sink, else
-    None.  Computed once per (pair, cycle) and kept on the graph; the
-    quotient itself is dropped.  The cycle must be a cycle of the quotient;
-    otherwise Cycle.check_in raises, and nothing is kept.
+    None.  Read off quotient_view(graph, pair), with no quotient built, once
+    per (pair, cycle), and kept on the graph.  The cycle must be a cycle of
+    the quotient; otherwise Cycle.check_in raises, and nothing is kept.
     """
     key = (pair, cycle)
     exits = graph._exits.get(key)
     if exits is None:
-        quotient = quotient_graph(graph, pair)
-        cycle.check_in(quotient.graph)
+        view = quotient_view(graph, pair)
+        cycle.check_in(view)
         exits = graph._exits[key] = tuple(
-            (edge, parallel, quotient.split_source.get(edge.dst))
-            for edge, parallel in cycle_exits(quotient.graph, cycle))
+            (edge, parallel, view.split_source.get(edge.dst))
+            for edge, parallel in cycle_exits(view, cycle))
     return exits
 
 

@@ -28,7 +28,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from .classify import zero_completely_irreducible
 from .errors import (
     FieldMismatch,
     GraphMismatch,
@@ -41,15 +40,14 @@ from .graphs import (
     AdmissiblePair,
     Cycle,
     Graph,
-    Quotient,
     admissible_leq,
     admissible_pair,
     breaking_vertices,
     downward_directed,
     hereditary_saturated_closure,
-    maximal_tails,
     quotient_cycle_exits,
-    quotient_graph,
+    quotient_facts,
+    quotient_view,
     tail_complements,
 )
 from .poly import (
@@ -458,12 +456,13 @@ def is_completely_irreducible(ideal: Ideal) -> CaseResult:
 
     Case 1: graded, and the zero ideal of the quotient graph is completely
     irreducible (condition (L) and downward directed; the strong CSP then
-    follows).  Case 2: a power of a non-graded prime.
+    follows), both read off quotient_facts with no quotient built.  Case 2:
+    a power of a non-graded prime.
     """
     _require_proper(ideal)
     if not ideal.parts:
-        q = quotient_graph(ideal.graph, ideal.pair).graph
-        holds = zero_completely_irreducible(q).verdict
+        facts = quotient_facts(ideal.graph, ideal.pair)
+        holds = facts.condition_l and facts.downward_directed
         return CaseResult(holds, 1 if holds else None)
     decomposed = prime_power_decompose(ideal)
     if decomposed is not None:
@@ -602,33 +601,6 @@ def _ideal_checksum(ideal: Ideal) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def quotient_prime_vertices(quotient: Quotient, prime: Ideal) -> frozenset:
-    """Vertices of the quotient graph lying in the image of a graded ideal.
-
-    The graded ideal must contain the ideal of the quotient's pair.  Real
-    vertices land in the image by membership in its H, except split breaking
-    vertices, which land exactly when all their surviving edges do; a split
-    sink lands when the gap idempotent of its source does.
-    """
-    hp = prime.pair.vertices
-    sp = prime.pair.breaking
-    base = quotient.base
-    split = set(quotient.primed_vertex)
-    out = set()
-    for w in quotient.graph.vertices:
-        if quotient.is_primed_vertex(w):
-            if quotient.split_source[w] in hp | sp:
-                out.add(w)
-        elif w in split:
-            kept = [e for e in base.out_edges(w)
-                    if e.dst not in quotient.pair.vertices]
-            if all(e.dst in hp for e in kept):
-                out.add(w)
-        elif w in hp:
-            out.add(w)
-    return frozenset(out)
-
-
 def _irredundant_tail_cover(tails, universe):
     """The unique irredundant subcover; None when the tails do not cover."""
     covered = set()
@@ -656,8 +628,10 @@ def factor_prime_powers(ideal: Ideal):
     The quotient's maximal tails drive the construction: each tail pulls
     back to the largest graded prime with the matching image, cycle parts
     attach to the unique tail reaching their cycle, and the polynomial of a
-    part splits into prime powers.  The product of everything returned is
-    verified to recompose the input before the report is issued.
+    part splits into prime powers.  The tails and the images are read off
+    quotient_facts and quotient_view, with no quotient built.  The product
+    of everything returned is verified to recompose the input before the
+    report is returned.
     """
     _require_proper(ideal)
     memo = getattr(ideal, "_report", None)
@@ -669,9 +643,9 @@ def factor_prime_powers(ideal: Ideal):
 
 def _factor_prime_powers(ideal: Ideal):
     graph = ideal.graph
-    quotient = quotient_graph(graph, ideal.pair)
-    tails = _irredundant_tail_cover(maximal_tails(quotient.graph),
-                                    quotient.graph.vertices)
+    view = quotient_view(graph, ideal.pair)
+    tails = _irredundant_tail_cover(quotient_facts(graph, ideal.pair).tails,
+                                    view.vertices)
     if tails is None:
         return None
 
@@ -679,7 +653,7 @@ def _factor_prime_powers(ideal: Ideal):
                   if admissible_leq(ideal.pair, p.pair)]
     by_image = {}
     for p in candidates:
-        by_image.setdefault(quotient_prime_vertices(quotient, p), []).append(p)
+        by_image.setdefault(view.image(p.pair), []).append(p)
 
     part_of = {}
     for part in ideal.parts:
@@ -692,7 +666,7 @@ def _factor_prime_powers(ideal: Ideal):
 
     factors = []
     for i, tail in enumerate(tails):
-        image = frozenset(quotient.graph.vertices) - tail
+        image = frozenset(view.vertices) - tail
         pool = by_image.get(image)
         if not pool:
             return None
@@ -739,9 +713,9 @@ def factor_completely_irreducible(ideal: Ideal):
     """Factor into completely irreducible ideals; None when impossible.
 
     Builds on factor_prime_powers, whose report the ideal keeps, so the
-    quotient, the tails and the product check are not redone; every graded
-    factor must itself be completely irreducible, and the intersection of
-    the factors is verified to recompose the input.
+    tails and the product check are not redone; every graded factor must
+    itself be completely irreducible, and the intersection of the factors
+    is verified to recompose the input.
     """
     report = factor_prime_powers(ideal)
     if report is None:

@@ -10,6 +10,7 @@ reproduce everywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
@@ -17,12 +18,14 @@ from fractions import Fraction
 
 from .classify import _pair_json
 from .errors import DegreeTooLarge, NotALattice, TooLarge, Unsatisfiable
+from .gallery import corpus
 from . import graphs
 from .graphs import (
     OMEGA,
     AdmissiblePair,
     Edge,
     Graph,
+    Quotient,
     StrongCsp,
     admissible_leq,
     breaking_vertices,
@@ -292,6 +295,34 @@ def maximal_tails_bruteforce(graph: Graph) -> list:
             out.append(m)
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
+
+
+def quotient_prime_vertices(quotient: Quotient, prime: Ideal) -> frozenset:
+    """Vertices of a built quotient graph lying in the image of a graded ideal.
+
+    The reference for graphs.QuotientView.image.  The graded ideal must
+    contain the ideal of the quotient's pair.  Real vertices land in the
+    image by membership in its H, except split breaking vertices, which land
+    exactly when all their surviving edges do; a split sink lands when the
+    gap idempotent of its source does.
+    """
+    hp = prime.pair.vertices
+    sp = prime.pair.breaking
+    base = quotient.base
+    split = set(quotient.split_source.values())
+    out = set()
+    for w in quotient.graph.vertices:
+        if quotient.is_primed_vertex(w):
+            if quotient.split_source[w] in hp | sp:
+                out.add(w)
+        elif w in split:
+            kept = [e for e in base.out_edges(w)
+                    if e.dst not in quotient.pair.vertices]
+            if all(e.dst in hp for e in kept):
+                out.add(w)
+        elif w in hp:
+            out.add(w)
+    return frozenset(out)
 
 
 # -- products of completely irreducible ideals -----------------------------------------
@@ -576,6 +607,17 @@ def random_graph(config: GeneratorConfig) -> Graph:
                 mult = OMEGA if rng.chance(config.omega_probability) else 1
                 edges.append(Edge(f"e{len(edges)}", f"v{i}", f"v{j}", mult))
     return Graph(vertices, edges)
+
+
+@functools.cache
+def omega_corpus() -> list:
+    """The gallery plus 4,000 seeded graphs of up to 8 vertices, with 30% of
+    their slots infinite bundles; built once per process."""
+    graphs = list(corpus().values())
+    graphs += [random_graph(GeneratorConfig(seed=s, max_vertices=8,
+                                            omega_probability=0.3))
+               for s in range(1, 4001)]
+    return graphs
 
 
 #: Largest characteristic whose irreducibles _random_irreducible sieves.

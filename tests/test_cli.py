@@ -267,6 +267,14 @@ class TestExitCodes:
         assert chain["witness"]["pairs"] == [{"H": ["w1"], "S": []},
                                              {"H": ["w2"], "S": []}]
 
+    def test_hsets_of_seventeen_sinks_exits_4(self, capsys, tmp_path):
+        sinks = tmp_path / "sinks.json"
+        sinks.write_text(json.dumps({
+            "vertices": [f"s{i:02d}" for i in range(17)], "edges": []}))
+        code, out, err = invoke(capsys, "hsets", "--graph", str(sinks))
+        assert code == 4 and out == ""
+        assert "more hereditary saturated sets than the lattice cap 65536" in err
+
     def test_primes_and_factors_past_the_lattice_cap(self, capsys, tmp_path):
         # 17 isolated sinks have 2^17 sets but only 17 maximal tails
         sinks = tmp_path / "sinks.json"

@@ -9,6 +9,7 @@ import pytest
 from lpaideals.classify import (
     classify_algebra,
     irreducible_equals_completely_irreducible,
+    zero_completely_irreducible,
 )
 from lpaideals.errors import (
     EmptySet,
@@ -33,6 +34,7 @@ from lpaideals.gallery import (
 )
 from lpaideals.graphs import (
     OMEGA,
+    AdmissiblePair,
     Cycle,
     Edge,
     Graph,
@@ -55,7 +57,9 @@ from lpaideals.graphs import (
     is_saturated,
     maximal_tails,
     quotient_cycle_exits,
+    quotient_facts,
     quotient_graph,
+    quotient_view,
     strong_csp,
     tail_complements,
 )
@@ -74,6 +78,8 @@ from lpaideals.oracles import (
     cycle_vertices,
     enumerate_admissible_pairs,
     hereditary_saturated_join_walk,
+    omega_corpus,
+    quotient_prime_vertices,
     random_graph,
     random_prime_power_family,
     strong_csp_oracle,
@@ -177,6 +183,26 @@ class TestHereditarySaturated:
         monkeypatch.setattr(graphs_module, "LATTICE_CAP", 9)
         assert len(enumerate_hereditary_saturated(petals())) == 9
 
+    def test_minimal_components_past_the_cap_are_refused_at_once(self, monkeypatch):
+        # 17 isolated sinks are 17 minimal free components: 2^17 sets
+        closures = []
+        closure = graphs_module.hereditary_saturated_closure
+
+        def counted(graph, subset):
+            closures.append(1)
+            return closure(graph, subset)
+
+        monkeypatch.setattr(graphs_module, "hereditary_saturated_closure", counted)
+        sinks = Graph([f"s{i:02d}" for i in range(17)], [])
+        with pytest.raises(TooLarge, match="^more hereditary saturated sets "
+                                           "than the lattice cap 65536$"):
+            enumerate_hereditary_saturated(sinks)
+        assert closures == []
+        # 4 sinks make exactly a cap of 2^4, which is walked
+        monkeypatch.setattr(graphs_module, "LATTICE_CAP", 2 ** 4)
+        assert len(enumerate_hereditary_saturated(Graph(list("abcd"), []))) == 16
+        assert len(closures) == 15
+
     def test_pair_cap(self, monkeypatch):
         # omega_fan has 5 hereditary saturated sets and 6 admissible pairs
         monkeypatch.setattr(graphs_module, "LATTICE_CAP", 5)
@@ -261,12 +287,24 @@ class TestAdmissiblePairs:
         assert not admissible_leq(chosen, big)
 
 
+def _primed_name_taken():
+    return Graph(["b", "b'", "h"], [Edge("loop", "b", "b"),
+                                    Edge("down", "b", "h", OMEGA),
+                                    Edge("in", "b'", "b")])
+
+
+def _primed_edge_name_taken():
+    # over H = {h}, u splits and both e and e' are copied onto u'
+    return Graph(["a", "u", "h"], [Edge("e", "a", "u"), Edge("e'", "a", "u"),
+                                   Edge("back", "u", "a"),
+                                   Edge("down", "u", "h", OMEGA)])
+
+
 class TestQuotient:
     def test_unchosen_breaking_vertex_splits(self):
         g = omega_loop()
         q = quotient_graph(g, admissible_pair(g, {"h"}))
         assert set(q.graph.vertices) == {"u", "u'"}
-        assert q.sink_for("u") == "u'"
         assert q.is_primed_vertex("u'") and not q.is_primed_vertex("u")
         assert q.split_source == {"u'": "u"}
         assert q.graph.is_sink("u'")
@@ -295,12 +333,10 @@ class TestQuotient:
     def test_taken_primed_name_gives_the_next_prime(self):
         # b keeps its loop over H = {h}; the name b' is taken, so b's gap
         # idempotent lands on the new sink b''
-        g = Graph(["b", "b'", "h"], [Edge("loop", "b", "b"),
-                                     Edge("down", "b", "h", OMEGA),
-                                     Edge("in", "b'", "b")])
+        g = _primed_name_taken()
         q = quotient_graph(g, admissible_pair(g, {"h"}))
         assert q.graph.vertices == ("b", "b'", "b''")
-        assert q.sink_for("b") == "b''" and q.split_source == {"b''": "b"}
+        assert q.split_source == {"b''": "b"}
         assert q.graph.is_sink("b''")
         assert q.graph.edge("loop'").dst == "b''"
         assert q.graph.edge("in'").dst == "b''"
@@ -309,6 +345,77 @@ class TestQuotient:
         g = loop_chain()
         with pytest.raises(InvalidGraph):
             quotient_graph(g, admissible_pair(g, g.vertices))
+
+
+class TestQuotientView:
+    """quotient_view against the quotient graph it stands for."""
+
+    def test_view_matches_the_built_quotient(self):
+        pairs = split = exits = lone = 0
+        for g in omega_corpus() + [_primed_name_taken(), _primed_edge_name_taken()]:
+            everything = frozenset(g.vertices)
+            for pair in admissible_pairs(g):
+                if pair.vertices == everything:
+                    continue
+                q = quotient_graph(g, pair)
+                view = quotient_view(g, pair)
+                facts = quotient_facts(g, pair)
+                assert quotient_view(g, pair) is view and view.facts is facts
+                assert view.vertices == q.graph.vertices, (g, pair)
+                assert view.split_source == q.split_source, (g, pair)
+                for v in q.graph.vertices:
+                    if not q.is_primed_vertex(v):
+                        assert view.out_edges(v) == list(q.graph.out_edges(v))
+                for e in q.graph.edges:
+                    assert view.edge(e.id) == e, (g, pair, e)
+                assert facts.tails == maximal_tails(q.graph), (g, pair)
+                l_holds, dd = condition_l(q.graph)[0], downward_directed(q.graph)[0]
+                assert (facts.condition_l, facts.downward_directed) == (l_holds, dd)
+                assert zero_completely_irreducible(q.graph).verdict \
+                    == (facts.condition_l and facts.downward_directed), (g, pair)
+                for c in cycles_without_k(q.graph):
+                    got = quotient_cycle_exits(g, pair, c)
+                    assert [(e, par) for e, par, _ in got] == \
+                        cycle_exits(q.graph, c), (g, pair, c)
+                    exits += len(got)
+                pairs += 1
+                split += bool(view.split_source)
+                lone += not facts.condition_l
+        # the corpus splits breaking vertices, and (L) fails in some quotients
+        assert pairs > 9000 and split > 900 and lone > 0 and exits > 0, \
+            (pairs, split, lone, exits)
+        view = quotient_view(_primed_name_taken(), AdmissiblePair(
+            frozenset({"h"}), frozenset()))
+        assert view.split_source == {"b''": "b"}
+        g = _primed_edge_name_taken()
+        view = quotient_view(g, admissible_pair(g, {"h"}))
+        assert {e: c.id for e, c in view.copies.items()} == {"e": "e''", "e'": "e'''"}
+        with pytest.raises(UnknownVertex, match="unknown edge id 'down'"):
+            view.edge("down")
+
+    def test_images_match_the_built_quotient(self):
+        images = 0
+        for g in omega_corpus():
+            everything = frozenset(g.vertices)
+            primes = enumerate_graded_primes(g)
+            for pair in admissible_pairs(g):
+                if pair.vertices == everything:
+                    continue
+                q = quotient_graph(g, pair)
+                view = quotient_view(g, pair)
+                for p in primes:
+                    if admissible_leq(pair, p.pair):
+                        assert view.image(p.pair) == \
+                            quotient_prime_vertices(q, p), (g, pair, p)
+                        images += 1
+        assert images > 15000, images
+
+    def test_the_whole_pair_has_no_quotient(self):
+        g = loop_chain()
+        whole = admissible_pair(g, g.vertices)
+        for read in (quotient_view, quotient_facts):
+            with pytest.raises(InvalidGraph, match="has no vertices"):
+                read(g, whole)
 
 
 class TestCycles:

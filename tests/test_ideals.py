@@ -285,7 +285,7 @@ class TestCompleteIrreducibility:
 def _memo_contents(graph):
     """Every object reachable from the graph's memos, containers unpacked."""
     todo = [graph._descendants, graph._reaching, graph._tails, graph._pairs,
-            graph._exits]
+            graph._quotients, graph._exits]
     seen = []
     while todo:
         x = todo.pop()
@@ -327,7 +327,7 @@ class TestGraphMemos:
         b = canonicalize(g, {"w"}, (), [(ULOOP, poly(Q, (2, 1)))])
         assert a.pair is b.pair is graded_ideal(g, {"w"}).pair
 
-    def test_quotient_builds_follow_distinct_exit_keys(self, monkeypatch):
+    def test_factoring_builds_no_quotient(self, monkeypatch):
         families = []
         for seed in range(1, 400):
             cfg = GeneratorConfig(seed=seed, field=FieldSpec.prime_field(2 + seed % 2),
@@ -344,19 +344,25 @@ class TestGraphMemos:
         assert len(families) == 30
 
         builds, keys, calls = [], set(), []
-        build = graphs_module.quotient_graph
+        init = Graph.__init__
         exits = ideals_module.quotient_cycle_exits
 
-        def counted_build(graph, pair):
+        def counted_init(graph, vertices, edges):
             builds.append(1)
-            return build(graph, pair)
+            init(graph, vertices, edges)
+
+        def refused_build(graph, pair):
+            raise AssertionError(f"quotient built for {pair}")
 
         def counted_exits(graph, pair, cycle):
             calls.append(1)
             keys.add((id(graph), pair, cycle))
             return exits(graph, pair, cycle)
 
-        monkeypatch.setattr(graphs_module, "quotient_graph", counted_build)
+        # ideals reads quotients through graphs.quotient_view alone
+        assert not hasattr(ideals_module, "quotient_graph")
+        monkeypatch.setattr(graphs_module, "quotient_graph", refused_build)
+        monkeypatch.setattr(Graph, "__init__", counted_init)
         monkeypatch.setattr(ideals_module, "quotient_cycle_exits", counted_exits)
         graphs = []
         for graph_json, members_json in families:
@@ -366,9 +372,11 @@ class TestGraphMemos:
             product = multiply(members)
             assert factor_prime_powers(product) is not None
             factor_completely_irreducible(product)
-        assert 0 < len(builds) <= len(keys) < len(calls) / 4, \
-            (len(builds), len(keys), len(calls))
+        # the only graphs built are the 30 parsed ones
+        assert len(builds) == len(families)
+        assert len(keys) < len(calls) / 4, (len(keys), len(calls))
         for g in graphs:
+            assert g._quotients
             assert not any(isinstance(x, (Graph, Quotient))
                            for x in _memo_contents(g))
 

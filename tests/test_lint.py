@@ -92,3 +92,40 @@ def test_the_check_sees_an_unread_private_definition():
     assert _unused_private(trees) == [("a.py", 2, "_STALE"),
                                       ("a.py", 5, "_leftover"),
                                       ("a.py", 7, "_Gone")]
+
+
+def _oracle_imports(tree: ast.Module) -> list:
+    """Lines, at any depth, that import the oracles module of the package."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[-1] == "oracles" or (
+                    module in ("", "lpaideals")
+                    and any(alias.name == "oracles" for alias in node.names)):
+                out.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[:2] == ["lpaideals", "oracles"]
+                   for alias in node.names):
+                out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "oracles.py"],
+                         ids=lambda p: p.name)
+def test_library_modules_do_not_import_oracles(path):
+    # the oracles are reference code for tests; no library path may lean on them
+    assert _oracle_imports(_parse(path)) == []
+
+
+def test_the_check_sees_an_oracle_import():
+    tree = ast.parse("from .oracles import closure_oracle\n"
+                     "from . import graphs, oracles\n"
+                     "import lpaideals.oracles\n"
+                     "from lpaideals import oracles as o\n"
+                     "from lpaideals.oracles import absorb\n"
+                     "from . import graphs\n"
+                     "from .graphs import oracles_note\n"
+                     "def f():\n    from .oracles import absorb\n")
+    assert _oracle_imports(tree) == [1, 2, 3, 4, 5, 9]

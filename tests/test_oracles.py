@@ -1,6 +1,5 @@
 """Independent oracles and the seeded random generators."""
 
-import functools
 import itertools
 import time
 
@@ -54,6 +53,7 @@ from lpaideals.oracles import (
     glb_oracle,
     lub_oracle,
     maximal_tails_bruteforce,
+    omega_corpus,
     random_graph,
     random_prime_power_family,
     strong_csp_oracle,
@@ -150,17 +150,6 @@ class TestOracleAgreement:
                 assert expected == factor(f), (field.label, coeffs)
                 assert is_irreducible_laurent(normalize_laurent(f)) \
                     == (expected == [(f, 1)]), (field.label, coeffs)
-
-
-@functools.cache
-def omega_corpus():
-    """The gallery plus 4,000 seeded graphs of up to 8 vertices, with 30% of
-    their slots infinite bundles."""
-    graphs = list(corpus().values())
-    graphs += [random_graph(GeneratorConfig(seed=s, max_vertices=8,
-                                            omega_probability=0.3))
-               for s in range(1, 4001)]
-    return graphs
 
 
 def _pair_json(pair):
