@@ -78,23 +78,27 @@ class Graph:
 
     The infinite emitters are found once, on construction.  The hash,
     reachability sets, the strongly connected components and the components
-    each vertex reaches, the cycles without (K), the maximal tails,
-    validated admissible pairs, the views of the quotients by them and the
-    exits of cycles in those quotients are computed once, on first use, and
-    kept for as long as the graph lives; none of these memos holds a graph,
-    and no quotient graph is built for them.
+    each vertex reaches, the cycles without (K), the maximal tails, the
+    breaking vertices of each hereditary set asked about (`_breaking`,
+    keyed by the set), validated admissible pairs, the views of the
+    quotients by them and the exits of cycles in those quotients are
+    computed once, on first use, and kept for as long as the graph lives;
+    none of these memos holds a graph, and no quotient graph is built for
+    them.
 
     The graph also holds the ideals built on it (`_ideals`, one `Ideal` per
     canonical form, filled by the `Ideal` constructor) and the products and
     intersections computed from them (`_combinations`, filled by
-    `ideals._combine`).  These hold ideals, which hold the graph: the
-    cycle is freed by the cyclic garbage collector.
+    `ideals._combine` and keyed by the multiset of factors and the mode).
+    These hold ideals, which hold the graph: the cycle is freed by the
+    cyclic garbage collector.
     """
 
     __slots__ = ("vertices", "edges", "infinite_emitters", "_vset", "_out",
                  "_in", "_by_id", "_hash", "_descendants", "_reaching",
                  "_components", "_condensation", "_lone_cycles", "_tails",
-                 "_pairs", "_quotients", "_exits", "_ideals", "_combinations")
+                 "_breaking", "_pairs", "_quotients", "_exits", "_ideals",
+                 "_combinations")
 
     def __init__(self, vertices, edges):
         vertices = list(vertices)
@@ -143,6 +147,7 @@ class Graph:
         object.__setattr__(self, "_condensation", None)
         object.__setattr__(self, "_lone_cycles", None)
         object.__setattr__(self, "_tails", None)
+        object.__setattr__(self, "_breaking", {})
         object.__setattr__(self, "_pairs", {})
         object.__setattr__(self, "_quotients", {})
         object.__setattr__(self, "_exits", {})
@@ -335,20 +340,31 @@ def enumerate_hereditary_saturated(graph: Graph) -> list:
     return sorted(found.values(), key=lambda s: (len(s), sorted(s)))
 
 
+_NO_VERTICES = frozenset()
+
+
 def breaking_vertices(graph: Graph, hset) -> frozenset:
     """Infinite emitters outside hset that keep only finitely many edges.
 
     A vertex breaks over hset when it is an infinite emitter not in hset,
     every infinite bundle it emits lands inside hset, and at least one edge
-    still leaves hset (necessarily finitely many in total).
+    still leaves hset (necessarily finitely many in total).  A graph with
+    infinite emitters keeps the answer per hset, so repeated requests share
+    one frozenset; every empty answer is one shared frozenset.
     """
+    if not graph.infinite_emitters:
+        return _NO_VERTICES
     hset = frozenset(hset)
+    known = graph._breaking.get(hset)
+    if known is not None:
+        return known
     out = set()
     for v in graph.infinite_emitters - hset:
         kept = [e for e in graph._out[v] if e.dst not in hset]
         if kept and all(not e.is_omega() for e in kept):
             out.add(v)
-    return frozenset(out)
+    known = graph._breaking[hset] = frozenset(out) if out else _NO_VERTICES
+    return known
 
 
 # -- admissible pairs and quotient graphs --------------------------------------
@@ -639,11 +655,19 @@ class Cycle:
     """Simple cycle as parallel tuples: edges[i] joins vertices[i] to vertices[i+1].
 
     The last edge returns to vertices[0]; rotation is normalized so that
-    vertices[0] is the smallest vertex id on the cycle.
+    vertices[0] is the smallest vertex id on the cycle.  The hash is kept on
+    first use.
     """
 
     vertices: tuple
     edges: tuple
+
+    def __hash__(self):
+        known = getattr(self, "_hash", None)
+        if known is None:
+            known = hash((self.vertices, self.edges))
+            object.__setattr__(self, "_hash", known)
+        return known
 
     @property
     def start(self) -> str:

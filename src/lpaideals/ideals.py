@@ -19,7 +19,9 @@ is read off the canonical forms: its graded part is the meet of the pairs,
 a cycle part survives where every other factor holds the cycle's start in
 its H, and factors on one (pair, cycle) multiply their polynomials for a
 product or take their lcm for an intersection.  A factor containing another
-changes none of this, so no factor is dropped first.
+changes none of this, so no factor is dropped first.  The form so read is
+already canonical and is built directly, as are the primes of a
+factorization: canonicalize serves user input and join_graded only.
 """
 
 from __future__ import annotations
@@ -65,10 +67,21 @@ from .poly import (
 
 @dataclass(frozen=True)
 class CyclePart:
-    """One non-graded generator: a polynomial evaluated at an exitless cycle."""
+    """One non-graded generator: a polynomial evaluated at an exitless cycle.
+
+    The hash is kept on first use, so an ideal's key, looked up and then
+    stored, hashes each part's polynomial once.
+    """
 
     cycle: Cycle
     poly: LaurentClass
+
+    def __hash__(self):
+        known = getattr(self, "_hash", None)
+        if known is None:
+            known = hash((self.cycle, self.poly))
+            object.__setattr__(self, "_hash", known)
+        return known
 
 
 @dataclass(frozen=True)
@@ -83,7 +96,12 @@ class CaseResult:
 
 
 class Ideal:
-    """Ideal in canonical form; build through canonicalize, not directly.
+    """Ideal in canonical form.
+
+    Build one through canonicalize, or directly from data already in
+    canonical form (as products, intersections and factorizations do); a
+    direct construction re-validates the pair, the parts and the
+    exitlessness of their cycles, but does not normalize.
 
     The canonical form is unique, so a graph holds one Ideal per form: a
     construction whose (pair, parts) the graph has seen returns the ideal
@@ -490,11 +508,17 @@ def _check_operands(factors) -> list:
 def _combine(factors, mode: str) -> Ideal:
     """Product or intersection of factors that pass _check_operands.
 
-    The graph keeps each answer, keyed by the factor list and the mode, so
-    each combination and its containment asserts run once per graph.
+    A lone factor is its own product and intersection, so it comes back as
+    is.  Otherwise the graph keeps each answer, keyed by the multiset of
+    factors and the mode: both operations are commutative, and one graph
+    builds one Ideal per canonical form, so the factors sorted by identity
+    name the multiset.  Each combination and its containment asserts run
+    once per graph.
     """
+    if len(factors) == 1:
+        return factors[0]
     memo = factors[0].graph._combinations
-    key = (tuple(factors), mode)
+    key = (tuple(sorted(factors, key=id)), mode)
     result = memo.get(key)
     if result is None:
         result = memo[key] = _combination(factors, mode)
@@ -502,6 +526,18 @@ def _combine(factors, mode: str) -> Ideal:
 
 
 def _combination(factors, mode: str) -> Ideal:
+    """The combination, built straight from the factors' canonical forms.
+
+    The answer is already canonical, so no canonicalize runs.  The meet of
+    admissible pairs is admissible.  A surviving part's cycle has no exit
+    over its own factor's pair, so each edge leaving the cycle lands in that
+    factor's H; every other factor holds the cycle's start in its H, which
+    is hereditary, so the edge lands in the meet's H.  A cycle vertex that
+    breaks over the meet's H breaks over its own factor's H, so it lies in
+    that factor's S and in every other H, hence in the meet's S.  No two
+    survivors share a cycle.  Ideal still re-validates the pair and the
+    exitlessness, and the containment asserts stay.
+    """
     graph = factors[0].graph
 
     # merge factors sharing (pair, cycle); distinct exitless cycles force
@@ -519,15 +555,11 @@ def _combination(factors, mode: str) -> Ideal:
                                            LaurentClass(combined)),))
     survivors = list(merged.values())
 
-    parts = []
-    for f in survivors:
-        for part in f.parts:
-            if all(other is f or part.cycle.start in other.pair.vertices
-                   for other in survivors):
-                parts.append((part.cycle, part.poly))
-
-    pair = _meet(graph, [f.pair for f in survivors])
-    result = canonicalize(graph, pair.vertices, pair.breaking, parts)
+    parts = [part for f in survivors for part in f.parts
+             if all(other is f or part.cycle.start in other.pair.vertices
+                    for other in survivors)]
+    parts.sort(key=lambda p: p.cycle.start)
+    result = Ideal(graph, _meet(graph, [f.pair for f in survivors]), parts)
     for index, f in enumerate(factors):
         assert contains(f, result), \
             f"combination escaped factor {index}: {f!r}"
@@ -682,9 +714,10 @@ def _factor_prime_powers(ideal: Ideal):
             continue
         if best.pair.breaking != breaking_vertices(graph, best.pair.vertices):
             return None
+        # best is (H, B_H) with H containing the ideal's H, so the cycle
+        # keeps no exit over it and the prime is already canonical
         for p, mult in factor_poly(part.poly.rep):
-            prime = canonicalize(graph, best.pair.vertices, best.pair.breaking,
-                                 [(part.cycle, LaurentClass(p))])
+            prime = Ideal(graph, best.pair, (CyclePart(part.cycle, LaurentClass(p)),))
             assert is_prime(prime).holds, "cycle tail produced a non-prime"
             factors.append((prime, mult))
 

@@ -48,7 +48,7 @@ from .ideals import (
     is_prime,
     prime_power_decompose,
 )
-from .poly import FieldSpec, LaurentClass, Poly, is_irreducible_laurent
+from .poly import FieldSpec, LaurentClass, Poly, is_irreducible_laurent, poly_lcm
 from .rng import SplitMix64
 
 
@@ -363,7 +363,45 @@ def products_of_comp_irred_walk(graph: Graph):
     return True, None
 
 
-# -- products and intersections by absorption -----------------------------------------
+# -- reference products and intersections ---------------------------------------------
+
+
+def combine_by_canonicalize(factors, mode: str) -> Ideal:
+    """Product or intersection of graded and prime-power factors, normalized
+    by the whole canonicalize fixpoint.
+
+    The reference for ideals.multiply and ideals.intersect, which build the
+    same form directly on the grounds that it is already canonical.  Factors
+    on one (pair, cycle) multiply their polynomials for a product or take
+    their lcm for an intersection; a cycle part survives where every other
+    (pair, cycle) holds its start in H; the graded part is the meet of the
+    pairs, its S read off the literal breaking vertices.
+    """
+    factors = list(factors)
+    graph = factors[0].graph
+    polys = {}
+    for f in factors:
+        key = (f.pair, f.parts[0].cycle if f.parts else None)
+        rep = f.parts[0].poly.rep if f.parts else None
+        if key not in polys:
+            polys[key] = rep
+        elif rep is not None:
+            polys[key] = (polys[key] * rep if mode == "product"
+                          else poly_lcm(polys[key], rep))
+    hset = frozenset(graph.vertices)
+    for pair, _ in polys:
+        hset &= pair.vertices
+    sset = {v for v in _breaking_literal(graph, hset)
+            if all(v in pair.vertices | pair.breaking for pair, _ in polys)}
+    parts = []
+    for key, rep in polys.items():
+        cycle = key[1]
+        others = [pair for pair, _ in polys.keys() - {key}]
+        if cycle is not None and all(cycle.start in o.vertices for o in others):
+            parts.append((cycle, rep))
+    result = canonicalize(graph, hset, sset, parts)
+    assert all(contains(f, result) for f in factors), "combination escaped a factor"
+    return result
 
 
 def absorb(factors, mode: str) -> list:

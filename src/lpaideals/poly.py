@@ -230,10 +230,11 @@ class Poly:
     factor and is_irreducible_laurent keep their answers on the polynomial
     (slots _factors and _irreducible, unset until the first call), so each
     polynomial is factored and tested for irreducibility at most once.
-    Equality and hashing read only the field and the coefficients.
+    Equality and hashing read only the field and the coefficients; the hash
+    is kept on first use (slot _hash).
     """
 
-    __slots__ = ("field", "coeffs", "_factors", "_irreducible")
+    __slots__ = ("field", "coeffs", "_factors", "_irreducible", "_hash")
 
     def __init__(self, field: FieldSpec, coeffs):
         cs = _trim([field.coerce(c) for c in coeffs])
@@ -283,7 +284,11 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        known = getattr(self, "_hash", None)
+        if known is None:
+            known = hash((self.field, self.coeffs))
+            object.__setattr__(self, "_hash", known)
+        return known
 
     def __repr__(self) -> str:
         return f"Poly({self.field.label}, {self.pretty()})"

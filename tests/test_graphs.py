@@ -627,6 +627,34 @@ class TestGraphMemos:
                 assert breaking_vertices(g, hset) == _breaking_literal(g, hset), \
                     (g, sorted(hset))
 
+    def test_breaking_vertices_are_found_once_per_set(self):
+        reads = collections.Counter()
+
+        class CountedOut(dict):
+            def __getitem__(self, v):
+                reads[v] += 1
+                return dict.__getitem__(self, v)
+
+        checked = 0
+        for g in _memo_corpus()[:200]:
+            if not g.infinite_emitters:
+                continue
+            object.__setattr__(g, "_out", CountedOut(g._out))
+            sets = [frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
+                    for mask in range(2 ** len(g.vertices))]
+            reads.clear()
+            first = [breaking_vertices(g, hset) for hset in sets]
+            # one read of the out-edges per emitter outside each set
+            assert sum(reads.values()) == sum(
+                len(g.infinite_emitters - hset) for hset in sets)
+            reads.clear()
+            again = [breaking_vertices(g, set(hset)) for hset in sets]
+            assert not reads
+            assert all(a is b for a, b in zip(first, again))
+            assert len(g._breaking) == len(sets)
+            checked += 1
+        assert checked > 50, checked
+
     def test_memoized_exits_equal_quotient_exits(self):
         checked = split = 0
         for g in _memo_corpus():

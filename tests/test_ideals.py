@@ -1,6 +1,8 @@
 """Canonical ideal forms, the graded lattice, primality, and prime powers."""
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -49,11 +51,13 @@ from lpaideals.ideals import (
     ideal_from_json,
     ideal_power,
     ideal_to_json,
+    intersect,
     is_completely_irreducible,
     is_graded,
     is_prime,
     is_proper,
     join_graded,
+    make_irredundant,
     meet_graded,
     multiply,
     prime_power_decompose,
@@ -282,10 +286,34 @@ class TestCompleteIrreducibility:
         assert not is_completely_irreducible(zero_ideal(two_sinks())).holds
 
 
+GF2_GF3 = (FieldSpec.prime_field(2), FieldSpec.prime_field(3))
+
+
+def _seeded_families(count, fields, with_parts):
+    """(graph JSON, member JSONs) of the first count prime-power families of
+    seeds 1, 2, ...; seed s draws over fields[s % len(fields)], and with
+    with_parts only families holding a non-graded member are kept."""
+    families = []
+    for seed in range(1, 1000):
+        cfg = GeneratorConfig(seed=seed, field=fields[seed % len(fields)],
+                              max_poly_degree=2)
+        g = random_graph(cfg)
+        try:
+            family = random_prime_power_family(cfg, g)
+        except (Unsatisfiable, TooLarge):
+            continue
+        if not with_parts or any(m.parts for m in family):
+            families.append((graph_to_json(g), [ideal_to_json(m) for m in family]))
+        if len(families) == count:
+            break
+    assert len(families) == count
+    return families
+
+
 def _memo_contents(graph):
     """Every object reachable from the graph's memos, containers unpacked."""
-    todo = [graph._descendants, graph._reaching, graph._tails, graph._pairs,
-            graph._quotients, graph._exits]
+    todo = [graph._descendants, graph._reaching, graph._tails, graph._breaking,
+            graph._pairs, graph._quotients, graph._exits]
     seen = []
     while todo:
         x = todo.pop()
@@ -328,20 +356,7 @@ class TestGraphMemos:
         assert a.pair is b.pair is graded_ideal(g, {"w"}).pair
 
     def test_factoring_builds_no_quotient(self, monkeypatch):
-        families = []
-        for seed in range(1, 400):
-            cfg = GeneratorConfig(seed=seed, field=FieldSpec.prime_field(2 + seed % 2),
-                                  max_poly_degree=2)
-            g = random_graph(cfg)
-            try:
-                family = random_prime_power_family(cfg, g)
-            except (Unsatisfiable, TooLarge):
-                continue
-            if any(m.parts for m in family):
-                families.append((graph_to_json(g), [ideal_to_json(m) for m in family]))
-            if len(families) == 30:
-                break
-        assert len(families) == 30
+        families = _seeded_families(30, GF2_GF3, with_parts=True)
 
         builds, keys, calls = [], set(), []
         init = Graph.__init__
@@ -380,6 +395,30 @@ class TestGraphMemos:
             assert not any(isinstance(x, (Graph, Quotient))
                            for x in _memo_contents(g))
 
+    def test_combining_and_factoring_call_no_canonicalize(self, monkeypatch):
+        families = _seeded_families(30, GF2_GF3, with_parts=True)
+        parsed = []
+        for graph_json, members_json in families:
+            g = graph_from_json(graph_json)
+            parsed.append([ideal_from_json(g, m) for m in members_json])
+
+        def refused(*args):
+            raise AssertionError("canonicalize called")
+
+        monkeypatch.setattr(ideals_module, "canonicalize", refused)
+        for members in parsed:
+            product = multiply(members)
+            assert contains(intersect(members), product)
+            for mode in ("product", "intersection"):
+                make_irredundant(members, mode)
+            assert factor_prime_powers(product) is not None
+            factor_completely_irreducible(product)
+
+        monkeypatch.setattr(ideals_module, "_combination", refused)
+        for members in parsed:
+            for f in members:
+                assert multiply([f]) is f and intersect([f]) is f
+
 
 class TestInterning:
     """A graph holds one Ideal per canonical form."""
@@ -416,6 +455,40 @@ class TestInterning:
         other = ideal_from_json(twin_graph, {"H": ["w"], "S": []})
         assert other != canonicalize(g, {"w"}, (), [(ULOOP, poly(Q, (1, 1)))])
         assert other == graded_ideal(g, {"w"})
+
+
+class TestCombinationGolden:
+    """Products, intersections, irredundant sublists and factorizations of
+    60 seeded families, fingerprinted: a change in how they are computed
+    must not change one byte of them."""
+
+    DIGEST = "744835c6424d292678769eb89441b1898054cfcb5202097d4d0895975444cca6"
+
+    def test_answers_match_the_recorded_digest(self):
+        families = _seeded_families(60, (GF2, FieldSpec.prime_field(3), Q),
+                                    with_parts=False)
+        records = []
+        for graph_json, members_json in families:
+            g = graph_from_json(graph_json)
+            members = [ideal_from_json(g, m) for m in members_json]
+            product, meet = multiply(members), intersect(members)
+            kept = {mode: make_irredundant(members, mode)
+                    for mode in ("product", "intersection")}
+            reports = (factor_prime_powers(product),
+                       factor_completely_irreducible(product),
+                       factor_prime_powers(meet))
+            records.append({
+                "product": ideal_to_json(product),
+                "intersection": ideal_to_json(meet),
+                "irredundant": {mode: [i for i, m in enumerate(members)
+                                       if any(m is k for k in sub)]
+                                for mode, sub in kept.items()},
+                "reports": [r and r.to_json() for r in reports],
+            })
+        assert sum(bool(r["product"]["parts"]) for r in records) == 22
+        assert all(r["reports"][0] is not None for r in records)
+        payload = json.dumps(records, sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == self.DIGEST
 
 
 class TestSerialization:

@@ -1,10 +1,12 @@
 """Independent oracles and the seeded random generators."""
 
+import collections
 import itertools
 import time
 
 import pytest
 
+from lpaideals import ideals as ideals_module
 from lpaideals.errors import TooLarge, Unsatisfiable
 from lpaideals.gallery import (
     corpus,
@@ -47,6 +49,7 @@ from lpaideals.oracles import (
     absorb,
     bruteforce_factor_gf,
     closure_oracle,
+    combine_by_canonicalize,
     combine_with_absorption,
     comp_irred_chain_walk,
     enumerate_admissible_pairs,
@@ -314,7 +317,8 @@ class TestGenerators:
 
 class TestAbsorption:
     """multiply, intersect and make_irredundant combine every factor as
-    given; absorbing the contained factors first gives the same answers."""
+    given; absorbing the contained factors first, or normalizing the answer
+    with canonicalize, gives the same answers."""
 
     MODES = ("product", "intersection")
 
@@ -367,12 +371,36 @@ class TestAbsorption:
         mixes = self._mixes(range(200))
         assert len(mixes) == 1200
         shrunk = dict.fromkeys(self.MODES, 0)
+        with_parts = 0
         for mix in mixes:
             for mode in self.MODES:
                 combine = multiply if mode == "product" else intersect
-                assert combine(mix) == combine_with_absorption(mix, mode), \
-                    (mode, mix)
+                direct = combine(mix)
+                assert direct == combine_with_absorption(mix, mode), (mode, mix)
+                assert direct is combine_by_canonicalize(mix, mode), (mode, mix)
                 assert make_irredundant(mix, mode) \
                     == self._irredundant_by_absorption(mix, mode), (mode, mix)
                 shrunk[mode] += len(absorb(mix, mode)) < len(mix)
+                with_parts += bool(direct.parts)
         assert shrunk == {"product": 1146, "intersection": 1159}
+        assert with_parts == 278
+
+    def test_every_ordering_combines_once(self, monkeypatch):
+        runs = collections.Counter()
+        combination = ideals_module._combination
+
+        def counted(factors, mode):
+            runs[mode, tuple(sorted(map(id, factors)))] += 1
+            return combination(factors, mode)
+
+        monkeypatch.setattr(ideals_module, "_combination", counted)
+        mixes = self._mixes(range(200))
+        for mix in mixes:
+            for mode in self.MODES:
+                combine = multiply if mode == "product" else intersect
+                first = combine(mix)
+                for order in itertools.permutations(mix):
+                    assert combine(order) is first, (mode, mix)
+        assert set(runs.values()) == {1}
+        assert set(runs) == {(mode, tuple(sorted(map(id, mix))))
+                             for mix in mixes for mode in self.MODES}
