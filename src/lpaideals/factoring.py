@@ -5,18 +5,20 @@ or a power of p while Hensel lifting) coefficients are kept in range(m).
 The list arithmetic itself (sum, product, division with remainder, monic,
 gcd, derivative) is the kernel set of the poly module, which Poly runs on
 too; m = None there is exact arithmetic over Q, used here for the gcd of
-the square-free part.  poly.factor and poly.is_irreducible_laurent convert
-at the boundary, and only they import this module, on their first call, so
-a process that never factors never loads it.
+the square-free part.  poly.factor converts at the boundary, and only it
+imports this module, on its first call, so a process that never factors
+never loads it.  The library decides irreducibility from the factorization;
+the separate irreducibility tests (Ben-Or's over GF(p), one Zassenhaus
+factor over Q) live in the oracles, which import this module's kernels.
 
 Over GF(p): square-free decomposition aware of characteristic p,
 distinct-degree factorization through x^(p^i) mod f, and Cantor-Zassenhaus
-equal-degree splitting (Cantor & Zassenhaus, Math. Comp. 36, 1981);
-irreducibility alone is Ben-Or's test.  Over Q: Zassenhaus's method
-(J. Number Theory 1, 1969), factoring modulo a good prime, Hensel lifting
-(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15) and recombining
-subsets of the lifted factors, the one exponential step, whose number of
-modular factors the caller caps.
+equal-degree splitting (Cantor & Zassenhaus, Math. Comp. 36, 1981); on a
+square-free f the distinct-degree pass is Ben-Or's loop.  Over Q:
+Zassenhaus's method (J. Number Theory 1, 1969), factoring modulo a good
+prime, Hensel lifting (von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 15) and recombining subsets of the lifted factors, the one exponential
+step, whose number of modular factors the caller caps.
 """
 
 from __future__ import annotations
@@ -132,8 +134,10 @@ def _squarefree_gf(f: list, p: int) -> list:
     df = _derivative(f, p)
     if not df:
         return [(g, e * p) for g, e in _squarefree_gf(f[::p], p)]
-    out = []
     c = _gcd(f, df, p)
+    if len(c) == 1:  # f is square-free, as every irreducible is
+        return [(f, 1)]
+    out = []
     w = _divmod(f, c, p)[0]
     e = 1
     while len(w) > 1:
@@ -204,17 +208,6 @@ def factor_gf(f: list, p: int) -> list:
     return out
 
 
-def irreducible_gf(f: list, p: int) -> bool:
-    """Ben-Or: the monic f of degree n is irreducible over GF(p) exactly when
-    gcd(f, x^(p^i) - x) = 1 for every i <= n/2 (Rabin, SIAM J. Comput. 9)."""
-    ring, h = _Residues(f, p), [0, 1]
-    for _ in range((len(f) - 1) // 2):
-        h = ring.frobenius(h)
-        if len(_gcd(f, _sub(h, [0, 1], p), p)) > 1:
-            return False
-    return True
-
-
 # -- factorization over Q ----------------------------------------------------
 
 
@@ -250,7 +243,8 @@ def _exact_quotient(a: list, b: list):
 
 def _squarefree_part(f: list) -> list:
     """f / gcd(f, f') for the primitive f, primitive; the gcd is taken over Q."""
-    return _exact_quotient(f, primitive(_gcd(f, _derivative(f, None), None)))
+    g = _gcd(f, _derivative(f, None), None)
+    return f if len(g) == 1 else _exact_quotient(f, primitive(g))
 
 
 def _good_primes(f: list):
@@ -392,8 +386,3 @@ def factor_z(f: list, cap: int) -> list:
             f, e = q, e + 1
         out.append((g, e))
     return out
-
-
-def irreducible_z(f: list, cap: int) -> bool:
-    """Whether the primitive f of degree >= 2 is irreducible over Q."""
-    return _squarefree_part(f) == f and len(_zassenhaus(f, cap)) == 1

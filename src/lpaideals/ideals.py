@@ -112,13 +112,15 @@ class Ideal:
 
     An Ideal is immutable, so prime_power_decompose and factor_prime_powers
     keep their answers on it (slots _decomposition and _report, unset until
-    the first call; a None answer is kept too).  The graph keeps the ideal,
-    so the answers last as long as the graph, and the self-checks of each
-    run once per distinct ideal of a graph.  The hash is computed once, on
-    construction.
+    the first call; a None answer is kept too), and ideal_power keeps the
+    powers it has built, by exponent (slot _powers).  The graph keeps the
+    ideal, so the answers last as long as the graph, and the self-checks of
+    each run once per distinct ideal of a graph.  The hash is computed once,
+    on construction.
     """
 
-    __slots__ = ("graph", "pair", "parts", "_hash", "_decomposition", "_report")
+    __slots__ = ("graph", "pair", "parts", "_hash", "_decomposition", "_report",
+                 "_powers")
 
     def __new__(cls, graph: Graph, pair: AdmissiblePair, parts=()):
         known = graph._ideals.get((pair, tuple(parts)))
@@ -460,13 +462,25 @@ def _decompose(ideal: Ideal):
 
 
 def ideal_power(ideal: Ideal, exponent: int) -> Ideal:
-    """ideal**exponent; graded ideals are idempotent, parts raise their polys."""
+    """ideal**exponent; graded ideals are idempotent, parts raise their polys.
+
+    The ideal keeps each power it is raised to, so a factorization, its
+    checks and the complete factorization built on it raise each (prime,
+    exponent) once per graph.
+    """
     if exponent < 1:
         raise ValueError("exponent must be a positive integer")
     if not ideal.parts or exponent == 1:
         return ideal
-    parts = tuple(CyclePart(p.cycle, p.poly ** exponent) for p in ideal.parts)
-    return Ideal(ideal.graph, ideal.pair, parts)
+    powers = getattr(ideal, "_powers", None)
+    if powers is None:
+        powers = {}
+        object.__setattr__(ideal, "_powers", powers)
+    power = powers.get(exponent)
+    if power is None:
+        parts = tuple(CyclePart(p.cycle, p.poly ** exponent) for p in ideal.parts)
+        power = powers[exponent] = Ideal(ideal.graph, ideal.pair, parts)
+    return power
 
 
 def is_completely_irreducible(ideal: Ideal) -> CaseResult:

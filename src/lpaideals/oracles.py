@@ -48,7 +48,14 @@ from .ideals import (
     is_prime,
     prime_power_decompose,
 )
-from .poly import FieldSpec, LaurentClass, Poly, is_irreducible_laurent, poly_lcm
+from .poly import (
+    MODULAR_FACTOR_CAP,
+    FieldSpec,
+    Poly,
+    _gcd,
+    _sub,
+    poly_lcm,
+)
 from .rng import SplitMix64
 
 
@@ -608,6 +615,42 @@ def kronecker_factor_rational(f: Poly) -> list:
     return _factor_counts(found)
 
 
+# -- reference irreducibility tests ---------------------------------------------------
+#
+# The library reads irreducibility off factor(); these decide it without
+# factoring, stopping at the first sign of a split, and tests compare the two.
+# They load the factoring module on first use, as factor() does, so importing
+# the oracles does not.
+
+
+def irreducible_gf(f: Poly) -> bool:
+    """Ben-Or: f of degree n >= 1 is irreducible over GF(p) exactly when
+    gcd(f, x^(p^i) - x) = 1 for every i <= n/2 (Rabin, SIAM J. Comput. 9)."""
+    if f.field.kind != "GF" or f.degree < 1:
+        raise ValueError("Ben-Or's test is for nonconstant polynomials over GF(p)")
+    from .factoring import _Residues
+
+    p, g = f.field.p, list(f.monic().coeffs)
+    ring, h = _Residues(g, p), [0, 1]
+    for _ in range(f.degree // 2):
+        h = ring.frobenius(h)
+        if len(_gcd(g, _sub(h, [0, 1], p), p)) > 1:
+            return False
+    return True
+
+
+def irreducible_z(f: Poly, cap: int = MODULAR_FACTOR_CAP) -> bool:
+    """Whether f of degree >= 1 is irreducible over Q: square-free, with one
+    Zassenhaus factor.  A square is rejected before any Zassenhaus runs, so
+    the cap on modular factors applies to square-free f only."""
+    if f.field.kind != "Q" or f.degree < 1:
+        raise ValueError("the Zassenhaus test is for nonconstant polynomials over Q")
+    from .factoring import _squarefree_part, _zassenhaus, primitive
+
+    g = primitive(f.coeffs)
+    return _squarefree_part(g) == g and len(_zassenhaus(g, cap)) == 1
+
+
 # -- seeded generators ------------------------------------------------------------------
 
 
@@ -683,7 +726,7 @@ def _random_irreducible(rng: SplitMix64, field: FieldSpec, max_degree: int) -> P
             coeffs = ([1 + rng.below(field.p - 1)]
                       + [rng.below(field.p) for _ in range(degree - 1)] + [1])
             g = Poly(field, coeffs)
-            if is_irreducible_laurent(LaurentClass(g)):
+            if irreducible_gf(g):
                 return g
     # over the rationals, x^d + q for prime q is irreducible by Eisenstein
     q = rng.choice([2, 3, 5, 7, 11, 13])

@@ -16,10 +16,11 @@ polynomial is an associate of a unique monic ordinary polynomial with nonzero
 constant term.  LaurentClass wraps that representative.
 
 Factorization is exact and runs in polynomial time, in the module factoring
-on plain int lists: Cantor-Zassenhaus over GF(p) (Ben-Or's test for
-irreducibility alone), Zassenhaus with Hensel lifting over Q.  Recombining
-the lifted factors over Q is the one exponential step, so it is capped at
-MODULAR_FACTOR_CAP modular factors.
+on plain int lists: Cantor-Zassenhaus over GF(p), Zassenhaus with Hensel
+lifting over Q.  Recombining the lifted factors over Q is the one
+exponential step, so it is capped at MODULAR_FACTOR_CAP modular factors.
+Irreducibility is read off the factorization, so factor is the one
+decision procedure; Ben-Or's test stays in the oracles, as a reference.
 """
 
 from __future__ import annotations
@@ -227,14 +228,14 @@ def _check_same_field(f: "Poly", g: "Poly") -> None:
 class Poly:
     """Immutable dense polynomial over a FieldSpec.
 
-    factor and is_irreducible_laurent keep their answers on the polynomial
-    (slots _factors and _irreducible, unset until the first call), so each
-    polynomial is factored and tested for irreducibility at most once.
-    Equality and hashing read only the field and the coefficients; the hash
-    is kept on first use (slot _hash).
+    factor keeps its answer on the polynomial (slot _factors, unset until
+    the first call), so each polynomial is factored at most once, and
+    is_irreducible_laurent reads that same answer.  Equality and hashing
+    read only the field and the coefficients; the hash is kept on first use
+    (slot _hash).
     """
 
-    __slots__ = ("field", "coeffs", "_factors", "_irreducible", "_hash")
+    __slots__ = ("field", "coeffs", "_factors", "_hash")
 
     def __init__(self, field: FieldSpec, coeffs):
         cs = _trim([field.coerce(c) for c in coeffs])
@@ -502,22 +503,11 @@ def is_irreducible_laurent(cls: LaurentClass) -> bool:
 
     Equivalently: the representative has degree >= 1 and is irreducible in
     K[x] (x itself is a unit in the Laurent ring, and the representative is
-    coprime to x by construction).  Over GF(p) that is Ben-Or's test; over Q
-    the representative must be square-free with one Zassenhaus factor.
+    coprime to x by construction).  That is read off factor, one factor of
+    multiplicity 1, so the answer is the factorization kept on the
+    representative and no separate irreducibility test runs.  Over Q that
+    includes factor's DegreeTooLarge, past MODULAR_FACTOR_CAP modular
+    factors of the square-free part.
     """
     f = cls.rep
-    known = getattr(f, "_irreducible", None)
-    if known is None:
-        known = _irreducible(f)
-        object.__setattr__(f, "_irreducible", known)
-    return known
-
-
-def _irreducible(f: Poly) -> bool:
-    if f.degree <= 1:
-        return f.degree == 1
-    from . import factoring  # loaded on first use; see its docstring
-
-    if f.field.kind == "GF":
-        return factoring.irreducible_gf(list(f.coeffs), f.field.p)
-    return factoring.irreducible_z(factoring.primitive(f.coeffs), MODULAR_FACTOR_CAP)
+    return f.degree >= 1 and factor(f) == [(f, 1)]

@@ -1,7 +1,8 @@
 """Acceptance gate: each test prints one PASS/FAIL line for its criterion.
 
 Every check here is exact; there are no tolerances.  The seeded corpora are
-fixed at 200 entries each, so the gate is deterministic across machines.
+fixed (200 graphs, 200 families over GF(2), and 50 families each over
+GF(2^31 - 1) and over Q), so the gate is deterministic across machines.
 """
 
 import collections
@@ -67,6 +68,10 @@ from lpaideals.rng import SplitMix64
 DATA = pathlib.Path(__file__).parent / "data"
 FAMILY_COUNT = 200
 GRAPH_COUNT = 200
+# the theorems hold over every field: a large prime field and the rationals,
+# with cycle polynomials of degree up to FIELD_DEGREE (and their cubes)
+FIELD_FAMILY_COUNT = 50
+FIELD_DEGREE = 24
 
 
 @contextlib.contextmanager
@@ -81,23 +86,35 @@ def gate(capsys, name):
         print(f"ACCEPTANCE {name}: PASS")
 
 
-@pytest.fixture(scope="module")
-def seeded_families():
-    """200 deterministic families of powers of distinct primes over GF(2)."""
+def _families(field, count, max_poly_degree):
+    """The first count seeded families of powers of distinct primes, and the
+    seconds taken to draw them."""
     start = time.perf_counter()
-    field = FieldSpec.prime_field(2)
     families = []
     seed = 0
-    while len(families) < FAMILY_COUNT:
+    while len(families) < count:
         seed += 1
         cfg = GeneratorConfig(seed=seed, max_vertices=6, field=field,
-                              max_poly_degree=3)
+                              max_poly_degree=max_poly_degree)
         graph = random_graph(cfg)
         try:
             families.append(random_prime_power_family(cfg, graph))
         except (Unsatisfiable, TooLarge):
             continue
     return families, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def seeded_families():
+    """200 deterministic families of powers of distinct primes over GF(2)."""
+    return _families(FieldSpec.prime_field(2), FAMILY_COUNT, 3)
+
+
+@pytest.fixture(scope="module", params=["GF(2147483647)", "Q"])
+def field_families(request):
+    """50 deterministic families over a large prime field or over Q."""
+    return request.param, _families(FieldSpec.parse(request.param),
+                                    FIELD_FAMILY_COUNT, FIELD_DEGREE)
 
 
 @pytest.fixture(scope="module")
@@ -140,29 +157,56 @@ def test_petals_sink_factorization(capsys):
         assert time.perf_counter() - start < 1.0
 
 
+def _check_product_equals_intersection(families, build_time):
+    start = time.perf_counter()
+    for family in families:
+        product = multiply(family)
+        assert intersect(family) == product
+        for member in family:
+            assert contains(member, product)
+    assert build_time + time.perf_counter() - start < 30.0
+
+
+def _check_unique_factorization(families):
+    for family in families:
+        trimmed = make_irredundant(family, "product")
+        report = factor_prime_powers(multiply(trimmed))
+        assert report is not None
+        got = collections.Counter(ideal_power(p, r)
+                                  for p, r in report.factors)
+        assert got == collections.Counter(trimmed)
+
+
 def test_product_equals_intersection(capsys, seeded_families):
     families, build_time = seeded_families
     with gate(capsys, "product-equals-intersection"):
-        start = time.perf_counter()
         assert len(families) == FAMILY_COUNT
-        for family in families:
-            product = multiply(family)
-            assert intersect(family) == product
-            for member in family:
-                assert contains(member, product)
-        assert build_time + time.perf_counter() - start < 30.0
+        _check_product_equals_intersection(families, build_time)
 
 
 def test_unique_prime_power_factorization(capsys, seeded_families):
     families, _ = seeded_families
     with gate(capsys, "unique-prime-power-factorization"):
-        for family in families:
-            trimmed = make_irredundant(family, "product")
-            report = factor_prime_powers(multiply(trimmed))
-            assert report is not None
-            got = collections.Counter(ideal_power(p, r)
-                                      for p, r in report.factors)
-            assert got == collections.Counter(trimmed)
+        _check_unique_factorization(families)
+
+
+def test_product_equals_intersection_over_every_field(capsys, field_families):
+    label, (families, build_time) = field_families
+    with gate(capsys, f"product-equals-intersection over {label}"):
+        assert len(families) == FIELD_FAMILY_COUNT
+        degrees = [m.parts[0].poly.degree
+                   for family in families for m in family if m.parts]
+        assert len(degrees) >= FIELD_FAMILY_COUNT // 2
+        assert max(degrees) > 2 * FIELD_DEGREE // 3
+        assert all(m.field.label == label
+                   for family in families for m in family if m.parts)
+        _check_product_equals_intersection(families, build_time)
+
+
+def test_unique_prime_power_factorization_over_every_field(capsys, field_families):
+    label, (families, _) = field_families
+    with gate(capsys, f"unique-prime-power-factorization over {label}"):
+        _check_unique_factorization(families)
 
 
 def test_non_graded_prime_square_guard(capsys, seeded_families):

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from lpaideals import graphs as graphs_module
+from lpaideals import poly as poly_module
 from lpaideals.cli import run
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -266,6 +267,25 @@ class TestExitCodes:
         chain = data["predicates"][2]
         assert chain["witness"]["pairs"] == [{"H": ["w1"], "S": []},
                                              {"H": ["w2"], "S": []}]
+
+    def test_classify_past_the_modular_factor_cap_exits_4(self, capsys, monkeypatch,
+                                                          tmp_path):
+        # the square of the Swinnerton-Dyer polynomial of sqrt(2), sqrt(3),
+        # which splits into four factors modulo every prime: is_prime and
+        # the decomposition behind complete irreducibility both factor it,
+        # so either one stops at the cap with this message
+        sd = poly_module.poly(poly_module.FieldSpec.rationals(),
+                              (576, 0, -960, 0, 352, 0, -40, 0, 1))
+        ideal = tmp_path / "square.json"
+        ideal.write_text(json.dumps({
+            "H": [], "S": [], "field": "Q",
+            "parts": [{"cycle": ["v", "e"], "poly": (sd ** 2).to_json()}]}))
+        monkeypatch.setattr(poly_module, "MODULAR_FACTOR_CAP", 3)
+        code, out, err = invoke(capsys, "ideal-classify", "--graph",
+                                graph("one_loop"), "--ideal", str(ideal))
+        assert (code, out) == (4, "")
+        assert err == ("error: degree 8 splits into 4 factors modulo 7, more "
+                       "than the modular factor cap 3\n")
 
     def test_hsets_of_seventeen_sinks_exits_4(self, capsys, tmp_path):
         sinks = tmp_path / "sinks.json"

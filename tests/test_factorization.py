@@ -1,11 +1,15 @@
 """Products, intersections, and factorization into prime powers."""
 
+import collections
 import json
 
 import pytest
 
 from lpaideals import ideals as ideals_module
+from lpaideals import oracles
+from lpaideals import poly as poly_module
 from lpaideals.errors import (
+    DegreeTooLarge,
     GraphMismatch,
     ImproperIdeal,
     TooLarge,
@@ -33,6 +37,7 @@ from lpaideals.ideals import (
     ideal_power,
     ideal_to_json,
     intersect,
+    is_completely_irreducible,
     is_prime,
     make_irredundant,
     multiply,
@@ -41,7 +46,7 @@ from lpaideals.ideals import (
     zero_ideal,
 )
 from lpaideals.oracles import GeneratorConfig, random_graph, random_prime_power_family
-from lpaideals.poly import FieldSpec, Poly, poly
+from lpaideals.poly import FieldSpec, LaurentClass, Poly, poly
 
 Q = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
@@ -202,6 +207,20 @@ class TestFactorPrimePowers:
             "exponent": 2,
         }
 
+    def test_prime_test_over_q_meets_the_factor_cap(self, monkeypatch):
+        # the square of a Swinnerton-Dyer polynomial, which splits into four
+        # factors modulo every prime: is_prime reads irreducibility off the
+        # factorization, so the cap on modular factors stops it as it stops
+        # the decomposition, while the reference Zassenhaus test rejects the
+        # square before it reaches the cap
+        sd = poly(Q, (576, 0, -960, 0, 352, 0, -40, 0, 1))
+        source = one_loop_part(Q, sd ** 2)
+        monkeypatch.setattr(poly_module, "MODULAR_FACTOR_CAP", 3)
+        assert not oracles.irreducible_z(sd ** 2, cap=3)
+        for ask in (is_prime, prime_power_decompose):
+            with pytest.raises(DegreeTooLarge, match=r"4 factors.*cap 3"):
+                ask(source)
+
     def test_improper_rejected(self):
         with pytest.raises(ImproperIdeal):
             factor_prime_powers(whole_ideal(one_loop()))
@@ -295,6 +314,79 @@ class TestWorkCounts:
             assert len(computed) == len(set(computed))
             repeats += len(asked) - len(computed)
         assert repeats > 0
+
+    @pytest.mark.parametrize("field,factors", [
+        (GF2, [((1, 1), 2), ((1, 1, 1), 1), ((1, 1, 0, 1), 1)]),
+        (Q, [((-2, 1), 1), ((2, 0, 1), 2), ((3, 0, 0, 1), 1)])],
+        ids=["GF(2)", "Q"])
+    def test_one_factorization_per_polynomial(self, monkeypatch, field, factors):
+        # the query of the poly benchmark on <f(c)>: the factorizer runs once
+        # on f, then once on each distinct factor, whose prime the is_prime
+        # self-check re-factors; no separate irreducibility test runs
+        from lpaideals import factoring
+
+        f = poly(field, (1,))
+        for coeffs, mult in factors:
+            f = f * poly(field, coeffs) ** mult
+        source = one_loop_part(field, f)
+        assert not any(hasattr(factoring, name)
+                       for name in ("irreducible_gf", "irreducible_z"))
+
+        def refused(*args):
+            raise AssertionError("an irreducibility test ran in the library")
+
+        monkeypatch.setattr(oracles, "irreducible_gf", refused)
+        monkeypatch.setattr(oracles, "irreducible_z", refused)
+        factored = []
+        original = poly_module._factor
+
+        def counted(g):
+            factored.append(g)
+            return original(g)
+
+        monkeypatch.setattr(poly_module, "_factor", counted)
+        assert not is_prime(source).holds
+        assert not is_completely_irreducible(source).holds
+        report = factor_prime_powers(source)
+        assert sorted(r for _, r in report.factors) == sorted(m for _, m in factors)
+        assert factored[0] == source.parts[0].poly.rep
+        assert collections.Counter(g.coeffs for g in factored[1:]) \
+            == collections.Counter(p.parts[0].poly.rep.coeffs
+                                   for p, _ in report.factors)
+        assert len(factored) == 1 + len(factors)
+
+    def test_each_prime_power_is_built_once(self, monkeypatch):
+        # freshly parsed families, so no power is kept from their generation
+        parsed = []
+        for g, family in TestMemos._families(40):
+            fresh = graph_from_json(graph_to_json(g))
+            parsed.append([ideal_from_json(fresh, ideal_to_json(m)) for m in family])
+        asked, built = [], collections.Counter()
+        power, raise_class = ideals_module.ideal_power, LaurentClass.__pow__
+
+        def counted_power(ideal, exponent):
+            asked.append((ideal, exponent))
+            return power(ideal, exponent)
+
+        def counted_raise(cls, n):
+            built[asked[-1]] += 1
+            return raise_class(cls, n)
+
+        monkeypatch.setattr(ideals_module, "ideal_power", counted_power)
+        monkeypatch.setattr(LaurentClass, "__pow__", counted_raise)
+        raised = 0
+        for members in parsed:
+            # equal ideals over equal graphs are equal, so count per graph
+            built.clear()
+            product = multiply(members)
+            report = factor_prime_powers(product)
+            assert factor_completely_irreducible(product) in (report, None)
+            recomposed = [counted_power(p, r) for p, r in report.factors]
+            assert multiply(recomposed) == product
+            # one raise per (prime, exponent), however often it is asked for
+            assert set(built.values()) <= {1}
+            raised += len(built)
+        assert raised and len(asked) > 2 * raised
 
     def test_operations_decompose_each_member_once(self, monkeypatch):
         # every member has a cycle part, so each decomposition factors once

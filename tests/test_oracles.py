@@ -1,7 +1,9 @@
 """Independent oracles and the seeded random generators."""
 
 import collections
+import hashlib
 import itertools
+import json
 import time
 
 import pytest
@@ -37,6 +39,7 @@ from lpaideals.graphs import (
 )
 from lpaideals.ideals import (
     Ideal,
+    ideal_to_json,
     intersect,
     join_graded,
     make_irredundant,
@@ -54,6 +57,8 @@ from lpaideals.oracles import (
     comp_irred_chain_walk,
     enumerate_admissible_pairs,
     glb_oracle,
+    irreducible_gf,
+    irreducible_z,
     lub_oracle,
     maximal_tails_bruteforce,
     omega_corpus,
@@ -72,6 +77,7 @@ from lpaideals.rng import SplitMix64
 
 GF2 = FieldSpec.prime_field(2)
 GF3 = FieldSpec.prime_field(3)
+Q = FieldSpec.rationals()
 
 
 def all_subsets(vertices):
@@ -153,6 +159,69 @@ class TestOracleAgreement:
                 assert expected == factor(f), (field.label, coeffs)
                 assert is_irreducible_laurent(normalize_laurent(f)) \
                     == (expected == [(f, 1)]), (field.label, coeffs)
+
+
+class TestIrreducibility:
+    """is_irreducible_laurent reads the answer off factor(); the references
+    decide it without factoring: Ben-Or over GF(p), square-free with one
+    Zassenhaus factor over Q."""
+
+    @staticmethod
+    def _agree(f, reference) -> bool:
+        verdict = is_irreducible_laurent(normalize_laurent(f))
+        assert verdict == reference(f), (f.field.label, f.pretty())
+        return verdict
+
+    def _check_family(self, irreducibles, reference):
+        """Each drawn irreducible, its square and the product of two
+        distinct ones, with both tests agreeing on every input."""
+        assert any(g.degree == 1 for g in irreducibles)
+        assert any(g.degree >= 2 for g in irreducibles)
+        for g in irreducibles:
+            assert self._agree(g, reference)
+            assert not self._agree(g * g, reference)
+        for g, h in zip(irreducibles, irreducibles[1:]):
+            if g != h:
+                assert not self._agree(g * h, reference)
+
+    @pytest.mark.parametrize("p,top", [(2, 10), (3, 8), (101, 6), (2**31 - 1, 8)])
+    def test_gf_matches_ben_or(self, p, top):
+        field = FieldSpec.prime_field(p)
+        rng = SplitMix64(20261020 + p)
+        irreducibles, reducible = [], 0
+        for _ in range(40):
+            degree = 1 + rng.below(top)
+            f = Poly(field, [1 + rng.below(p - 1)]
+                     + [rng.below(p) for _ in range(degree - 1)] + [1])
+            if self._agree(f, irreducible_gf):
+                irreducibles.append(f)
+            else:
+                reducible += 1
+        assert reducible >= 5
+        self._check_family(irreducibles, irreducible_gf)
+
+    def test_q_matches_zassenhaus(self):
+        rng = SplitMix64(20261020)
+        irreducibles, reducible = [], 0
+        for _ in range(40):
+            degree = 1 + rng.below(5)
+            coeffs = [rng.below(7) - 3 for _ in range(degree)] + [1 + rng.below(3)]
+            coeffs[0] = coeffs[0] or 1
+            f = Poly(Q, coeffs)
+            if self._agree(f, irreducible_z):
+                irreducibles.append(f)
+            else:
+                reducible += 1
+        assert reducible >= 5
+        self._check_family(irreducibles, irreducible_z)
+
+    def test_references_reject_what_they_cannot_decide(self):
+        with pytest.raises(ValueError):
+            irreducible_gf(Poly(Q, (1, 1)))
+        with pytest.raises(ValueError):
+            irreducible_z(Poly(GF2, (1, 1)))
+        with pytest.raises(ValueError):
+            irreducible_gf(Poly(GF3, (2,)))
 
 
 def _pair_json(pair):
@@ -275,6 +344,25 @@ class TestGenerators:
         for member in random_prime_power_family(cfg, one_loop()):
             base = prime_power_decompose(member)[0]
             assert base.parts[0].poly.rep.coeffs in ((1, 1), (1, 1, 1))
+
+    @pytest.mark.parametrize("p,digest", [
+        (1009, "cb9164b1560eb181c149c70ab079ae77a01549724b6270df3826d05405f41d5f"),
+        (2**31 - 1, "ac90a2225203df87019caf7e2c23087fa2abf89a025108be2301e4e1e4b8fdb4")])
+    def test_large_prime_draws_match_the_recorded_digest(self, p, digest):
+        # SHA-256 of the families of seeds 1-40, recorded while the library
+        # drew them with its own Ben-Or: the oracle Ben-Or must accept and
+        # reject the same candidates, so seeded families never change
+        h = hashlib.sha256()
+        for seed in range(1, 41):
+            cfg = GeneratorConfig(seed=seed, max_vertices=6, max_poly_degree=12,
+                                  field=FieldSpec.prime_field(p))
+            try:
+                family = random_prime_power_family(cfg, random_graph(cfg))
+            except (Unsatisfiable, TooLarge):
+                continue
+            h.update(json.dumps([ideal_to_json(m) for m in family],
+                                sort_keys=True).encode())
+        assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("p", [1009, 2**31 - 1])
     def test_large_prime_families_are_drawn_fast(self, p):

@@ -15,6 +15,7 @@ from lpaideals import poly as poly_module
 from lpaideals.errors import DegreeTooLarge, FieldMismatch, ZeroPolynomial
 from lpaideals.oracles import (
     bruteforce_factor_gf,
+    irreducible_gf,
     kronecker_factor_rational,
     monic_irreducibles,
 )
@@ -242,7 +243,7 @@ class TestSharedKernels:
 
 def test_arithmetic_does_not_load_factoring():
     # importing lpaideals and doing ring arithmetic must not import the
-    # factoring module, which only factor and is_irreducible_laurent load
+    # factoring module, which only factor loads
     code = """
 import sys
 import lpaideals
@@ -419,7 +420,7 @@ def _eisenstein_prime(g):
 
 
 class TestMemos:
-    """factor and is_irreducible_laurent keep their answers on the Poly."""
+    """factor keeps its answer on the Poly; is_irreducible_laurent reads it."""
 
     @staticmethod
     def counting(monkeypatch, name):
@@ -447,10 +448,11 @@ class TestMemos:
         assert factor(poly(field, coeffs)) == first and len(calls) == 2
 
     @pytest.mark.parametrize("field,coeffs,kernel", [
-        (GF2, (1, 1, 0, 1), "irreducible_gf"),
-        (Q, (2, 0, 1), "irreducible_z")])
+        (GF2, (1, 1, 0, 1), "factor_gf"),
+        (Q, (2, 0, 1), "factor_z")])
     def test_irreducibility_runs_once_per_rep(self, monkeypatch, field, coeffs,
                                               kernel):
+        # irreducibility is read off the factorization kept on the rep
         c = normalize_laurent(poly(field, coeffs))
         calls = self.counting(monkeypatch, kernel)
         assert is_irreducible_laurent(c) and is_irreducible_laurent(c)
@@ -521,12 +523,15 @@ class TestFactorizationProperties:
 
     @pytest.mark.parametrize("p,top,cases", FIELDS)
     def test_ben_or_matches_trial_division(self, p, top, cases):
+        # the library's verdict, read off factor(), and the oracle Ben-Or
+        # both match trial division
         field = FieldSpec.prime_field(p)
         rng = SplitMix64(20261019 + p)
         for _ in range(cases):
             f = _random_monic(rng, field, 1 + rng.below(top))
-            assert is_irreducible_laurent(normalize_laurent(f)) \
-                == (bruteforce_factor_gf(f) == [(f, 1)]), f.pretty()
+            expected = bruteforce_factor_gf(f) == [(f, 1)]
+            assert is_irreducible_laurent(normalize_laurent(f)) == expected, f.pretty()
+            assert irreducible_gf(f) == expected, f.pretty()
 
     def test_zassenhaus_matches_kronecker(self):
         rng = SplitMix64(20261018)
@@ -577,8 +582,10 @@ class TestFactorizationProperties:
         rng = SplitMix64(20261018)
         irreducibles = []
         while len(irreducibles) < 2:
+            # drawn by the oracle Ben-Or, which stops at the first factor
+            # found; factor() would split every rejected draw completely
             g = _random_monic(rng, field, 32)
-            if is_irreducible_laurent(normalize_laurent(g)):
+            if irreducible_gf(g):
                 irreducibles.append(g)
         f = irreducibles[0] * irreducibles[1]
         fac = factor(f)
