@@ -22,13 +22,14 @@ by the free components it contains, which form a down-set of the
 reachability order, and the lattice of hereditary saturated sets is the
 lattice of those down-sets.  The graph keeps, per vertex, the set of
 components it reaches as a bitmask, with the bitmask of the free ones
-(`condensation`), found in one pass over the components.  The principal
-closures, the strong cycle-to-sink property, downward directedness and
-the anchors of the maximal tails follow from it without a closure or a
-walk of the lattice.  Only `enumerate_hereditary_saturated` walks the
-lattice: it adds one free component at a time to the down-sets found so
-far, takes one closure per set, and refuses the graph past LATTICE_CAP
-sets.
+(`condensation`), found in one pass over the components.  It is the
+graph's one record of reachability: each reaching set is read off the
+masks, once per component.  The principal closures, the strong
+cycle-to-sink property, downward directedness and the anchors of the
+maximal tails follow from it without a closure or a walk of the lattice.
+Only `enumerate_hereditary_saturated` walks the lattice: it adds one free
+component at a time to the down-sets found so far, takes one closure per
+set, and refuses the graph past LATTICE_CAP sets.
 
 The quotient by an admissible pair is read off the graph and the same
 condensation: its vertex names and edges (`quotient_view`), its cycle
@@ -76,15 +77,15 @@ class Edge:
 class Graph:
     """Immutable finite directed multigraph with slot multiplicities.
 
-    The infinite emitters are found once, on construction.  The hash,
-    reachability sets, the strongly connected components and the components
-    each vertex reaches, the cycles without (K), the maximal tails, the
-    breaking vertices of each hereditary set asked about (`_breaking`,
-    keyed by the set), validated admissible pairs, the views of the
-    quotients by them and the exits of cycles in those quotients are
-    computed once, on first use, and kept for as long as the graph lives;
-    none of these memos holds a graph, and no quotient graph is built for
-    them.
+    The infinite emitters are found once, on construction.  The hash, the
+    condensation (the graph's one record of reachability), the reaching
+    sets read off it (`_reaching`, one frozenset per component), the
+    cycles without (K), the maximal tails, the breaking vertices of each
+    hereditary set asked about (`_breaking`, keyed by the set), validated
+    admissible pairs, the views of the quotients by them and the exits of
+    cycles in those quotients are computed once, on first use, and kept for
+    as long as the graph lives; none of these memos holds a graph, and no
+    quotient graph is built for them.
 
     The graph also holds the ideals built on it (`_ideals`, one `Ideal` per
     canonical form, filled by the `Ideal` constructor) and the products and
@@ -95,10 +96,9 @@ class Graph:
     """
 
     __slots__ = ("vertices", "edges", "infinite_emitters", "_vset", "_out",
-                 "_in", "_by_id", "_hash", "_descendants", "_reaching",
-                 "_components", "_condensation", "_lone_cycles", "_tails",
-                 "_breaking", "_pairs", "_quotients", "_exits", "_ideals",
-                 "_combinations")
+                 "_in", "_by_id", "_hash", "_reaching", "_condensation",
+                 "_lone_cycles", "_tails", "_breaking", "_pairs", "_quotients",
+                 "_exits", "_ideals", "_combinations")
 
     def __init__(self, vertices, edges):
         vertices = list(vertices)
@@ -141,9 +141,7 @@ class Graph:
         object.__setattr__(self, "_in", {v: tuple(l) for v, l in inc.items()})
         object.__setattr__(self, "_by_id", {e.id: e for e in es})
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_descendants", {})
         object.__setattr__(self, "_reaching", {})
-        object.__setattr__(self, "_components", None)
         object.__setattr__(self, "_condensation", None)
         object.__setattr__(self, "_lone_cycles", None)
         object.__setattr__(self, "_tails", None)
@@ -176,17 +174,11 @@ class Graph:
         if v not in self._vset:
             raise UnknownVertex(f"unknown vertex {v!r}")
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vset
-
     def edge(self, edge_id: str) -> Edge:
         try:
             return self._by_id[edge_id]
         except KeyError:
             raise UnknownVertex(f"unknown edge id {edge_id!r}") from None
-
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._by_id
 
     def out_edges(self, v: str) -> tuple[Edge, ...]:
         self.check_vertex(v)
@@ -221,34 +213,20 @@ class Graph:
 
     # -- reachability ---------------------------------------------------------
 
-    def descendants(self, v: str) -> frozenset:
-        """All vertices reachable from v, including v."""
-        return self._search(v, self._out, "dst", self._descendants)
-
     def reaching_set(self, w: str) -> frozenset:
-        """All vertices with a path to w, including w."""
-        return self._search(w, self._in, "src", self._reaching)
+        """All vertices with a path to w, including w.
 
-    def _search(self, v: str, edges: dict, end: str, cache: dict) -> frozenset:
-        """v and all vertices found from it through edges[u] to each edge's end."""
-        if v not in cache:
-            self.check_vertex(v)
-            seen = {v}
-            stack = [v]
-            while stack:
-                for e in edges[stack.pop()]:
-                    w = getattr(e, end)
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            # the vertices of one strongly connected component share one set
-            cache[v] = next((cache[w] for w in seen if cache.get(w) == seen),
-                            frozenset(seen))
-        return cache[v]
-
-    def reaches(self, u: str, v: str) -> bool:
-        self.check_vertex(v)
-        return v in self.descendants(u)
+        Read off the condensation: the vertices whose reach mask holds w's
+        component.  Kept per component, so one component shares one set.
+        """
+        self.check_vertex(w)
+        _, reach, _ = condensation(self)
+        bit = 1 << (reach[w].bit_length() - 1)  # w's own component
+        known = self._reaching.get(bit)
+        if known is None:
+            known = self._reaching[bit] = frozenset(
+                v for v, mask in reach.items() if mask & bit)
+        return known
 
 
 # -- hereditary saturated sets ------------------------------------------------
@@ -786,25 +764,14 @@ def condition_l(graph: Graph):
     return (False, bad[0]) if bad else (True, None)
 
 
-def _strongly_connected_components(graph: Graph) -> dict:
-    """vertex -> frozenset(component), found once per graph."""
-    if graph._components is None:
-        object.__setattr__(graph, "_components", _tarjan(graph))
-    return graph._components
-
-
-def _tarjan(graph: Graph) -> dict:
-    """Tarjan SCCs; returns vertex -> frozenset(component).
-
-    The vertices enter the dict component by component, in the order the
-    components are completed, so each component comes after every
-    component it reaches.
-    """
+def _tarjan(graph: Graph) -> list:
+    """Tarjan SCCs, as frozensets in the order they are completed, so each
+    component comes after every component it reaches."""
     index = {}
     low = {}
     stack = []
     on_stack = set()
-    comp = {}
+    comps = []
     counter = [0]
 
     def strongconnect(v):
@@ -842,14 +809,12 @@ def _tarjan(graph: Graph) -> dict:
                     members.append(w)
                     if w == node:
                         break
-                ms = frozenset(members)
-                for w in members:
-                    comp[w] = ms
+                comps.append(frozenset(members))
 
     for v in graph.vertices:
         if v not in index:
             strongconnect(v)
-    return comp
+    return comps
 
 
 def _is_free(graph: Graph, members) -> bool:
@@ -875,7 +840,7 @@ def condensation(graph: Graph) -> tuple:
     if graph._condensation is None:
         out = graph._out
         components, reach, free = [], {}, 0
-        for members in dict.fromkeys(_strongly_connected_components(graph).values()):
+        for members in _tarjan(graph):
             bit = 1 << len(components)
             mask = bit
             for v in members:
@@ -919,9 +884,9 @@ def cycles_without_k(graph: Graph) -> tuple:
     Found once per graph.
     """
     if graph._lone_cycles is None:
-        comp = _strongly_connected_components(graph)
+        components, _, _ = condensation(graph)
         out = []
-        for start, members in sorted((min(m), m) for m in set(comp.values())):
+        for start, members in sorted((min(m), m) for m in components):
             step = {}
             for v in members:
                 inside = [e for e in graph.out_edges(v) if e.dst in members]
@@ -1088,15 +1053,18 @@ def graph_from_json(data) -> Graph:
         if extra:
             raise InvalidGraph(f"unknown edge fields {sorted(extra)}")
         try:
-            mult = raw.get("mult", 1)
-            if mult == "inf":
-                mult = OMEGA
-            edge = Edge(raw["id"], raw["src"], raw["dst"], mult)
+            eid, src, dst = raw["id"], raw["src"], raw["dst"]
         except KeyError as exc:
             raise InvalidGraph(f"edge entry missing field {exc}") from exc
-        if not all(isinstance(x, str) for x in (edge.id, edge.src, edge.dst)):
+        if not all(isinstance(x, str) for x in (eid, src, dst)):
             raise InvalidGraph(f"edge id, src and dst must be strings: {raw!r}")
-        edges.append(edge)
+        # JSON reads 1e400 and Infinity as a float inf, which equals OMEGA
+        mult = raw.get("mult", 1)
+        if mult == "inf":
+            mult = OMEGA
+        elif type(mult) is not int or mult < 1:
+            raise InvalidGraph(f"edge {eid!r} has bad multiplicity {mult!r}")
+        edges.append(Edge(eid, src, dst, mult))
     return Graph(vertices, edges)
 
 

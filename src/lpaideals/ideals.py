@@ -365,8 +365,6 @@ def contains(big: Ideal, small: Ideal) -> bool:
         own = mine.get(part.cycle)
         if own is None or not divides(own.rep, part.poly.rep):
             return False
-        if quotient_cycle_exits(big.graph, big.pair, part.cycle):
-            return False
     return True
 
 

@@ -204,6 +204,15 @@ class TestExitCodes:
                       "GF(\uff17)"):
             assert field_code(label) == 2, label
 
+    @pytest.mark.parametrize("mult", ["1e400", "Infinity"])
+    def test_float_multiplicity_rejected(self, capsys, tmp_path, mult):
+        # JSON reads both as a float infinity; only "inf" is an infinite bundle
+        bad = tmp_path / "graph.json"
+        bad.write_text('{"vertices": ["u", "v"], "edges": '
+                       '[{"id": "e", "src": "u", "dst": "v", "mult": %s}]}' % mult)
+        code, out, err = invoke(capsys, "analyze", "--graph", str(bad))
+        assert code == 2 and not out and "edge 'e' has bad multiplicity" in err
+
     def test_field_conflict(self, capsys):
         code = invoke(capsys, "ideal-classify", "--graph", graph("one_loop"),
                       "--field", "Q",

@@ -312,8 +312,8 @@ def _seeded_families(count, fields, with_parts):
 
 def _memo_contents(graph):
     """Every object reachable from the graph's memos, containers unpacked."""
-    todo = [graph._descendants, graph._reaching, graph._tails, graph._breaking,
-            graph._pairs, graph._quotients, graph._exits]
+    todo = [graph._reaching, graph._tails, graph._breaking, graph._pairs,
+            graph._quotients, graph._exits]
     seen = []
     while todo:
         x = todo.pop()
@@ -358,9 +358,10 @@ class TestGraphMemos:
     def test_factoring_builds_no_quotient(self, monkeypatch):
         families = _seeded_families(30, GF2_GF3, with_parts=True)
 
-        builds, keys, calls = [], set(), []
+        builds, keys, calls, misses = [], set(), [], []
         init = Graph.__init__
         exits = ideals_module.quotient_cycle_exits
+        exits_of = graphs_module.cycle_exits
 
         def counted_init(graph, vertices, edges):
             builds.append(1)
@@ -374,11 +375,17 @@ class TestGraphMemos:
             keys.add((id(graph), pair, cycle))
             return exits(graph, pair, cycle)
 
+        def counted_misses(view, cycle):
+            # a view stands for one (graph, pair) while the graph lives
+            misses.append((id(view), cycle))
+            return exits_of(view, cycle)
+
         # ideals reads quotients through graphs.quotient_view alone
         assert not hasattr(ideals_module, "quotient_graph")
         monkeypatch.setattr(graphs_module, "quotient_graph", refused_build)
         monkeypatch.setattr(Graph, "__init__", counted_init)
         monkeypatch.setattr(ideals_module, "quotient_cycle_exits", counted_exits)
+        monkeypatch.setattr(graphs_module, "cycle_exits", counted_misses)
         graphs = []
         for graph_json, members_json in families:
             g = graph_from_json(graph_json)
@@ -389,7 +396,9 @@ class TestGraphMemos:
             factor_completely_irreducible(product)
         # the only graphs built are the 30 parsed ones
         assert len(builds) == len(families)
-        assert len(keys) < len(calls) / 4, (len(keys), len(calls))
+        # each (graph, pair, cycle) asked about is computed once, then shared
+        assert len(misses) == len(set(misses)) == len(keys) < len(calls), \
+            (len(misses), len(keys), len(calls))
         for g in graphs:
             assert g._quotients
             assert not any(isinstance(x, (Graph, Quotient))

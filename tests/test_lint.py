@@ -5,7 +5,8 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "lpaideals"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lpaideals"
 # the package root imports names only to re-export them
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -92,6 +93,44 @@ def test_the_check_sees_an_unread_private_definition():
     assert _unused_private(trees) == [("a.py", 2, "_STALE"),
                                       ("a.py", 5, "_leftover"),
                                       ("a.py", 7, "_Gone")]
+
+
+def _unread_methods(trees: dict, readers: list) -> list:
+    """Public methods of the classes in trees that no tree of readers reads
+    as an attribute."""
+    read = {node.attr for tree in readers for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for module, tree in sorted(trees.items()):
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                out.extend((module, node.lineno, f"{cls.name}.{node.name}")
+                           for node in cls.body
+                           if isinstance(node, ast.FunctionDef)
+                           and not node.name.startswith("_")
+                           and node.name not in read)
+    return sorted(out)
+
+
+def test_every_public_method_is_read():
+    trees = {path.name: _parse(path) for path in SRC.glob("*.py")}
+    readers = [_parse(path) for folder in ("src", "tests", "demos", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert _unread_methods(trees, readers) == []
+
+
+def test_the_check_sees_an_unread_method():
+    trees = {"a.py": ast.parse("class Box:\n"
+                               "    def __len__(self):\n        return 0\n"
+                               "    def _size(self):\n        return 0\n"
+                               "    def opened(self):\n        return self._size()\n"
+                               "    def stale(self):\n        return 1\n"
+                               "    def stored(self):\n        return 2\n")}
+    readers = [trees["a.py"],
+               ast.parse("def f(box):\n    box.stored = None\n"
+                         "    return box.opened()\n")]
+    assert _unread_methods(trees, readers) == [("a.py", 8, "Box.stale"),
+                                               ("a.py", 10, "Box.stored")]
 
 
 def _oracle_imports(tree: ast.Module) -> list:

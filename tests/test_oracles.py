@@ -49,6 +49,7 @@ from lpaideals.ideals import (
 )
 from lpaideals.oracles import (
     GeneratorConfig,
+    _reaches_literal,
     absorb,
     bruteforce_factor_gf,
     closure_oracle,
@@ -235,6 +236,16 @@ def _comparable(p1, p2):
 class TestCondensation:
     """The free-component condensation against closures and lattice walks."""
 
+    def test_reaching_sets_match_backward_search(self):
+        for g in omega_corpus():
+            for w in g.vertices:
+                want = {v for v in g.vertices if _reaches_literal(g, v, w)}
+                assert g.reaching_set(w) == want, (g, w)
+                # the members of one component share one frozenset
+                for v in want:
+                    if _reaches_literal(g, w, v):
+                        assert g.reaching_set(v) is g.reaching_set(w), (g, v, w)
+
     def test_principal_closures_are_closures(self):
         for g in omega_corpus():
             closures = principal_closures(g)
@@ -263,7 +274,7 @@ class TestCondensation:
 
     def test_downward_directed_matches_definition(self):
         for g in omega_corpus()[:1000]:
-            desc = {v: {w for w in g.vertices if g.reaches(v, w)}
+            desc = {v: {w for w in g.vertices if _reaches_literal(g, v, w)}
                     for v in g.vertices}
             for sub in all_subsets(g.vertices):
                 if not sub:
