@@ -238,6 +238,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _serialize(output, pretty: bool) -> str:
+    """The text to print: DOT as it is, JSON sorted (indented under --pretty)."""
+    if isinstance(output, str):
+        return output
+    try:
+        if pretty:
+            return json.dumps(output, sort_keys=True, indent=2) + "\n"
+        return json.dumps(output, sort_keys=True, separators=(",", ":")) + "\n"
+    except ValueError as exc:  # an int past the int-to-str digit limit
+        raise TooLarge(f"the answer has an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits, Python's limit "
+                       f"for int-to-str conversion") from exc
+
+
 def run(argv) -> int:
     """Execute one command from an argv list (program name excluded)."""
     try:
@@ -246,7 +260,7 @@ def run(argv) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         graph = graph_from_json(_load_json(args.graph))
-        output = _HANDLERS[args.command](args, graph)
+        text = _serialize(_HANDLERS[args.command](args, graph), args.pretty)
     except UnsupportedOperands as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -259,12 +273,7 @@ def run(argv) -> int:
     except Exception:
         traceback.print_exc()
         return 1
-    if isinstance(output, str):
-        sys.stdout.write(output)
-    elif args.pretty:
-        print(json.dumps(output, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(output, sort_keys=True, separators=(",", ":")))
+    sys.stdout.write(text)
     return 0
 
 

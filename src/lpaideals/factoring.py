@@ -4,8 +4,13 @@ Lists run lowest degree first with no trailing zeros; modulo m (a prime p,
 or a power of p while Hensel lifting) coefficients are kept in range(m).
 The list arithmetic itself (sum, product, division with remainder, monic,
 gcd, derivative) is the kernel set of the poly module, which Poly runs on
-too; m = None there is exact arithmetic over Q, used here for the gcd of
-the square-free part.  poly.factor converts at the boundary, and only it
+too.  Modulo p every remainder goes through its one loop, _rem, which
+keeps no quotient: the gcds and the schoolbook products of _Residues below
+_PACK_DEGREE reduce through it, and _divmod is left to the callers that use
+the quotient.  m = None is exact arithmetic over Q, used here only for the
+gcd of a square-free part that no prime certifies: f square-free modulo
+one of the first _CERTIFICATE_PRIMES primes sparing lc(f) proves f
+square-free over Q.  poly.factor converts at the boundary, and only it
 imports this module, on its first call, so a process that never factors
 never loads it.  The library decides irreducibility from the factorization;
 the separate irreducibility tests (Ben-Or's over GF(p), one Zassenhaus
@@ -24,11 +29,12 @@ step, whose number of modular factors the caller caps.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, isqrt, lcm
 
 from .errors import DegreeTooLarge
-from .poly import _add, _divmod, _derivative, _gcd, _is_prime, _monic, _mul, _sub, _trim
+from .poly import (_add, _derivative, _divmod, _gcd, _is_prime, _monic, _mul, _product,
+                   _rem, _sub, _trim)
 from .rng import SplitMix64
 
 
@@ -77,8 +83,10 @@ class _Residues:
                       for i in range(0, k * wb, wb)])
 
     def mul(self, a: list, b: list) -> list:
-        if self._fold is None or not a or not b:
-            return _divmod(_mul(a, b, self.p), self.f, self.p)[1]
+        if not a or not b:
+            return []
+        if self._fold is None:
+            return _rem(_product(a, b), self.f, self.p)
         n, k = self.n, len(a) + len(b) - 1
         prod = self._pack(a) * self._pack(b)
         if k <= n:
@@ -91,8 +99,15 @@ class _Residues:
         return self._unpack(low, n)
 
     def pow(self, a: list, e: int) -> list:
-        out = [1]
-        for bit in bin(e)[2:]:
+        """a^e for a residue a and e >= 1.  Squaring starts from a, and for
+        a = x the powers x^k with k < n are written down, not multiplied."""
+        bits, out = bin(e)[3:], a
+        if a == [0, 1]:
+            k = 1
+            while bits and 2 * k + int(bits[0]) < self.n:
+                k, bits = 2 * k + int(bits[0]), bits[1:]
+            out = [0] * k + [1]
+        for bit in bits:
             out = self.mul(out, out)
             if bit == "1":
                 out = self.mul(out, a)
@@ -213,6 +228,9 @@ def factor_gf(f: list, p: int) -> list:
 
 #: Good primes compared when choosing the one with the fewest modular factors.
 _PRIMES_TRIED = 5
+#: Primes not dividing lc(f) tried for a modular certificate that f is
+#: square-free, before the gcd over Q.
+_CERTIFICATE_PRIMES = 3
 
 
 def primitive(coeffs) -> list[int]:
@@ -241,24 +259,41 @@ def _exact_quotient(a: list, b: list):
     return None if any(r) else q
 
 
+def _primes_sparing(lc: int):
+    """The primes that do not divide lc, ascending."""
+    p = 1
+    while True:
+        p += 1
+        if _is_prime(p) and lc % p:
+            yield p
+
+
+def _squarefree_mod(f: list, p: int) -> bool:
+    """Whether the integer f, p not dividing lc(f), is square-free modulo p."""
+    fp = [c % p for c in f]
+    df = _derivative(fp, p)
+    return bool(df) and len(_gcd(fp, df, p)) == 1
+
+
 def _squarefree_part(f: list) -> list:
-    """f / gcd(f, f') for the primitive f, primitive; the gcd is taken over Q."""
+    """f / gcd(f, f') for the primitive f, primitive.
+
+    A repeated factor g^2 of f keeps its degree modulo a prime p that does
+    not divide lc(f), so f square-free modulo one such p proves f
+    square-free over Q.  The first _CERTIFICATE_PRIMES of them are tried;
+    only when none certifies f is the gcd taken over Q, on Fractions.
+    """
+    primes = islice(_primes_sparing(f[-1]), _CERTIFICATE_PRIMES)
+    if any(_squarefree_mod(f, p) for p in primes):
+        return f
     g = _gcd(f, _derivative(f, None), None)
     return f if len(g) == 1 else _exact_quotient(f, primitive(g))
 
 
 def _good_primes(f: list):
     """The first _PRIMES_TRIED primes p not dividing lc(f) with f square-free mod p."""
-    p, found = 1, 0
-    while found < _PRIMES_TRIED:
-        p += 1
-        if not _is_prime(p) or f[-1] % p == 0:
-            continue
-        fp = [c % p for c in f]
-        df = _derivative(fp, p)
-        if df and len(_gcd(fp, df, p)) == 1:
-            found += 1
-            yield p
+    good = (p for p in _primes_sparing(f[-1]) if _squarefree_mod(f, p))
+    return islice(good, _PRIMES_TRIED)
 
 
 def _bezout(g: list, h: list, p: int):
@@ -268,7 +303,7 @@ def _bezout(g: list, h: list, p: int):
     while r1:  # invariant: r_i = s_i * g modulo h
         q, r = _divmod(r0, r1, p)
         r0, r1, s0, s1 = r1, r, s1, _sub(s0, _mul(q, s1, p), p)
-    s = _divmod(_mul(s0, [pow(r0[0], -1, p)], p), h, p)[1]
+    s = _rem(_mul(s0, [pow(r0[0], -1, p)], p), h, p)
     return s, _divmod(_sub([1], _mul(s, g, p), p), h, p)[0]
 
 

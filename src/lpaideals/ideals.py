@@ -112,8 +112,9 @@ class Ideal:
 
     An Ideal is immutable, so prime_power_decompose and factor_prime_powers
     keep their answers on it (slots _decomposition and _report, unset until
-    the first call; a None answer is kept too), and ideal_power keeps the
-    powers it has built, by exponent (slot _powers).  The graph keeps the
+    the first call; a None answer is kept too), and a prime keeps its
+    powers by exponent (slot _powers): those ideal_power has built and those
+    prime_power_decompose was given.  The graph keeps the
     ideal, so the answers last as long as the graph, and the self-checks of
     each run once per distinct ideal of a graph.  The hash is computed once,
     on construction.
@@ -456,7 +457,18 @@ def _decompose(ideal: Ideal):
     p, n = factors[0]
     prime = Ideal(graph, pair, (CyclePart(part.cycle, LaurentClass(p)),))
     assert is_prime(prime).holds, "prime power with a non-prime base"
+    if n > 1:  # the ideal is prime**n, so ideal_power need not raise it
+        _powers(prime)[n] = ideal
     return prime, n
+
+
+def _powers(ideal: Ideal) -> dict:
+    """The powers of ideal built so far, by exponent (its slot _powers)."""
+    powers = getattr(ideal, "_powers", None)
+    if powers is None:
+        powers = {}
+        object.__setattr__(ideal, "_powers", powers)
+    return powers
 
 
 def ideal_power(ideal: Ideal, exponent: int) -> Ideal:
@@ -464,16 +476,14 @@ def ideal_power(ideal: Ideal, exponent: int) -> Ideal:
 
     The ideal keeps each power it is raised to, so a factorization, its
     checks and the complete factorization built on it raise each (prime,
-    exponent) once per graph.
+    exponent) once per graph; a prime power that prime_power_decompose has
+    seen is kept as it is and never raised.
     """
     if exponent < 1:
         raise ValueError("exponent must be a positive integer")
     if not ideal.parts or exponent == 1:
         return ideal
-    powers = getattr(ideal, "_powers", None)
-    if powers is None:
-        powers = {}
-        object.__setattr__(ideal, "_powers", powers)
+    powers = _powers(ideal)
     power = powers.get(exponent)
     if power is None:
         parts = tuple(CyclePart(p.cycle, p.poly ** exponent) for p in ideal.parts)

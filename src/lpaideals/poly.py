@@ -5,7 +5,8 @@ is 1 + x**2.  Coefficients are fractions.Fraction over Q and Python ints in
 range(p) over GF(p); all arithmetic is exact, nothing is ever floated.
 
 All polynomial arithmetic runs on one set of kernels on plain coefficient
-lists, defined here: sum, product, division with remainder, monic, gcd and
+lists, defined here: sum, product, division with remainder, remainder
+alone (the one remainder loop, which gcd and divides use), monic, gcd and
 derivative, each taking a modulus m.  Poly passes its field's p, which is
 None over Q, and None means exact arithmetic on Fractions; the factoring
 module passes a prime or, while Hensel lifting, a prime power.
@@ -87,21 +88,51 @@ def _sub(a, b, m) -> list:
     return _add(a, [-c for c in b], m)
 
 
-def _mul(a, b, m) -> list:
-    """a * b, schoolbook."""
-    if not a or not b:
-        return []
-    out = [0 if m else Fraction(0)] * (len(a) + len(b) - 1)
+def _product(a, b, zero=0) -> list:
+    """a * b for nonzero a and b, schoolbook, neither reduced nor trimmed."""
+    out = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _reduce(out, m)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _mul(a, b, m) -> list:
+    """a * b."""
+    if not a or not b:
+        return []
+    return _reduce(_product(a, b, 0 if m else Fraction(0)), m)
+
+
+def _rem(a, b, m) -> list:
+    """Remainder of a by the nonzero b, whose leading coefficient must be
+    invertible modulo m.
+
+    Modulo m this is the one remainder loop, with no quotient kept: a may
+    hold any ints, reduced or not, and only the coefficient about to be
+    cancelled is reduced on the way down.  Over Q (m None) it is _divmod's.
+    """
+    if not m:
+        return _divmod(a, b, None)[1]
+    n = len(b) - 1
+    r = list(a)
+    if len(r) > n:
+        low = b[:-1]
+        inv = 1 if b[-1] == 1 else pow(b[-1], -1, m)
+        for i in range(len(r) - 1, n - 1, -1):
+            c = r[i] * inv % m
+            if c:
+                k = i - n
+                for y in low:
+                    r[k] -= c * y
+                    k += 1
+    return _trim([c % m for c in r[:n]])
 
 
 def _divmod(a, b, m):
     """Quotient and remainder of a by the nonzero b, whose leading coefficient
-    must be invertible modulo m."""
+    must be invertible modulo m; for a remainder alone, _rem is faster."""
     n = len(b) - 1
     if len(a) <= n:
         return [], list(a)
@@ -128,10 +159,9 @@ def _monic(a, m):
 
 
 def _gcd(a, b, m):
-    """Monic gcd; a is nonzero."""
+    """Monic gcd; a is nonzero.  Euclid's algorithm on remainders alone."""
     while b:
-        b = _monic(b, m)
-        a, b = b, _divmod(a, b, m)[1]
+        a, b = b, _rem(a, b, m)
     return _monic(a, m)
 
 
@@ -403,7 +433,7 @@ def divides(f: Poly, g: Poly) -> bool:
     _check_same_field(f, g)
     if f.is_zero():
         return g.is_zero()
-    return not _divmod(g.coeffs, f.coeffs, f.field.p)[1]
+    return not _rem(g.coeffs, f.coeffs, f.field.p)
 
 
 # -- Laurent normal form ----------------------------------------------------

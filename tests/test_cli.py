@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import sys
 import time
 
 import pytest
@@ -212,6 +213,20 @@ class TestExitCodes:
                        '[{"id": "e", "src": "u", "dst": "v", "mult": %s}]}' % mult)
         code, out, err = invoke(capsys, "analyze", "--graph", str(bad))
         assert code == 2 and not out and "edge 'e' has bad multiplicity" in err
+
+    @pytest.mark.parametrize("command,shift", [("ideal-multiply", 0),
+                                               ("ideal-intersect", 1)])
+    def test_answer_past_the_digit_limit(self, capsys, tmp_path, command, shift):
+        # inputs of 2,201 digits are read; the product (x + a)(x + b), which
+        # is also the lcm of coprime parts, has a 4,401-digit coefficient
+        files = []
+        for i, c in enumerate((10**2200, 10**2200 + shift)):
+            files += ["--ideal", str(tmp_path / f"{i}.json")]
+            (tmp_path / f"{i}.json").write_text(json.dumps(
+                {"field": "Q", "parts": [{"cycle": ["v", "e"], "poly": [c, 1]}]}))
+        code, out, err = invoke(capsys, command, "--graph", graph("one_loop"), *files)
+        assert code == 4 and not out
+        assert f"{sys.get_int_max_str_digits()} digits" in err
 
     def test_field_conflict(self, capsys):
         code = invoke(capsys, "ideal-classify", "--graph", graph("one_loop"),

@@ -374,7 +374,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(ideals_module, "ideal_power", counted_power)
         monkeypatch.setattr(LaurentClass, "__pow__", counted_raise)
-        raised = 0
+        reused = set()
         for members in parsed:
             # equal ideals over equal graphs are equal, so count per graph
             built.clear()
@@ -383,10 +383,13 @@ class TestWorkCounts:
             assert factor_completely_irreducible(product) in (report, None)
             recomposed = [counted_power(p, r) for p, r in report.factors]
             assert multiply(recomposed) == product
-            # one raise per (prime, exponent), however often it is asked for
+            # a member's own power is kept as the member and never raised;
+            # any other power is raised once, however often it is asked for
+            own = {prime_power_decompose(m) for m in members}
+            assert not any(built[key] for key in own)
             assert set(built.values()) <= {1}
-            raised += len(built)
-        assert raised and len(asked) > 2 * raised
+            reused |= {key for key in asked if key in own and key[1] > 1}
+        assert reused and len(asked) > 2 * len(reused)
 
     def test_operations_decompose_each_member_once(self, monkeypatch):
         # every member has a cycle part, so each decomposition factors once

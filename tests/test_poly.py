@@ -1,12 +1,14 @@
 """Exact polynomial arithmetic, Laurent normal form, and factorization."""
 
+import hashlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -16,12 +18,14 @@ from lpaideals.errors import DegreeTooLarge, FieldMismatch, ZeroPolynomial
 from lpaideals.oracles import (
     bruteforce_factor_gf,
     irreducible_gf,
+    irreducible_z,
     kronecker_factor_rational,
     monic_irreducibles,
 )
 from lpaideals.poly import (
     FieldSpec,
     LaurentClass,
+    Poly,
     divides,
     factor,
     is_irreducible_laurent,
@@ -186,10 +190,12 @@ def _in_field(f):
 
 class TestSharedKernels:
     """Poly's product, division, gcd, lcm and divides, which run on the list
-    kernels that factoring shares, checked by Horner evaluation (which runs
-    on scalars and shares no code with them) at sample points: every point
-    of GF(2), GF(3) and GF(101), and 40 points of GF(2^31 - 1) and Q, more
-    than any degree here, so there the identities are exact."""
+    kernels that factoring shares, and the remainder loop _rem on an
+    unreduced product, as factoring's residue rings call it, checked by
+    Horner evaluation (which runs on scalars and shares no code with them)
+    at sample points: every point of GF(2), GF(3) and GF(101), and 40 points
+    of GF(2^31 - 1) and Q, more than any degree here, so there the
+    identities are exact."""
 
     FIELDS = (FieldSpec.prime_field(2), FieldSpec.prime_field(3),
               FieldSpec.prime_field(101), FieldSpec.prime_field(2**31 - 1), Q)
@@ -214,10 +220,14 @@ class TestSharedKernels:
             a, b = w * u, w * v
             q, r = divmod(a, b)
             g, m = poly_gcd(a, b), poly_lcm(a, b)
-            for f in (a, b, q, r, g, m, a - b, -a, a.monic(), a.derivative(),
+            # (a * u) mod b from the schoolbook product, never reduced mod p
+            s = Poly._of(field, poly_module._rem(
+                poly_module._product(a.coeffs, u.coeffs, field.zero()), b.coeffs, field.p))
+            qs = (a * u) // b
+            for f in (a, b, q, r, g, m, s, a - b, -a, a.monic(), a.derivative(),
                       a.scale(3), a ** 3):
                 assert _in_field(f), (f, [type(c) for c in f.coeffs])
-            assert r.degree < b.degree
+            assert r.degree < b.degree and s.degree < b.degree
             assert g.is_monic() and m.is_monic()
             assert g * m == (a * b).monic()
             assert divides(g, a) and divides(g, b) and divides(w.monic(), g)
@@ -228,6 +238,8 @@ class TestSharedKernels:
                 ax, bx = a.evaluate(x), b.evaluate(x)
                 assert ax == reduce(w.evaluate(x) * u.evaluate(x))
                 assert ax == reduce(q.evaluate(x) * bx + r.evaluate(x))
+                assert reduce(ax * u.evaluate(x)) \
+                    == reduce(qs.evaluate(x) * bx + s.evaluate(x))
                 assert (g.evaluate(x) == 0) == (ax == 0 and bx == 0)
                 assert (m.evaluate(x) == 0) == (ax == 0 or bx == 0)
 
@@ -577,6 +589,38 @@ class TestFactorizationProperties:
         # Eisenstein's criterion certifies each factor irreducible
         assert all(_eisenstein_prime(g) for g, _ in fac)
 
+    FACTOR_DIGEST = "948c1057f7692427481f3325e1204bb448b03bdc00aaa437c4f4455727fdc098"
+
+    def test_factor_matches_the_recorded_digest(self):
+        # SHA-256 of factor() on seeded products of random pieces, squares
+        # and cubes included, times a non-monic scalar, recorded before the
+        # kernels were last rewritten: a faster factorization must give the
+        # same answers, byte for byte
+        rng = SplitMix64(20261019)
+        records = []
+        for field, top in ((GF2, 16), (GF3, 12), (FieldSpec.prime_field(101), 10),
+                           (FieldSpec.prime_field(2**31 - 1), 10), (Q, 10)):
+            def scalar(low):
+                if field.p is None:
+                    return Fraction(rng.below(9) - 4 or low, 1 + rng.below(3))
+                return rng.below(field.p - low) + low
+            for _ in range(40):
+                f = poly(field, (scalar(1),))
+                target = 1 + rng.below(top)
+                while f.degree < target:
+                    d = 1 + rng.below(min(3, target - f.degree))
+                    g = poly(field, [scalar(1)] + [scalar(0) for _ in range(d - 1)]
+                             + [scalar(1)])
+                    mult = 1 + rng.below(3)
+                    f = f * g ** mult if f.degree + d * mult <= top else f * g
+                fac = factor(f)
+                assert _product([g ** m for g, m in fac], field).scale(f.leading()) == f
+                records.append([field.label, f.to_json(),
+                                [[g.to_json(), m] for g, m in fac]])
+        assert sum(m > 1 for r in records for _, m in r[2]) > 40
+        payload = json.dumps(records).encode()
+        assert hashlib.sha256(payload).hexdigest() == self.FACTOR_DIGEST
+
     def test_two_degree_32_irreducibles_over_a_large_field(self):
         field = FieldSpec.prime_field(2**31 - 1)
         rng = SplitMix64(20261018)
@@ -593,3 +637,108 @@ class TestFactorizationProperties:
         assert {g for g, _ in fac} == set(irreducibles)
         assert all(is_irreducible_laurent(normalize_laurent(g)) for g, _ in fac)
         assert _product([g for g, _ in fac], field) == f
+
+    def test_residue_powers_match_repeated_products(self):
+        # pow squares from the base and writes x^k down while k < deg f, on
+        # both sides of the packing threshold
+        from lpaideals.factoring import _PACK_DEGREE, _Residues
+
+        rng = SplitMix64(20261019)
+        for p in (2, 3, 101, 2**31 - 1):
+            for n in (2, 3, _PACK_DEGREE - 1, _PACK_DEGREE, 2 * _PACK_DEGREE + 1):
+                f = [rng.below(p) for _ in range(n)] + [1]
+                ring = _Residues(f, p)
+                a = poly_module._trim([rng.below(p) for _ in range(n)])
+                for base in ([0, 1], a):
+                    power = base
+                    for e in range(1, 3 * n + 2):
+                        assert ring.pow(base, e) == power, (p, n, base, e)
+                        power = poly_module._rem(poly_module._product(power, base)
+                                                 if power and base else [], f, p)
+
+
+class TestSquarefreeCertificate:
+    """Over Q, f square-free modulo one prime that spares lc(f) proves f
+    square-free; only inputs with no such certificate among the first
+    primes take the gcd over Q on Fractions."""
+
+    SWINNERTON_DYER = poly(Q, (576, 0, -960, 0, 352, 0, -40, 0, 1))
+
+    @staticmethod
+    def fraction_gcds(monkeypatch):
+        from lpaideals import factoring
+
+        calls = []
+        original = factoring._gcd
+
+        def counted(a, b, m):
+            if m is None:
+                calls.append(len(a) - 1)
+            return original(a, b, m)
+
+        monkeypatch.setattr(factoring, "_gcd", counted)
+        return calls
+
+    @staticmethod
+    def certified(f):
+        from lpaideals.factoring import (_CERTIFICATE_PRIMES, _primes_sparing,
+                                         _squarefree_mod, primitive)
+
+        g = primitive(f.coeffs)
+        tried = list(islice(_primes_sparing(g[-1]), _CERTIFICATE_PRIMES))
+        return [p for p in tried if _squarefree_mod(g, p)], tried
+
+    def test_a_square_free_f_with_repeated_roots_mod_small_primes(self, monkeypatch):
+        # x^2 - 30 has the double root 0 modulo 2, 3 and 5, so no certificate
+        # is found and the gcd over Q proves it square-free
+        f = poly(Q, (-30, 0, 1))
+        assert self.certified(f) == ([], [2, 3, 5])
+        calls = self.fraction_gcds(monkeypatch)
+        assert factor(f) == [(f, 1)] == kronecker_factor_rational(f)
+        assert calls == [2]
+
+    def test_leading_coefficient_divisible_by_2_3_5(self, monkeypatch):
+        # the primes that divide lc(f) are skipped: f is tried modulo 7, 11, 13
+        f = poly(Q, (-1, 3, 0, 30)) * poly(Q, (2, 1))
+        assert self.certified(f) == ([7, 11], [7, 11, 13])
+        calls = self.fraction_gcds(monkeypatch)
+        assert factor(f) == kronecker_factor_rational(f)
+        assert calls == []
+
+    def test_a_repeated_factor_takes_the_rational_gcd(self, monkeypatch):
+        # g^2 h: g keeps its degree modulo every prime sparing lc, so no
+        # prime certifies, and the one gcd over Q finds the square-free part
+        g, h = poly(Q, (1, 1, 1)), poly(Q, (-3, 2))
+        f = g ** 2 * h
+        assert self.certified(f)[0] == []
+        calls = self.fraction_gcds(monkeypatch)
+        assert factor(f) == [(h.monic(), 1), (g, 2)] == kronecker_factor_rational(f)
+        assert calls == [5]
+
+    def test_a_certified_input_never_runs_the_rational_gcd(self, monkeypatch):
+        rng = SplitMix64(20261019)
+        calls = self.fraction_gcds(monkeypatch)
+        checked = 0
+        for _ in range(60):
+            f = poly(Q, [rng.below(7) - 3 or 1] + [rng.below(7) - 3 for _ in range(2)]
+                     + [1 + rng.below(30)])
+            if not self.certified(f)[0]:
+                continue
+            before = len(calls)
+            assert factor(f) == kronecker_factor_rational(f), f.pretty()
+            assert len(calls) == before, f.pretty()
+            checked += 1
+        assert checked > 40
+
+    def test_squared_swinnerton_dyer_at_the_modular_factor_cap(self, monkeypatch):
+        # SD splits into four factors modulo every prime: its square is
+        # reduced to SD by the gcd over Q, whose four modular factors are
+        # exactly at a cap of 4 and one past a cap of 3
+        sd = self.SWINNERTON_DYER
+        calls = self.fraction_gcds(monkeypatch)
+        monkeypatch.setattr(poly_module, "MODULAR_FACTOR_CAP", 4)
+        assert factor(sd ** 2) == [(sd, 2)] and calls == [16]
+        assert irreducible_z(sd, cap=4) and not irreducible_z(sd ** 2, cap=4)
+        monkeypatch.setattr(poly_module, "MODULAR_FACTOR_CAP", 3)
+        with pytest.raises(DegreeTooLarge, match=r"4 factors.*cap 3"):
+            factor(sd ** 2)
