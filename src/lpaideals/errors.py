@@ -31,7 +31,8 @@ class UnknownVertex(LpaError):
 
 
 class TooLarge(LpaError):
-    """An enumeration would exceed its size cap (lattice cap, subset-scan bound)."""
+    """An enumeration would exceed its size cap (lattice cap, subset-scan
+    bound), or an answer would pass Python's int-to-str digit limit."""
 
 
 class NotHereditarySaturated(LpaError):

@@ -275,24 +275,32 @@ def _squarefree_mod(f: list, p: int) -> bool:
     return bool(df) and len(_gcd(fp, df, p)) == 1
 
 
-def _squarefree_part(f: list) -> list:
-    """f / gcd(f, f') for the primitive f, primitive.
+def _squarefree_part(f: list):
+    """(f / gcd(f, f'), verdicts) for the primitive f: the part primitive,
+    and verdicts mapping each prime tried to whether the part is
+    square-free modulo it.
 
     A repeated factor g^2 of f keeps its degree modulo a prime p that does
     not divide lc(f), so f square-free modulo one such p proves f
-    square-free over Q.  The first _CERTIFICATE_PRIMES of them are tried;
-    only when none certifies f is the gcd taken over Q, on Fractions.
+    square-free over Q.  The first _CERTIFICATE_PRIMES of them are tried,
+    up to the first that certifies f; only when none does is the gcd taken
+    over Q, on Fractions.  The verdicts are on f, so they are kept only
+    when the part is f.
     """
-    primes = islice(_primes_sparing(f[-1]), _CERTIFICATE_PRIMES)
-    if any(_squarefree_mod(f, p) for p in primes):
-        return f
+    verdicts = {}
+    for p in islice(_primes_sparing(f[-1]), _CERTIFICATE_PRIMES):
+        verdicts[p] = _squarefree_mod(f, p)
+        if verdicts[p]:
+            return f, verdicts
     g = _gcd(f, _derivative(f, None), None)
-    return f if len(g) == 1 else _exact_quotient(f, primitive(g))
+    return (f, verdicts) if len(g) == 1 else (_exact_quotient(f, primitive(g)), {})
 
 
-def _good_primes(f: list):
-    """The first _PRIMES_TRIED primes p not dividing lc(f) with f square-free mod p."""
-    good = (p for p in _primes_sparing(f[-1]) if _squarefree_mod(f, p))
+def _good_primes(f: list, verdicts: dict):
+    """The first _PRIMES_TRIED primes p not dividing lc(f) with f square-free
+    mod p; a prime with a verdict on f is not tested again."""
+    good = (p for p in _primes_sparing(f[-1])
+            if (verdicts[p] if p in verdicts else _squarefree_mod(f, p)))
     return islice(good, _PRIMES_TRIED)
 
 
@@ -374,19 +382,21 @@ def _recombine(f: list, lifted: list, modulus: int) -> list:
     return out + [f]
 
 
-def _zassenhaus(f: list, cap: int) -> list:
+def _zassenhaus(f: list, cap: int, verdicts=None) -> list:
     """Irreducible factors in Z[x] of the square-free primitive f, primitive.
 
     Zassenhaus (J. Number Theory 1, 1969): factor modulo the good prime with
     the fewest factors, Hensel-lift past twice the Mignotte bound times
     lc(f), and recombine subsets of at most cap lifted factors.  One
     irreducible factor modulo any good prime proves f irreducible.
+    verdicts carries the square-freeness of f modulo primes already tested
+    (those of _squarefree_part).
     """
     n = len(f) - 1
     if n == 1:
         return [f]
     best = None
-    for p in _good_primes(f):
+    for p in _good_primes(f, verdicts or {}):
         fp = _monic([c % p for c in f], p)
         ring = _Residues(fp, p)
         ddf = _distinct_degree(fp, p, ring)
@@ -414,8 +424,9 @@ def _zassenhaus(f: list, cap: int) -> list:
 
 def factor_z(f: list, cap: int) -> list:
     """[(g, e)], g primitive irreducible in Z[x], for the primitive f."""
+    part, verdicts = _squarefree_part(f)
     out = []
-    for g in _zassenhaus(_squarefree_part(f), cap):
+    for g in _zassenhaus(part, cap, verdicts):
         e = 0
         while (q := _exact_quotient(f, g)) is not None:
             f, e = q, e + 1

@@ -23,10 +23,13 @@ reachability order, and the lattice of hereditary saturated sets is the
 lattice of those down-sets.  The graph keeps, per vertex, the set of
 components it reaches as a bitmask, with the bitmask of the free ones
 (`condensation`), found in one pass over the components.  It is the
-graph's one record of reachability: each reaching set is read off the
-masks, once per component.  The principal closures, the strong
-cycle-to-sink property, downward directedness and the anchors of the
-maximal tails follow from it without a closure or a walk of the lattice.
+graph's one record of reachability.  One pass back over its components
+turns it into the mask of the vertices reaching each component, and each
+reaching set is read off that mask, once per component.  The maximal
+tails are certified on vertex bitmasks read off the edges.  The
+principal closures, the strong cycle-to-sink property, downward
+directedness and the anchors of the maximal tails follow from the
+condensation without a closure or a walk of the lattice.
 Only `enumerate_hereditary_saturated` walks the lattice: it adds one free
 component at a time to the down-sets found so far, takes one closure per
 set, and refuses the graph past LATTICE_CAP sets.
@@ -43,6 +46,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, compress
+from operator import or_
 
 from .errors import (
     EmptySet,
@@ -78,12 +84,15 @@ class Graph:
     """Immutable finite directed multigraph with slot multiplicities.
 
     The infinite emitters are found once, on construction.  The hash, the
-    condensation (the graph's one record of reachability), the reaching
-    sets read off it (`_reaching`, one frozenset per component), the
-    cycles without (K), the maximal tails, the breaking vertices of each
-    hereditary set asked about (`_breaking`, keyed by the set), validated
-    admissible pairs, the views of the quotients by them and the exits of
-    cycles in those quotients are computed once, on first use, and kept for
+    condensation (the graph's one record of reachability), the vertex
+    bitmasks read off it and the edges (`_masks`: each component's
+    ancestors and the sources of the edges into them, each maximal tail's
+    mask), the reaching sets read off those (`_reaching`, one frozenset per
+    component), the cycles without (K), the certified maximal tails, the
+    breaking vertices of each hereditary set asked about (`_breaking`,
+    keyed by the set), validated admissible pairs, the views of the
+    quotients by them and the exits of cycles in those quotients are
+    computed once, on first use, and kept for
     as long as the graph lives; none of these memos holds a graph, and no
     quotient graph is built for them.
 
@@ -97,8 +106,8 @@ class Graph:
 
     __slots__ = ("vertices", "edges", "infinite_emitters", "_vset", "_out",
                  "_in", "_by_id", "_hash", "_reaching", "_condensation",
-                 "_lone_cycles", "_tails", "_breaking", "_pairs", "_quotients",
-                 "_exits", "_ideals", "_combinations")
+                 "_lone_cycles", "_tails", "_masks", "_breaking", "_pairs",
+                 "_quotients", "_exits", "_ideals", "_combinations")
 
     def __init__(self, vertices, edges):
         vertices = list(vertices)
@@ -145,6 +154,7 @@ class Graph:
         object.__setattr__(self, "_condensation", None)
         object.__setattr__(self, "_lone_cycles", None)
         object.__setattr__(self, "_tails", None)
+        object.__setattr__(self, "_masks", None)
         object.__setattr__(self, "_breaking", {})
         object.__setattr__(self, "_pairs", {})
         object.__setattr__(self, "_quotients", {})
@@ -216,16 +226,16 @@ class Graph:
     def reaching_set(self, w: str) -> frozenset:
         """All vertices with a path to w, including w.
 
-        Read off the condensation: the vertices whose reach mask holds w's
-        component.  Kept per component, so one component shares one set.
+        Read off the ancestor mask of w's component (`_vertex_masks`).
+        Kept per component, so one component shares one set.
         """
         self.check_vertex(w)
         _, reach, _ = condensation(self)
-        bit = 1 << (reach[w].bit_length() - 1)  # w's own component
-        known = self._reaching.get(bit)
+        i = reach[w].bit_length() - 1  # w's own component
+        known = self._reaching.get(i)
         if known is None:
-            known = self._reaching[bit] = frozenset(
-                v for v, mask in reach.items() if mask & bit)
+            masks = _vertex_masks(self)
+            known = self._reaching[i] = masks.members(masks.ancestors[i])
         return known
 
 
@@ -315,7 +325,7 @@ def enumerate_hereditary_saturated(graph: Graph) -> list:
                 if len(found) > LATTICE_CAP:
                     raise TooLarge("more hereditary saturated sets than "
                                    f"the lattice cap {LATTICE_CAP}")
-    return sorted(found.values(), key=lambda s: (len(s), sorted(s)))
+    return _by_size(found.values())
 
 
 _NO_VERTICES = frozenset()
@@ -452,9 +462,17 @@ def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
 @dataclass(frozen=True, slots=True)
 class QuotientFacts:
     """The maximal tails of a quotient, in the order of maximal_tails, and
-    its verdicts on condition (L) and downward directedness."""
+    its verdicts on condition (L) and downward directedness.
+
+    masks holds each tail's bitmask and universe the mask of every vertex
+    of the quotient: a vertex outside the primed sinks takes its bit in the
+    base graph's `_vertex_masks`, and the j-th primed sink of the view takes
+    bit |E^0| + j.
+    """
 
     tails: tuple
+    masks: tuple
+    universe: int
     condition_l: bool
     downward_directed: bool
 
@@ -577,29 +595,39 @@ def quotient_facts(graph: Graph, pair: AdmissiblePair) -> QuotientFacts:
 def _read_facts(graph: Graph, view: QuotientView) -> QuotientFacts:
     hset = view.pair.vertices
     breaking = view.pair.breaking.union(view.split_source.values())  # B_H
-    components, _, free = condensation(graph)
+    components, reach, free = condensation(graph)
     maximal_tails(graph)  # certifies the graph's tails, once per graph
-    tails = []
+    bits = graph._masks
+    kept = set()
     for i, members in enumerate(components):
         v = min(members)
         if free >> i & 1 and v not in hset and not (
                 v in breaking and len(members) == 1
                 and all(e.dst != v for e in graph._out[v])):
-            tails.append(graph.reaching_set(v))
-    for name, u in view.split_source.items():
+            kept.add(graph.reaching_set(v))
+    # each tail of the quotient -> its mask, the graph's in their order
+    masks = {t: bits.tails[t] for t in graph._tails if t in kept}
+    n = len(graph.vertices)
+    for j, (name, u) in enumerate(view.split_source.items()):
         sources = {e.src for e in graph._in[u]}
         reaching = frozenset().union(*map(graph.reaching_set, sources))
         assert _is_primed_tail(graph, hset, u, sources, reaching), \
             f"primed tail certification failed: {name}"
-        tails.append(reaching | {name})
-    tails.sort(key=lambda s: (len(s), sorted(s)))
+        masks[reaching | {name}] = reduce(
+            or_, (bits.ancestors[reach[s].bit_length() - 1] for s in sources),
+            1 << n + j)
+    tails = tuple(_by_size(masks) if view.split_source else masks)
+    universe = ((1 << n + len(view.split_source)) - 1
+                & ~reduce(or_, map(bits.bit.__getitem__, hset), 0))
 
     def emits_one(v):  # one edge in total leaves v in the quotient
         return sum(e.mult for e in view.out_edges(v)) == 1
 
     lone = [c for c in cycles_without_k(graph) if c.start not in hset]
     return QuotientFacts(
-        tails=tuple(tails),
+        tails=tails,
+        masks=tuple(map(masks.__getitem__, tails)),
+        universe=universe,
         condition_l=not any(all(map(emits_one, c.vertices)) for c in lone),
         downward_directed=any(len(t) == len(view.vertices) for t in tails))
 
@@ -940,24 +968,43 @@ def downward_directed(graph: Graph, subset=None):
 def maximal_tails(graph: Graph) -> tuple:
     """All maximal tails, each a frozenset, sorted by size then lexicographically.
 
-    A maximal tail is a nonempty vertex set that is closed under predecessors,
-    gives every regular member an edge back into the set, and is downward
-    directed.  In a finite graph each one is the reaching set of a sink, an
-    infinite emitter, or a cycle vertex, that is of a vertex in a free
-    component; all vertices of one component share their reaching set, so
-    each free component gives one tail.  The tails are found and certified
-    once per graph.
+    A maximal tail is a nonempty vertex set that is closed under predecessors
+    (MT1), gives every regular member an edge back into the set (MT2), and
+    is downward directed (MT3).  In a finite graph each one is the reaching
+    set of a sink, an infinite emitter, or a cycle vertex, that is of a
+    vertex in a free component; all vertices of one component share their
+    reaching set, so each free component gives one tail.  The tails are
+    found and certified once per graph: each passes MT1-MT3 on the vertex
+    bitmasks of `_vertex_masks`, its own and that of the vertices with an
+    edge into it, and its mask is kept there for the quotients' tail
+    covers.
     """
     if graph._tails is None:
         components, _, free = condensation(graph)
-        tails = {graph.reaching_set(min(members))
-                 for i, members in enumerate(components) if free >> i & 1}
-        out = tuple(sorted(tails, key=lambda s: (len(s), sorted(s))))
-        for m in out:
-            assert _is_maximal_tail(graph, m), \
-                f"tail certification failed: {sorted(m)}"
-        object.__setattr__(graph, "_tails", out)
+        masks = _vertex_masks(graph)
+        for i, members in enumerate(components):
+            if free >> i & 1:
+                tail = graph.reaching_set(min(members))
+                mask = masks.ancestors[i]
+                assert _is_tail_mask(graph, masks, tail, mask, masks.into[i]), \
+                    f"tail certification failed: {sorted(tail)}"
+                masks.tails[tail] = mask
+        object.__setattr__(graph, "_tails", tuple(_by_size(masks.tails)))
     return graph._tails
+
+
+def _by_size(sets) -> list:
+    """The sets sorted by size, then by their sorted members, the order
+    key=lambda s: (len(s), sorted(s)) gives; members are sorted only to
+    break a tie in size."""
+    out = sorted(sets, key=len)
+    start = 0
+    for end in range(1, len(out) + 1):
+        if end == len(out) or len(out[end]) != len(out[start]):
+            if end - start > 1:
+                out[start:end] = sorted(out[start:end], key=sorted)
+            start = end
+    return out
 
 
 def tail_complements(graph: Graph) -> list:
@@ -971,21 +1018,87 @@ def tail_complements(graph: Graph) -> list:
     then lexicographically, the order of enumerate_hereditary_saturated.
     """
     everything = frozenset(graph.vertices)
-    return sorted((everything - m for m in maximal_tails(graph)),
-                  key=lambda s: (len(s), sorted(s)))
+    return _by_size(everything - m for m in maximal_tails(graph))
 
 
-def _is_maximal_tail(graph: Graph, subset) -> bool:
-    m = frozenset(subset)
-    if not m:
+#: Turns the digits of a bin() string into the bytes 0 and 1.
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _VertexMasks:
+    """A graph's vertices as bits, read off its condensation and its edges.
+
+    order lists the vertices by bit, the components in the order the
+    condensation completes them.  Per component, ancestors holds the mask
+    of the vertices with a path into it, and into the mask of the vertices
+    with an edge into one of those.  regular is the mask of the regular
+    vertices; tails keeps the mask of each maximal tail certified so far.
+    """
+
+    order: tuple
+    bit: dict
+    ancestors: list
+    into: list
+    regular: int
+    tails: dict
+
+    def members(self, mask: int) -> frozenset:
+        """The vertices of a mask, picked by the binary digits of the mask."""
+        return frozenset(compress(
+            self.order, bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)))
+
+
+def _vertex_masks(graph: Graph) -> _VertexMasks:
+    """The graph's vertex bitmasks, built once per graph on first use.
+
+    A component completes after every component it reaches, so taking the
+    components from the last completed back, the ancestors of each one are
+    its own vertices and the ancestors of the components with an edge into
+    it, all found before it.  Along the same pass over the in-edges, the
+    vertices with an edge into those ancestors are the sources of the
+    edges into the component and the same vertices for those components.
+    """
+    if graph._masks is None:
+        components, reach, _ = condensation(graph)
+        order = tuple(chain.from_iterable(components))
+        bit = {v: 1 << i for i, v in enumerate(order)}
+        ancestors = [0] * len(components)
+        into = [0] * len(components)
+        for i in range(len(components) - 1, -1, -1):
+            mask = edged = 0
+            for v in components[i]:
+                mask |= bit[v]
+                for e in graph._in[v]:
+                    edged |= bit[e.src]
+                    j = reach[e.src].bit_length() - 1
+                    if j != i:
+                        mask |= ancestors[j]
+                        edged |= into[j]
+            ancestors[i], into[i] = mask, edged
+        regular = reduce(or_, (bit[v] for v in order if graph._out[v]
+                               and v not in graph.infinite_emitters), 0)
+        object.__setattr__(graph, "_masks", _VertexMasks(
+            order, bit, ancestors, into, regular, {}))
+    return graph._masks
+
+
+def _is_tail_mask(graph: Graph, masks: _VertexMasks, subset, mask: int,
+                  into: int) -> bool:
+    """Whether subset is a maximal tail, given its vertex mask and into,
+    the mask of the vertices with an edge into it.
+
+    MT1: the vertices of into lie inside.  MT2: they hold every regular
+    member, each of which then keeps a successor inside.  MT3, given MT1:
+    the set holds the reaching set of each member, so it is downward
+    directed exactly when it lies in the reaching set of one member; if any
+    member's holds it, so does that of each member of the component the
+    condensation completes first, the one of the lowest bit.
+    """
+    if not mask or into & ~mask or masks.regular & mask & ~into:
         return False
-    for w in m:
-        # closed under predecessors: no edge enters m from outside
-        if any(e.src not in m for e in graph.in_edges(w)):
-            return False
-        if graph.is_regular(w) and not (graph.successors(w) & m):
-            return False
-    return downward_directed(graph, m)[0]
+    lowest = masks.order[(mask & -mask).bit_length() - 1]
+    return graph.reaching_set(lowest).issuperset(subset)
 
 
 @dataclass(frozen=True)

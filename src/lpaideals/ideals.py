@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -62,6 +63,7 @@ from .poly import (
     normalize_laurent,
     poly_gcd,
     poly_lcm,
+    with_factors_of,
 )
 
 
@@ -409,10 +411,12 @@ def is_prime(ideal: Ideal) -> CaseResult:
 
 
 def enumerate_graded_primes(graph: Graph) -> list:
-    """All graded prime ideals, sorted by (H, S).
+    """All graded prime ideals, sorted by (H, S), each checked with is_prime.
 
     A graded prime has H = E^0 \\ M for a maximal tail M: it is (H, B_H), or
-    (H, B_H minus u) for a breaking vertex u whose reaching set is M.
+    (H, B_H minus u) for a breaking vertex u whose reaching set is M.  It
+    serves `lpa primes` and the oracles; a factorization builds only the
+    primes of its answer, from the tails it keeps (_tail_pair).
     """
     out = []
     everything = frozenset(graph.vertices)
@@ -562,26 +566,29 @@ def _combination(factors, mode: str) -> Ideal:
     """
     graph = factors[0].graph
 
-    # merge factors sharing (pair, cycle); distinct exitless cycles force
-    # distinct pairs, so keying by (pair, cycle) never conflates factors
+    # merge the parts of factors sharing (pair, cycle), None for a graded
+    # factor; distinct exitless cycles force distinct pairs, so keying by
+    # (pair, cycle) never conflates factors.  The members' polynomials keep
+    # their factorizations (prime_power_decompose factored them), so the
+    # merged one is given its own and is never factored again.
     merged = {}
     for f in factors:
-        key = (f.pair, f.parts[0].cycle if f.parts else None)
+        part = f.parts[0] if f.parts else None
+        key = (f.pair, part.cycle if part else None)
         if key not in merged:
-            merged[key] = f
-        elif f.parts:
-            a, b = merged[key].parts[0].poly.rep, f.parts[0].poly.rep
-            combined = (a * b).monic() if mode == "product" else poly_lcm(a, b)
-            merged[key] = Ideal(graph, f.pair,
-                                (CyclePart(f.parts[0].cycle,
-                                           LaurentClass(combined)),))
-    survivors = list(merged.values())
+            merged[key] = part
+        elif part is not None:
+            a, b = merged[key].poly.rep, part.poly.rep
+            combined = (with_factors_of((a * b).monic(), a, b, operator.add)
+                        if mode == "product"
+                        else with_factors_of(poly_lcm(a, b), a, b, max))
+            merged[key] = CyclePart(part.cycle, LaurentClass(combined))
 
-    parts = [part for f in survivors for part in f.parts
-             if all(other is f or part.cycle.start in other.pair.vertices
-                    for other in survivors)]
+    parts = [part for key, part in merged.items() if part is not None
+             and all(other == key or part.cycle.start in other[0].vertices
+                     for other in merged)]
     parts.sort(key=lambda p: p.cycle.start)
-    result = Ideal(graph, _meet(graph, [f.pair for f in survivors]), parts)
+    result = Ideal(graph, _meet(graph, [pair for pair, _ in merged]), parts)
     for index, f in enumerate(factors):
         assert contains(f, result), \
             f"combination escaped factor {index}: {f!r}"
@@ -655,37 +662,73 @@ def _ideal_checksum(ideal: Ideal) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _irredundant_tail_cover(tails, universe):
-    """The unique irredundant subcover; None when the tails do not cover."""
-    covered = set()
-    for t in tails:
-        covered |= t
-    if covered != set(universe):
+def _irredundant_tail_cover(tails, masks, universe):
+    """The unique irredundant subcover, taken on the tails' bitmasks; None
+    when the tails do not cover the universe.
+
+    Greedy left to right, as oracles.irredundant_tail_cover takes it on
+    sets: a tail goes when the tails kept before it and all those after it
+    cover it, so one pass with the unions of the suffixes decides.
+    """
+    after = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        after[i] = after[i + 1] | masks[i]
+    if after[0] != universe:
         return None
-    kept = list(tails)
-    i = 0
-    while i < len(kept):
-        rest = set()
-        for j, t in enumerate(kept):
-            if j != i:
-                rest |= t
-        if rest == set(universe):
-            del kept[i]
-        else:
-            i += 1
+    kept, before = [], 0
+    for i, mask in enumerate(masks):
+        if mask & ~(before | after[i + 1]):
+            kept.append(tails[i])
+            before |= mask
     return kept
+
+
+def _tail_pair(graph: Graph, below: AdmissiblePair, view, tail):
+    """Pair of the largest graded prime above the pair below whose image in
+    the quotient view by it is everything outside tail; None when no
+    graded prime has that image.
+
+    A graded prime is (H, B_H), or (H, B_H minus u) for a breaking vertex u
+    whose reaching set is E^0 minus H (enumerate_graded_primes).  Its image
+    misses a real vertex of the tail only if that vertex lies outside H, and
+    misses a primed sink u' only if u lies outside H and outside S; so H
+    lies in E^0 minus M, where M is the tail with each primed sink replaced
+    by its source, and the largest candidates are (E^0 minus M, B) and
+    (E^0 minus M, B minus u) for each such u in B.  The candidates are
+    checked as the enumeration's primes were: their images must match and
+    must form a chain.
+    """
+    hset = frozenset(graph.vertices).difference(
+        view.split_source.get(w, w) for w in tail)
+    full = breaking_vertices(graph, hset)
+    pairs = [AdmissiblePair(hset, full)] + [
+        AdmissiblePair(hset, full - {view.split_source[w]}) for w in tail
+        if view.split_source.get(w) in full]
+    image = frozenset(view.vertices) - tail
+    pool = [p for p in pairs if admissible_leq(below, p) and view.image(p) == image]
+    if not pool:
+        return None
+    best = pool[0]
+    for p in pool[1:]:
+        if admissible_leq(best, p):
+            best = p
+    assert all(admissible_leq(p, best) for p in pool), \
+        "image-matched primes are not a chain"
+    return best
 
 
 def factor_prime_powers(ideal: Ideal):
     """Factor into powers of distinct primes; None when no such factorization.
 
-    The quotient's maximal tails drive the construction: each tail pulls
-    back to the largest graded prime with the matching image, cycle parts
-    attach to the unique tail reaching their cycle, and the polynomial of a
-    part splits into prime powers.  The tails and the images are read off
-    quotient_facts and quotient_view, with no quotient built.  The product
-    of everything returned is verified to recompose the input before the
-    report is returned.
+    The quotient's maximal tails drive the construction: the tails' unique
+    irredundant subcover is taken on their bitmasks, each kept tail pulls
+    back to the largest graded prime with the matching image (_tail_pair),
+    cycle parts attach to the unique tail reaching their cycle, and the
+    polynomial of a part splits into prime powers.  Only the primes of the
+    answer are built, each checked with is_prime; the tails, their masks
+    and the images are read off quotient_facts and quotient_view, with no
+    quotient built.  The product of everything returned is verified to
+    recompose the input, irredundantly, before the report is returned.
     """
     _require_proper(ideal)
     memo = getattr(ideal, "_report", None)
@@ -698,16 +741,10 @@ def factor_prime_powers(ideal: Ideal):
 def _factor_prime_powers(ideal: Ideal):
     graph = ideal.graph
     view = quotient_view(graph, ideal.pair)
-    tails = _irredundant_tail_cover(quotient_facts(graph, ideal.pair).tails,
-                                    view.vertices)
+    facts = quotient_facts(graph, ideal.pair)
+    tails = _irredundant_tail_cover(facts.tails, facts.masks, facts.universe)
     if tails is None:
         return None
-
-    candidates = [p for p in enumerate_graded_primes(graph)
-                  if admissible_leq(ideal.pair, p.pair)]
-    by_image = {}
-    for p in candidates:
-        by_image.setdefault(view.image(p.pair), []).append(p)
 
     part_of = {}
     for part in ideal.parts:
@@ -720,26 +757,21 @@ def _factor_prime_powers(ideal: Ideal):
 
     factors = []
     for i, tail in enumerate(tails):
-        image = frozenset(view.vertices) - tail
-        pool = by_image.get(image)
-        if not pool:
+        pair = _tail_pair(graph, ideal.pair, view, tail)
+        if pair is None:
             return None
-        best = pool[0]
-        for p in pool[1:]:
-            if admissible_leq(best.pair, p.pair):
-                best = p
-        assert all(admissible_leq(p.pair, best.pair) for p in pool), \
-            "image-matched primes are not a chain"
         part = part_of.get(i)
         if part is None:
-            factors.append((best, 1))
+            prime = Ideal(graph, pair)
+            assert is_prime(prime).holds, f"tail produced a non-prime {prime!r}"
+            factors.append((prime, 1))
             continue
-        if best.pair.breaking != breaking_vertices(graph, best.pair.vertices):
+        if pair.breaking != breaking_vertices(graph, pair.vertices):
             return None
-        # best is (H, B_H) with H containing the ideal's H, so the cycle
+        # the pair is (H, B_H) with H containing the ideal's H, so the cycle
         # keeps no exit over it and the prime is already canonical
         for p, mult in factor_poly(part.poly.rep):
-            prime = Ideal(graph, best.pair, (CyclePart(part.cycle, LaurentClass(p)),))
+            prime = Ideal(graph, pair, (CyclePart(part.cycle, LaurentClass(p)),))
             assert is_prime(prime).holds, "cycle tail produced a non-prime"
             factors.append((prime, mult))
 

@@ -31,10 +31,13 @@ from .graphs import (
     breaking_vertices,
     condition_k,
     cycles_without_exits,
+    downward_directed,
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
     maximal_tails,
+    quotient_facts,
     quotient_graph,
+    quotient_view,
     strong_csp,
     tail_complements,
 )
@@ -304,6 +307,25 @@ def maximal_tails_bruteforce(graph: Graph) -> list:
     return out
 
 
+def is_maximal_tail_literal(graph: Graph, subset) -> bool:
+    """The three maximal-tail conditions on one set, edge by edge.
+
+    The reference for the bitmask certificate of graphs.maximal_tails: MT1
+    reads the in-edges of each member, MT2 its successors, and MT3 asks
+    downward_directed.
+    """
+    m = frozenset(subset)
+    if not m:
+        return False
+    for w in m:
+        # closed under predecessors: no edge enters m from outside
+        if any(e.src not in m for e in graph.in_edges(w)):
+            return False
+        if graph.is_regular(w) and not (graph.successors(w) & m):
+            return False
+    return downward_directed(graph, m)[0]
+
+
 def quotient_prime_vertices(quotient: Quotient, prime: Ideal) -> frozenset:
     """Vertices of a built quotient graph lying in the image of a graded ideal.
 
@@ -368,6 +390,69 @@ def products_of_comp_irred_walk(graph: Graph):
                 return False, {"condition": "tail_strong_csp", "pair": pair,
                                "tail": sorted(t), "csp": csp}
     return True, None
+
+
+# -- reference tail cover and tail primes ---------------------------------------------
+
+
+def irredundant_tail_cover(tails, universe):
+    """The greedy irredundant subcover, on sets; None when the tails do not cover.
+
+    The reference for ideals._irredundant_tail_cover, which takes it on
+    bitmasks: left to right, a tail goes when the union of the others kept
+    still covers the universe.
+    """
+    covered = set()
+    for t in tails:
+        covered |= t
+    if covered != set(universe):
+        return None
+    kept = list(tails)
+    i = 0
+    while i < len(kept):
+        rest = set()
+        for j, t in enumerate(kept):
+            if j != i:
+                rest |= t
+        if rest == set(universe):
+            del kept[i]
+        else:
+            i += 1
+    return kept
+
+
+def tail_primes_by_image(ideal: Ideal):
+    """(tail, prime) for each tail of the irredundant cover of the tails of
+    the quotient by the ideal's pair, found by irredundant_tail_cover; None
+    when the tails do not cover.
+
+    The reference for ideals._tail_pair, which builds one or two candidate
+    pairs from the tail: the prime is the largest of all graded primes of
+    enumerate_graded_primes above the ideal whose image in the quotient is
+    everything outside the tail, None when there is none, and the primes
+    with that image must form a chain.
+    """
+    graph = ideal.graph
+    view = quotient_view(graph, ideal.pair)
+    tails = irredundant_tail_cover(quotient_facts(graph, ideal.pair).tails,
+                                   view.vertices)
+    if tails is None:
+        return None
+    by_image = {}
+    for p in enumerate_graded_primes(graph):
+        if admissible_leq(ideal.pair, p.pair):
+            by_image.setdefault(view.image(p.pair), []).append(p)
+    out = []
+    for tail in tails:
+        pool = by_image.get(frozenset(view.vertices) - tail, [])
+        best = pool[0] if pool else None
+        for p in pool[1:]:
+            if admissible_leq(best.pair, p.pair):
+                best = p
+        assert all(admissible_leq(p.pair, best.pair) for p in pool), \
+            "image-matched primes are not a chain"
+        out.append((tail, best))
+    return out
 
 
 # -- reference products and intersections ---------------------------------------------
@@ -648,7 +733,7 @@ def irreducible_z(f: Poly, cap: int = MODULAR_FACTOR_CAP) -> bool:
     from .factoring import _squarefree_part, _zassenhaus, primitive
 
     g = primitive(f.coeffs)
-    return _squarefree_part(g) == g and len(_zassenhaus(g, cap)) == 1
+    return _squarefree_part(g)[0] == g and len(_zassenhaus(g, cap)) == 1
 
 
 # -- seeded generators ------------------------------------------------------------------

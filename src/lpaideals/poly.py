@@ -27,10 +27,11 @@ decision procedure; Ben-Or's test stays in the oracles, as a reference.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatch, ZeroPolynomial
+from .errors import FieldMismatch, TooLarge, ZeroPolynomial
 
 _PRIME_LIMIT = 2**31
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -247,7 +248,12 @@ class FieldSpec:
             return a
         if a.denominator == 1:
             return int(a)
-        return f"{a.numerator}/{a.denominator}"
+        try:
+            return f"{a.numerator}/{a.denominator}"
+        except ValueError as exc:  # a part past the int-to-str digit limit
+            raise TooLarge(f"a coefficient has an integer of more than "
+                           f"{sys.get_int_max_str_digits()} digits, Python's "
+                           f"limit for int-to-str conversion") from exc
 
 
 def _check_same_field(f: "Poly", g: "Poly") -> None:
@@ -512,6 +518,30 @@ def factor(f: Poly) -> list[tuple[Poly, int]]:
     return list(memo)
 
 
+def with_factors_of(h: Poly, f: Poly, g: Poly, join) -> Poly:
+    """h, given the factorization read off those of f and g when factor has
+    kept both and none is kept on h yet.
+
+    h must be the monic product of the monic f and g, with join
+    operator.add, or their lcm, with join max: by unique factorization in
+    K[x], the irreducible factors of h are those of f and g, each with the
+    sum or the larger of its two multiplicities.
+    """
+    known_f, known_g = getattr(f, "_factors", None), getattr(g, "_factors", None)
+    if known_f is not None and known_g is not None \
+            and getattr(h, "_factors", None) is None:
+        mult = dict(known_f)
+        for p, e in known_g:
+            mult[p] = join(mult.get(p, 0), e)
+        object.__setattr__(h, "_factors", tuple(sorted(mult.items(), key=_factor_key)))
+    return h
+
+
+def _factor_key(entry):
+    g, _ = entry
+    return g.degree, g.coeffs
+
+
 def _factor(f: Poly) -> list[tuple[Poly, int]]:
     field = f.field
     if f.degree == 1:
@@ -525,7 +555,7 @@ def _factor(f: Poly) -> list[tuple[Poly, int]]:
         out = [(Poly._of(field, [Fraction(c, g[-1]) for c in g]), e)
                for g, e in factoring.factor_z(factoring.primitive(f.coeffs),
                                               MODULAR_FACTOR_CAP)]
-    return sorted(out, key=lambda ge: (ge[0].degree, ge[0].coeffs))
+    return sorted(out, key=_factor_key)
 
 
 def is_irreducible_laurent(cls: LaurentClass) -> bool:

@@ -228,6 +228,20 @@ class TestExitCodes:
         assert code == 4 and not out
         assert f"{sys.get_int_max_str_digits()} digits" in err
 
+    def test_rational_answer_past_the_digit_limit(self, capsys, tmp_path):
+        # (x + a/3)(x + a/7) for a = 10^2200: the constant term a^2/21 has a
+        # 4,401-digit numerator, refused while the answer is formatted
+        files = []
+        for i, d in enumerate((3, 7)):
+            files += ["--ideal", str(tmp_path / f"{i}.json")]
+            (tmp_path / f"{i}.json").write_text(json.dumps(
+                {"field": "Q",
+                 "parts": [{"cycle": ["v", "e"], "poly": [f"{10**2200}/{d}", 1]}]}))
+        code, out, err = invoke(capsys, "ideal-multiply", "--graph",
+                                graph("one_loop"), *files)
+        assert code == 4 and not out
+        assert f"{sys.get_int_max_str_digits()} digits" in err
+
     def test_field_conflict(self, capsys):
         code = invoke(capsys, "ideal-classify", "--graph", graph("one_loop"),
                       "--field", "Q",

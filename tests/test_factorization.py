@@ -1,7 +1,9 @@
 """Products, intersections, and factorization into prime powers."""
 
 import collections
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
@@ -25,7 +27,14 @@ from lpaideals.gallery import (
     petals,
     sink_fork,
 )
-from lpaideals.graphs import Cycle, Edge, Graph, graph_from_json, graph_to_json
+from lpaideals.graphs import (
+    Cycle,
+    Edge,
+    Graph,
+    graph_from_json,
+    graph_to_json,
+    maximal_tails,
+)
 from lpaideals.ideals import (
     canonicalize,
     contains,
@@ -47,6 +56,7 @@ from lpaideals.ideals import (
 )
 from lpaideals.oracles import GeneratorConfig, random_graph, random_prime_power_family
 from lpaideals.poly import FieldSpec, LaurentClass, Poly, poly
+from lpaideals.rng import SplitMix64
 
 Q = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
@@ -54,6 +64,15 @@ GF2 = FieldSpec.prime_field(2)
 LOOP = Cycle.build(("v",), ("e",))
 ULOOP = Cycle.build(("u",), ("uu",))
 WLOOP = Cycle.build(("w",), ("ww",))
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _layered_dag(rng, n):
+    """The benchmark's seeded layered graph (perfbench/workloads.py), as JSON."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.layered_dag(rng, n)
 
 
 def one_loop_part(field, coeffs):
@@ -285,11 +304,32 @@ class TestWorkCounts:
         graded_ideal(petals(), ("v0",)),
         one_loop_part(GF2, Poly(GF2, (1, 1)) ** 3)], ids=["graded", "power"])
     def test_complete_factorization_reuses_the_report(self, monkeypatch, source):
-        calls = self.counting(monkeypatch, "enumerate_graded_primes")
+        calls = self.counting(monkeypatch, "_factor_prime_powers")
         report = factor_prime_powers(source)
         assert factor_completely_irreducible(source) is report
         assert factor_prime_powers(source) is report
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_factor_work_follows_the_factors(self, monkeypatch, n):
+        # the zero ideal of a layered graph has two factors and dozens of
+        # tails: only the primes of the answer are built and checked
+        graph = graph_from_json(_layered_dag(SplitMix64(7), n))
+        zero = zero_ideal(graph)
+        built, checked = [], self.counting(monkeypatch, "is_prime")
+        construct = ideals_module.Ideal.__init__
+
+        def counted(ideal, *args):
+            built.append(1)
+            return construct(ideal, *args)
+
+        monkeypatch.setattr(ideals_module.Ideal, "__init__", counted)
+        factors = factor_prime_powers(zero).factors
+        tails = maximal_tails(graph)
+        assert len(factors) == 2 and len(tails) >= 19
+        # each prime once, then the product that recomposes the zero ideal
+        assert len(checked) == len(factors)
+        assert len(built) == len(factors) + 1
 
     def test_one_query_computes_each_combination_once(self, monkeypatch):
         families = TestMemos._families(40)
@@ -390,6 +430,28 @@ class TestWorkCounts:
             assert set(built.values()) <= {1}
             reused |= {key for key in asked if key in own and key[1] > 1}
         assert reused and len(asked) > 2 * len(reused)
+
+    def test_a_product_of_factored_members_is_not_factored_again(self, monkeypatch):
+        # the members' decompositions factored their polynomials, so the
+        # product's factorization is read off theirs, as is the lcm's
+        powers = [one_loop_part(GF2, Poly(GF2, c) ** r)
+                  for c, r in (((1, 1), 2), ((1, 1, 1), 1), ((1, 1, 0, 1), 3))]
+        factored = []
+        original = poly_module._factor
+
+        def counted(g):
+            factored.append(g)
+            return original(g)
+
+        monkeypatch.setattr(poly_module, "_factor", counted)
+        product, meet = multiply(powers), intersect(powers)
+        assert product is meet
+        decomposed = len(factored)
+        report = factor_prime_powers(product)
+        assert sorted(r for _, r in report.factors) == [1, 2, 3]
+        # the report re-factors only its primes, in their is_prime checks
+        assert all(g.degree < product.parts[0].poly.degree
+                   for g in factored[decomposed:])
 
     def test_operations_decompose_each_member_once(self, monkeypatch):
         # every member has a cycle part, so each decomposition factors once

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from lpaideals import graphs as graphs_module
 from lpaideals import ideals as ideals_module
 from lpaideals.errors import TooLarge, Unsatisfiable
 from lpaideals.gallery import (
@@ -29,16 +30,22 @@ from lpaideals.graphs import (
     admissible_pair,
     breaking_vertices,
     condition_k,
+    cycles_without_exits,
     downward_directed,
+    graph_from_json,
+    graph_to_json,
     hereditary_saturated_closure,
     maximal_tails,
     principal_closures,
+    quotient_facts,
     quotient_graph,
+    quotient_view,
     strong_csp,
     tail_complements,
 )
 from lpaideals.ideals import (
     Ideal,
+    canonicalize,
     ideal_to_json,
     intersect,
     join_graded,
@@ -58,14 +65,17 @@ from lpaideals.oracles import (
     comp_irred_chain_walk,
     enumerate_admissible_pairs,
     glb_oracle,
+    irredundant_tail_cover,
     irreducible_gf,
     irreducible_z,
+    is_maximal_tail_literal,
     lub_oracle,
     maximal_tails_bruteforce,
     omega_corpus,
     random_graph,
     random_prime_power_family,
     strong_csp_oracle,
+    tail_primes_by_image,
 )
 from lpaideals.poly import (
     FieldSpec,
@@ -319,6 +329,109 @@ class TestCondensation:
             first = next((p1, p2) for p1, p2 in itertools.combinations(pairs, 2)
                          if not _comparable(p1, p2))
             assert got.witness["pairs"] == [_pair_json(p) for p in first], g
+
+
+class TestTailCertificate:
+    """The bitmask certificate of maximal_tails against the literal one."""
+
+    @staticmethod
+    def certified(g, subset):
+        masks = graphs_module._vertex_masks(g)
+        mask = sum(masks.bit[v] for v in subset)
+        into = sum(masks.bit[v] for v in {e.src for e in g.edges if e.dst in subset})
+        return graphs_module._is_tail_mask(g, masks, frozenset(subset), mask, into)
+
+    def test_agrees_on_tails_and_perturbed_sets(self):
+        verdicts = collections.Counter()
+        for g in omega_corpus():
+            tails = maximal_tails(g)
+            # each tail, each tail with one vertex added or removed, and the
+            # reaching set of each vertex, most of them not tails
+            sets = {frozenset()} | set(tails)
+            sets |= {t ^ {v} for t in tails for v in g.vertices}
+            sets |= {g.reaching_set(v) for v in g.vertices}
+            for subset in sets:
+                want = is_maximal_tail_literal(g, subset)
+                assert self.certified(g, subset) == want, (g, sorted(subset))
+                verdicts[want] += 1
+            assert all(self.certified(g, t) for t in tails), g
+        assert verdicts[True] > 4000 and verdicts[False] > 4 * verdicts[True]
+
+    def test_masks_match_the_edges(self):
+        # per component, the ancestor mask holds the reaching set and the
+        # into mask the sources of the edges into it
+        for g in omega_corpus():
+            masks = graphs_module._vertex_masks(g)
+            components, _, _ = graphs_module.condensation(g)
+            for members, mask, into in zip(components, masks.ancestors, masks.into):
+                reaching = g.reaching_set(min(members))
+                assert mask == sum(masks.bit[v] for v in reaching), g
+                assert masks.members(mask) == reaching, g
+                assert into == sum(masks.bit[v] for v in {
+                    e.src for e in g.edges if e.dst in reaching}), g
+
+    def test_a_wrong_ancestor_mask_fails_certification(self):
+        # MT1 and MT2 read the edges, not the masks the tails come from: a
+        # reaching set that misses a predecessor is refused
+        g = graph_from_json(graph_to_json(loop_chain()))
+        masks = graphs_module._vertex_masks(g)
+        assert self.certified(g, {"u", "w"}) and not self.certified(g, {"w"})
+        _, reach, _ = graphs_module.condensation(g)
+        masks.ancestors[reach["w"].bit_length() - 1] = masks.bit["w"]
+        with pytest.raises(AssertionError, match="tail certification failed"):
+            maximal_tails(g)
+
+
+def _scanned_ideals(graph):
+    """Every proper graded ideal of the graph, and each proper ideal
+    with one or two parts from x+1, (x+1)^2 and x^2+x+1 over GF(2) on
+    cycles without exits in the quotient by a proper pair."""
+    polys = [Poly(GF2, c) for c in ((1, 1), (1, 0, 1), (1, 1, 1))]
+    everything = frozenset(graph.vertices)
+    out = {}
+    for pair in enumerate_admissible_pairs(graph):
+        if pair.vertices == everything:
+            continue
+        graded = Ideal(graph, pair)
+        out[graded] = None
+        cycles = cycles_without_exits(quotient_graph(graph, pair).graph)
+        sites = [[(c, p)] for c in cycles for p in polys]
+        sites += [[(c, p), (d, q)] for c, d in itertools.combinations(cycles, 2)
+                  for p in polys for q in polys]
+        for parts in sites:
+            ideal = canonicalize(graph, pair.vertices, pair.breaking, parts)
+            if ideal.pair.vertices != everything:
+                out[ideal] = None
+    return list(out)
+
+
+class TestFactorTails:
+    """The tail cover and the prime of each kept tail, against the set
+    cover and the selection over all graded primes."""
+
+    def test_cover_and_primes_match_the_oracles(self):
+        checked = collections.Counter()
+        for g in omega_corpus()[:1500]:
+            for ideal in _scanned_ideals(g):
+                facts = quotient_facts(g, ideal.pair)
+                view = quotient_view(g, ideal.pair)
+                cover = ideals_module._irredundant_tail_cover(
+                    facts.tails, facts.masks, facts.universe)
+                assert cover == irredundant_tail_cover(facts.tails, view.vertices), \
+                    (g, ideal)
+                want = tail_primes_by_image(ideal)
+                got = [(t, ideals_module._tail_pair(g, ideal.pair, view, t))
+                       for t in cover]
+                assert got == [(t, p and p.pair) for t, p in want], (g, ideal)
+                checked[bool(ideal.parts)] += 1
+        assert checked[False] > 3000 and checked[True] > 3000, checked
+
+    def test_an_uncovered_universe_has_no_cover(self):
+        tails = (frozenset({"a"}), frozenset({"a", "b"}))
+        assert irredundant_tail_cover(tails, {"a", "b", "c"}) is None
+        assert ideals_module._irredundant_tail_cover(tails, (1, 3), 7) is None
+        assert ideals_module._irredundant_tail_cover(tails, (1, 3), 3) \
+            == irredundant_tail_cover(tails, {"a", "b"}) == [tails[1]]
 
 
 class TestGenerators:

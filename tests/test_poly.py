@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import operator
 import os
 import pathlib
 import subprocess
@@ -33,6 +34,7 @@ from lpaideals.poly import (
     poly,
     poly_gcd,
     poly_lcm,
+    with_factors_of,
 )
 from lpaideals.rng import SplitMix64
 
@@ -502,6 +504,27 @@ class TestMemos:
             assert known != poly(field, coeffs + (1,))
 
 
+    @pytest.mark.parametrize("field", [GF2, GF3, Q], ids=["GF(2)", "GF(3)", "Q"])
+    def test_products_and_lcms_read_their_factors_off_the_operands(self, field):
+        # unique factorization in K[x]: the product adds the multiplicities,
+        # the lcm takes the larger; a fresh factorization agrees
+        rng = SplitMix64(20261021)
+        top = field.p or 5
+        for _ in range(40):
+            f, g = (normalize_laurent(poly(field, [1 + rng.below(top - 1)]
+                                           + [rng.below(top) for _ in range(rng.below(4))]
+                                           + [1])).rep for _ in range(2))
+            factor(f)
+            factor(g)
+            for h, join in (((f * g).monic(), operator.add), (poly_lcm(f, g), max)):
+                assert with_factors_of(h, f, g, join) is h
+                assert factor(h) == poly_module._factor(poly(field, h.coeffs))
+        # an operand without a kept factorization gives none
+        unknown, h = poly(field, (1, 1)), poly(field, (1, 1)) * poly(field, (1, 1))
+        with_factors_of(h, unknown, unknown, operator.add)
+        assert getattr(h, "_factors", None) is None
+
+
 class TestFactorizationProperties:
     """Seeded comparisons of factor() with the reference factorizations."""
 
@@ -729,6 +752,31 @@ class TestSquarefreeCertificate:
             assert len(calls) == before, f.pretty()
             checked += 1
         assert checked > 40
+
+    def test_zassenhaus_takes_the_certificate_verdicts(self, monkeypatch):
+        # the good primes of Zassenhaus are chosen without testing again a
+        # prime the certificate tried on the same polynomial: x^2 - 30 is
+        # refused modulo 2, 3 and 5 once, and the choice starts at 7
+        from lpaideals import factoring
+
+        tested = Counter()
+        original = factoring._squarefree_mod
+
+        def counted(f, p):
+            tested[tuple(f), p] += 1
+            return original(f, p)
+
+        monkeypatch.setattr(factoring, "_squarefree_mod", counted)
+        assert factor(poly(Q, (-30, 0, 1))) == [(poly(Q, (-30, 0, 1)), 1)]
+        assert sorted(p for _, p in tested)[:4] == [2, 3, 5, 7]
+        assert set(tested.values()) == {1}
+        rng = SplitMix64(20261020)
+        for _ in range(40):
+            tested.clear()
+            f = poly(Q, [rng.below(9) - 4 or 1] + [rng.below(9) - 4 for _ in range(3)]
+                     + [1 + rng.below(12)])
+            assert factor(f) == kronecker_factor_rational(f), f.pretty()
+            assert set(tested.values()) <= {1}, f.pretty()
 
     def test_squared_swinnerton_dyer_at_the_modular_factor_cap(self, monkeypatch):
         # SD splits into four factors modulo every prime: its square is
