@@ -36,10 +36,13 @@ set, and refuses the graph past LATTICE_CAP sets.
 
 The quotient by an admissible pair is read off the graph and the same
 condensation: its vertex names and edges (`quotient_view`), its cycle
-exits (`quotient_cycle_exits`), and its maximal tails, (L) and downward
-directedness (`quotient_facts`), each kept per pair on the graph.  The ideal
-calculus builds no quotient graph; `quotient_graph` builds one for
-rendering and for the oracles.
+exits (`quotient_cycle_exits`), and its maximal tails, their unique
+irredundant cover, (L) and downward directedness (`quotient_facts`), each
+kept per pair on the graph.  The cover is the set of tails of the minimal
+free components, those reaching no other; every vertex of a finite graph
+reaches one, so the cover always exists, and the factorization of every
+proper ideal is read off it.  The ideal calculus builds no quotient graph;
+`quotient_graph` builds one for rendering and for the oracles.
 """
 
 from __future__ import annotations
@@ -251,12 +254,10 @@ def is_hereditary(graph: Graph, subset) -> bool:
 def is_saturated(graph: Graph, subset) -> bool:
     """Every regular vertex feeding only into the subset already belongs to it."""
     sub = frozenset(subset)
-    for v in graph.vertices:
-        if v in sub or not graph.is_regular(v):
-            continue
-        if all(e.dst in sub for e in graph.out_edges(v)):
-            return False
-    return True
+    out, emitters = graph._out, graph.infinite_emitters
+    return not any(out[v] and v not in sub and v not in emitters
+                   and all(e.dst in sub for e in out[v])
+                   for v in graph.vertices)
 
 
 def hereditary_saturated_closure(graph: Graph, subset) -> frozenset:
@@ -461,18 +462,20 @@ def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
 
 @dataclass(frozen=True, slots=True)
 class QuotientFacts:
-    """The maximal tails of a quotient, in the order of maximal_tails, and
-    its verdicts on condition (L) and downward directedness.
+    """The maximal tails of a quotient, in the order of maximal_tails, its
+    tail cover, and its verdicts on condition (L) and downward directedness.
 
-    masks holds each tail's bitmask and universe the mask of every vertex
-    of the quotient: a vertex outside the primed sinks takes its bit in the
-    base graph's `_vertex_masks`, and the j-th primed sink of the view takes
-    bit |E^0| + j.
+    cover lists, in the order of tails, the tails of the minimal free
+    components, those that reach no other free component.  Every vertex of
+    a finite graph reaches a free component, hence a minimal one; a minimal
+    component's tail holds no other minimal component, and every tail lies
+    in the tail of a minimal component below it.  So the cover is the
+    unique irredundant subcover of the tails, and each exitless cycle, a
+    minimal component, lies in exactly one of its tails.
     """
 
     tails: tuple
-    masks: tuple
-    universe: int
+    cover: tuple
     condition_l: bool
     downward_directed: bool
 
@@ -581,10 +584,12 @@ def quotient_facts(graph: Graph, pair: AdmissiblePair) -> QuotientFacts:
     loopless single breaking vertices, plus one tail per primed sink u':
     u' and the reaching sets of the sources of u's in-edges.  The graph's
     tails are certified by maximal_tails, once per graph; each primed tail
-    is certified here.  (L) fails exactly on a lone cycle outside H every
-    vertex of which emits one edge in the quotient, and the quotient is
-    downward directed exactly when its whole vertex set is one of its
-    tails.
+    is certified here.  A kept component is minimal when it reaches no
+    other kept component and no source of an edge into a split vertex, and
+    every primed sink is minimal; the tails of the minimal ones make the
+    cover.  (L) fails exactly on a lone cycle outside H every vertex of
+    which emits one edge in the quotient, and the quotient is downward
+    directed exactly when its cover is one tail, the whole vertex set.
     """
     view = quotient_view(graph, pair)
     if view.facts is None:
@@ -596,40 +601,43 @@ def _read_facts(graph: Graph, view: QuotientView) -> QuotientFacts:
     hset = view.pair.vertices
     breaking = view.pair.breaking.union(view.split_source.values())  # B_H
     components, reach, free = condensation(graph)
-    maximal_tails(graph)  # certifies the graph's tails, once per graph
-    bits = graph._masks
-    kept = set()
+    anchors = {}  # each kept free component's tail -> its bit, its reach mask
+    kept = 0
     for i, members in enumerate(components):
         v = min(members)
         if free >> i & 1 and v not in hset and not (
                 v in breaking and len(members) == 1
                 and all(e.dst != v for e in graph._out[v])):
-            kept.add(graph.reaching_set(v))
-    # each tail of the quotient -> its mask, the graph's in their order
-    masks = {t: bits.tails[t] for t in graph._tails if t in kept}
-    n = len(graph.vertices)
-    for j, (name, u) in enumerate(view.split_source.items()):
+            anchors[graph.reaching_set(v)] = (1 << i, reach[v])
+            kept |= 1 << i
+    feeding = 0  # the components holding a source of an edge into a split vertex
+    primed = []  # a primed sink reaches no other component, so it is minimal
+    for name, u in view.split_source.items():
         sources = {e.src for e in graph._in[u]}
         reaching = frozenset().union(*map(graph.reaching_set, sources))
         assert _is_primed_tail(graph, hset, u, sources, reaching), \
             f"primed tail certification failed: {name}"
-        masks[reaching | {name}] = reduce(
-            or_, (bits.ancestors[reach[s].bit_length() - 1] for s in sources),
-            1 << n + j)
-    tails = tuple(_by_size(masks) if view.split_source else masks)
-    universe = ((1 << n + len(view.split_source)) - 1
-                & ~reduce(or_, map(bits.bit.__getitem__, hset), 0))
+        primed.append(reaching | {name})
+        for s in sources:
+            feeding |= 1 << reach[s].bit_length() - 1
+    minimal = set(primed)
+    minimal.update(t for t, (bit, r) in anchors.items()
+                   if not r & (kept & ~bit | feeding))
+    # maximal_tails certifies the graph's tails, once per graph
+    tails = [t for t in maximal_tails(graph) if t in anchors] + primed
+    if primed:
+        tails = _by_size(tails)
 
     def emits_one(v):  # one edge in total leaves v in the quotient
         return sum(e.mult for e in view.out_edges(v)) == 1
 
     lone = [c for c in cycles_without_k(graph) if c.start not in hset]
+    cover = tuple(t for t in tails if t in minimal)
     return QuotientFacts(
-        tails=tails,
-        masks=tuple(map(masks.__getitem__, tails)),
-        universe=universe,
+        tails=tuple(tails),
+        cover=cover,
         condition_l=not any(all(map(emits_one, c.vertices)) for c in lone),
-        downward_directed=any(len(t) == len(view.vertices) for t in tails))
+        downward_directed=len(cover) == 1)
 
 
 def _is_primed_tail(graph: Graph, hset, u: str, sources, reaching) -> bool:
@@ -976,20 +984,20 @@ def maximal_tails(graph: Graph) -> tuple:
     reaching set, so each free component gives one tail.  The tails are
     found and certified once per graph: each passes MT1-MT3 on the vertex
     bitmasks of `_vertex_masks`, its own and that of the vertices with an
-    edge into it, and its mask is kept there for the quotients' tail
-    covers.
+    edge into it.
     """
     if graph._tails is None:
         components, _, free = condensation(graph)
         masks = _vertex_masks(graph)
+        tails = []
         for i, members in enumerate(components):
             if free >> i & 1:
                 tail = graph.reaching_set(min(members))
-                mask = masks.ancestors[i]
-                assert _is_tail_mask(graph, masks, tail, mask, masks.into[i]), \
+                assert _is_tail_mask(graph, masks, tail, masks.ancestors[i],
+                                     masks.into[i]), \
                     f"tail certification failed: {sorted(tail)}"
-                masks.tails[tail] = mask
-        object.__setattr__(graph, "_tails", tuple(_by_size(masks.tails)))
+                tails.append(tail)
+        object.__setattr__(graph, "_tails", tuple(_by_size(tails)))
     return graph._tails
 
 
@@ -1033,7 +1041,7 @@ class _VertexMasks:
     condensation completes them.  Per component, ancestors holds the mask
     of the vertices with a path into it, and into the mask of the vertices
     with an edge into one of those.  regular is the mask of the regular
-    vertices; tails keeps the mask of each maximal tail certified so far.
+    vertices.
     """
 
     order: tuple
@@ -1041,7 +1049,6 @@ class _VertexMasks:
     ancestors: list
     into: list
     regular: int
-    tails: dict
 
     def members(self, mask: int) -> frozenset:
         """The vertices of a mask, picked by the binary digits of the mask."""
@@ -1079,7 +1086,7 @@ def _vertex_masks(graph: Graph) -> _VertexMasks:
         regular = reduce(or_, (bit[v] for v in order if graph._out[v]
                                and v not in graph.infinite_emitters), 0)
         object.__setattr__(graph, "_masks", _VertexMasks(
-            order, bit, ancestors, into, regular, {}))
+            order, bit, ancestors, into, regular))
     return graph._masks
 
 

@@ -114,7 +114,8 @@ class Ideal:
 
     An Ideal is immutable, so prime_power_decompose and factor_prime_powers
     keep their answers on it (slots _decomposition and _report, unset until
-    the first call; a None answer is kept too), and a prime keeps its
+    the first call; _decomposition holds a 1-tuple, as its answer may be
+    None), and a prime keeps its
     powers by exponent (slot _powers): those ideal_power has built and those
     prime_power_decompose was given.  The graph keeps the
     ideal, so the answers last as long as the graph, and the self-checks of
@@ -662,31 +663,10 @@ def _ideal_checksum(ideal: Ideal) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _irredundant_tail_cover(tails, masks, universe):
-    """The unique irredundant subcover, taken on the tails' bitmasks; None
-    when the tails do not cover the universe.
-
-    Greedy left to right, as oracles.irredundant_tail_cover takes it on
-    sets: a tail goes when the tails kept before it and all those after it
-    cover it, so one pass with the unions of the suffixes decides.
-    """
-    after = [0] * (len(masks) + 1)
-    for i in range(len(masks) - 1, -1, -1):
-        after[i] = after[i + 1] | masks[i]
-    if after[0] != universe:
-        return None
-    kept, before = [], 0
-    for i, mask in enumerate(masks):
-        if mask & ~(before | after[i + 1]):
-            kept.append(tails[i])
-            before |= mask
-    return kept
-
-
 def _tail_pair(graph: Graph, below: AdmissiblePair, view, tail):
     """Pair of the largest graded prime above the pair below whose image in
-    the quotient view by it is everything outside tail; None when no
-    graded prime has that image.
+    the quotient view by it is everything outside tail, a maximal tail of
+    the quotient.
 
     A graded prime is (H, B_H), or (H, B_H minus u) for a breaking vertex u
     whose reaching set is E^0 minus H (enumerate_graded_primes).  Its image
@@ -695,8 +675,9 @@ def _tail_pair(graph: Graph, below: AdmissiblePair, view, tail):
     lies in E^0 minus M, where M is the tail with each primed sink replaced
     by its source, and the largest candidates are (E^0 minus M, B) and
     (E^0 minus M, B minus u) for each such u in B.  The candidates are
-    checked as the enumeration's primes were: their images must match and
-    must form a chain.
+    checked as the enumeration's primes were: some image must match, and
+    the matching ones must form a chain.  A tail without a primed sink
+    gives the one candidate (E^0 minus M, B).
     """
     hset = frozenset(graph.vertices).difference(
         view.split_source.get(w, w) for w in tail)
@@ -706,8 +687,7 @@ def _tail_pair(graph: Graph, below: AdmissiblePair, view, tail):
         if view.split_source.get(w) in full]
     image = frozenset(view.vertices) - tail
     pool = [p for p in pairs if admissible_leq(below, p) and view.image(p) == image]
-    if not pool:
-        return None
+    assert pool, f"no graded prime has the image of the tail {sorted(tail)}"
     best = pool[0]
     for p in pool[1:]:
         if admissible_leq(best, p):
@@ -717,59 +697,46 @@ def _tail_pair(graph: Graph, below: AdmissiblePair, view, tail):
     return best
 
 
-def factor_prime_powers(ideal: Ideal):
-    """Factor into powers of distinct primes; None when no such factorization.
+def factor_prime_powers(ideal: Ideal) -> FactorizationReport:
+    """Factor a proper ideal into powers of distinct primes.
 
-    The quotient's maximal tails drive the construction: the tails' unique
-    irredundant subcover is taken on their bitmasks, each kept tail pulls
-    back to the largest graded prime with the matching image (_tail_pair),
-    cycle parts attach to the unique tail reaching their cycle, and the
-    polynomial of a part splits into prime powers.  Only the primes of the
-    answer are built, each checked with is_prime; the tails, their masks
-    and the images are read off quotient_facts and quotient_view, with no
-    quotient built.  The product of everything returned is verified to
-    recompose the input, irredundantly, before the report is returned.
+    Every proper ideal of a finite graph factors, and the irredundant
+    factorization is unique.  The quotient's tail cover drives the
+    construction (quotient_facts): each of its tails pulls back to the
+    largest graded prime with the matching image (_tail_pair), which is
+    the tail/prime correspondence of Rangaswamy, J. Algebra 375 (2013).
+    A cycle part's cycle has no exit in the quotient, so it is a minimal
+    free component and lies in exactly one tail of the cover; the
+    polynomial of the part splits that tail's prime into prime powers.
+    Only the primes of the answer are built, each checked with is_prime;
+    the cover and the images are read off quotient_facts and
+    quotient_view, with no quotient built.  The factors' powers are
+    asserted to recompose the input by product, irredundantly, before the
+    report is returned.
     """
     _require_proper(ideal)
-    memo = getattr(ideal, "_report", None)
-    if memo is None:
-        memo = (_factor_prime_powers(ideal),)
-        object.__setattr__(ideal, "_report", memo)
-    return memo[0]
+    report = getattr(ideal, "_report", None)
+    if report is None:
+        report = _factor_prime_powers(ideal)
+        object.__setattr__(ideal, "_report", report)
+    return report
 
 
-def _factor_prime_powers(ideal: Ideal):
+def _factor_prime_powers(ideal: Ideal) -> FactorizationReport:
     graph = ideal.graph
     view = quotient_view(graph, ideal.pair)
-    facts = quotient_facts(graph, ideal.pair)
-    tails = _irredundant_tail_cover(facts.tails, facts.masks, facts.universe)
-    if tails is None:
-        return None
-
-    part_of = {}
-    for part in ideal.parts:
-        homes = [i for i, t in enumerate(tails) if part.cycle.start in t]
-        if len(homes) != 1:
-            return None
-        if homes[0] in part_of:
-            return None
-        part_of[homes[0]] = part
-
     factors = []
-    for i, tail in enumerate(tails):
+    for tail in quotient_facts(graph, ideal.pair).cover:
         pair = _tail_pair(graph, ideal.pair, view, tail)
-        if pair is None:
-            return None
-        part = part_of.get(i)
+        part = next((p for p in ideal.parts if p.cycle.start in tail), None)
         if part is None:
             prime = Ideal(graph, pair)
             assert is_prime(prime).holds, f"tail produced a non-prime {prime!r}"
             factors.append((prime, 1))
             continue
-        if pair.breaking != breaking_vertices(graph, pair.vertices):
-            return None
-        # the pair is (H, B_H) with H containing the ideal's H, so the cycle
-        # keeps no exit over it and the prime is already canonical
+        # the tail of an exitless cycle holds no primed sink, so the pair is
+        # (H, B_H) with H containing the ideal's H: the cycle keeps no exit
+        # over it and the prime is already canonical
         for p, mult in factor_poly(part.poly.rep):
             prime = Ideal(graph, pair, (CyclePart(part.cycle, LaurentClass(p)),))
             assert is_prime(prime).holds, "cycle tail produced a non-prime"
@@ -778,8 +745,8 @@ def _factor_prime_powers(ideal: Ideal):
     # the powers are prime powers by construction, so the checks skip
     # _check_operands
     powers = [ideal_power(p, r) for p, r in factors]
-    if _combine(powers, "product") != ideal:
-        return None
+    assert _combine(powers, "product") == ideal, \
+        "tail factorization does not recompose by product"
     assert len(_irredundant(powers, "product", ideal)) == len(powers), \
         "tail factorization is redundant"
     factors.sort(key=_factor_sort_key)
@@ -797,16 +764,16 @@ def _factor_sort_key(entry):
 
 
 def factor_completely_irreducible(ideal: Ideal):
-    """Factor into completely irreducible ideals; None when impossible.
+    """Factor a proper ideal into completely irreducible ideals; None when
+    a graded factor of its prime-power factorization is not completely
+    irreducible.
 
     Builds on factor_prime_powers, whose report the ideal keeps, so the
-    tails and the product check are not redone; every graded factor must
-    itself be completely irreducible, and the intersection of the factors
-    is verified to recompose the input.
+    tails and the product check are not redone; the power of a non-graded
+    prime is completely irreducible, and the factors' powers are asserted
+    to recompose the input by intersection too.
     """
     report = factor_prime_powers(ideal)
-    if report is None:
-        return None
     for prime, exponent in report.factors:
         if is_graded(prime):
             if not is_completely_irreducible(prime).holds:
@@ -815,8 +782,8 @@ def factor_completely_irreducible(ideal: Ideal):
             assert is_completely_irreducible(
                 ideal_power(prime, exponent)).holds
     powers = [ideal_power(p, r) for p, r in report.factors]
-    if _combine(powers, "intersection") != ideal:
-        return None
+    assert _combine(powers, "intersection") == ideal, \
+        "factorization does not recompose by intersection"
     return report
 
 

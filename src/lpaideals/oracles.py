@@ -398,9 +398,9 @@ def products_of_comp_irred_walk(graph: Graph):
 def irredundant_tail_cover(tails, universe):
     """The greedy irredundant subcover, on sets; None when the tails do not cover.
 
-    The reference for ideals._irredundant_tail_cover, which takes it on
-    bitmasks: left to right, a tail goes when the union of the others kept
-    still covers the universe.
+    The reference for QuotientFacts.cover, which reads it off the minimal
+    free components: left to right, a tail goes when the union of the
+    others kept still covers the universe.
     """
     covered = set()
     for t in tails:

@@ -134,6 +134,15 @@ class TestSubcommands:
         assert data["ideal"]["parts"][0]["poly"] == [1, 0, 1]
         assert data["completely_irreducible"]["holds"] is True
 
+    @pytest.mark.parametrize("name", sorted(
+        p.stem for p in DATA.glob("*.json")
+        if "vertices" in json.loads(p.read_text(encoding="utf-8"))))
+    def test_every_zero_ideal_factors_into_prime_powers(self, capsys, name):
+        data = run_json(capsys, "ideal-factor", "--mode", "prime-powers",
+                        "--graph", graph(name),
+                        "--ideal", str(DATA / "zero_ideal.json"))
+        assert data["factorable"] is True and data["report"]["factors"], name
+
     def test_factor_not_factorable(self, capsys):
         data = run_json(capsys, "ideal-factor", "--mode", "comp-irred",
                         "--graph", graph("one_loop"),

@@ -79,6 +79,7 @@ from lpaideals.oracles import (
     cycle_vertices,
     enumerate_admissible_pairs,
     hereditary_saturated_join_walk,
+    irredundant_tail_cover,
     omega_corpus,
     quotient_prime_vertices,
     random_graph,
@@ -368,6 +369,8 @@ class TestQuotientView:
                 for e in q.graph.edges:
                     assert view.edge(e.id) == e, (g, pair, e)
                 assert facts.tails == maximal_tails(q.graph), (g, pair)
+                assert list(facts.cover) == irredundant_tail_cover(
+                    maximal_tails(q.graph), q.graph.vertices), (g, pair)
                 l_holds, dd = condition_l(q.graph)[0], downward_directed(q.graph)[0]
                 assert (facts.condition_l, facts.downward_directed) == (l_holds, dd)
                 assert zero_completely_irreducible(q.graph).verdict \

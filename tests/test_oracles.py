@@ -46,6 +46,8 @@ from lpaideals.graphs import (
 from lpaideals.ideals import (
     Ideal,
     canonicalize,
+    factor_prime_powers,
+    ideal_power,
     ideal_to_json,
     intersect,
     join_graded,
@@ -407,7 +409,9 @@ def _scanned_ideals(graph):
 
 class TestFactorTails:
     """The tail cover and the prime of each kept tail, against the set
-    cover and the selection over all graded primes."""
+    cover and the selection over all graded primes; and every scanned
+    ideal factors, its factors' powers recomposing it by product and by
+    intersection."""
 
     def test_cover_and_primes_match_the_oracles(self):
         checked = collections.Counter()
@@ -415,23 +419,25 @@ class TestFactorTails:
             for ideal in _scanned_ideals(g):
                 facts = quotient_facts(g, ideal.pair)
                 view = quotient_view(g, ideal.pair)
-                cover = ideals_module._irredundant_tail_cover(
-                    facts.tails, facts.masks, facts.universe)
+                cover = list(facts.cover)
                 assert cover == irredundant_tail_cover(facts.tails, view.vertices), \
                     (g, ideal)
                 want = tail_primes_by_image(ideal)
                 got = [(t, ideals_module._tail_pair(g, ideal.pair, view, t))
                        for t in cover]
                 assert got == [(t, p and p.pair) for t, p in want], (g, ideal)
+                report = factor_prime_powers(ideal)
+                assert report is not None, (g, ideal)
+                powers = [ideal_power(p, r) for p, r in report.factors]
+                assert multiply(powers) == ideal, (g, ideal)
+                assert intersect(powers) == ideal, (g, ideal)
                 checked[bool(ideal.parts)] += 1
         assert checked[False] > 3000 and checked[True] > 3000, checked
 
     def test_an_uncovered_universe_has_no_cover(self):
         tails = (frozenset({"a"}), frozenset({"a", "b"}))
         assert irredundant_tail_cover(tails, {"a", "b", "c"}) is None
-        assert ideals_module._irredundant_tail_cover(tails, (1, 3), 7) is None
-        assert ideals_module._irredundant_tail_cover(tails, (1, 3), 3) \
-            == irredundant_tail_cover(tails, {"a", "b"}) == [tails[1]]
+        assert irredundant_tail_cover(tails, {"a", "b"}) == [tails[1]]
 
 
 class TestGenerators:
