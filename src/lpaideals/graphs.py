@@ -36,13 +36,14 @@ set, and refuses the graph past LATTICE_CAP sets.
 
 The quotient by an admissible pair is read off the graph and the same
 condensation: its vertex names and edges (`quotient_view`), its cycle
-exits (`quotient_cycle_exits`), and its maximal tails, their unique
-irredundant cover, (L) and downward directedness (`quotient_facts`), each
+exits (`quotient_cycle_exits`), and the unique irredundant cover of its
+maximal tails, (L) and downward directedness (`quotient_facts`), each
 kept per pair on the graph.  The cover is the set of tails of the minimal
 free components, those reaching no other; every vertex of a finite graph
 reaches one, so the cover always exists, and the factorization of every
-proper ideal is read off it.  The ideal calculus builds no quotient graph;
-`quotient_graph` builds one for rendering and for the oracles.
+proper ideal is read off it.  Only the cover's tails are built.  The
+ideal calculus builds no quotient graph; `quotient_graph` builds one for
+rendering and for the oracles.
 """
 
 from __future__ import annotations
@@ -89,9 +90,9 @@ class Graph:
     The infinite emitters are found once, on construction.  The hash, the
     condensation (the graph's one record of reachability), the vertex
     bitmasks read off it and the edges (`_masks`: each component's
-    ancestors and the sources of the edges into them, each maximal tail's
-    mask), the reaching sets read off those (`_reaching`, one frozenset per
-    component), the cycles without (K), the certified maximal tails, the
+    ancestors and the sources of the edges into them, and the regular
+    vertices), the reaching sets read off those (`_reaching`, one frozenset
+    per component), the cycles without (K), the certified maximal tails, the
     breaking vertices of each hereditary set asked about (`_breaking`,
     keyed by the set), validated admissible pairs, the views of the
     quotients by them and the exits of cycles in those quotients are
@@ -462,19 +463,19 @@ def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
 
 @dataclass(frozen=True, slots=True)
 class QuotientFacts:
-    """The maximal tails of a quotient, in the order of maximal_tails, its
-    tail cover, and its verdicts on condition (L) and downward directedness.
+    """The tail cover of a quotient, and its verdicts on condition (L) and
+    downward directedness.
 
-    cover lists, in the order of tails, the tails of the minimal free
-    components, those that reach no other free component.  Every vertex of
-    a finite graph reaches a free component, hence a minimal one; a minimal
-    component's tail holds no other minimal component, and every tail lies
-    in the tail of a minimal component below it.  So the cover is the
-    unique irredundant subcover of the tails, and each exitless cycle, a
-    minimal component, lies in exactly one of its tails.
+    cover lists, in the order of maximal_tails, the tails of the minimal
+    free components, those that reach no other free component.  Every
+    vertex of a finite graph reaches a free component, hence a minimal one;
+    a minimal component's tail holds no other minimal component, and every
+    tail lies in the tail of a minimal component below it.  So the cover is
+    the unique irredundant subcover of the maximal tails, and each exitless
+    cycle, a minimal component, lies in exactly one of its tails.  The
+    other maximal tails are not built.
     """
 
-    tails: tuple
     cover: tuple
     condition_l: bool
     downward_directed: bool
@@ -570,7 +571,7 @@ def quotient_view(graph: Graph, pair: AdmissiblePair) -> QuotientView:
 
 
 def quotient_facts(graph: Graph, pair: AdmissiblePair) -> QuotientFacts:
-    """Maximal tails, (L) and downward directedness of the quotient by a
+    """The tail cover, (L) and downward directedness of the quotient by a
     pair, read off the graph's condensation, once per pair.
 
     Paths between vertices outside the hereditary set H never enter H, so
@@ -582,14 +583,16 @@ def quotient_facts(graph: Graph, pair: AdmissiblePair) -> QuotientFacts:
     the edges into u.  So the maximal tails are the graph's tails
     reaching_set(min C) for the free components C outside H, less those of
     loopless single breaking vertices, plus one tail per primed sink u':
-    u' and the reaching sets of the sources of u's in-edges.  The graph's
-    tails are certified by maximal_tails, once per graph; each primed tail
-    is certified here.  A kept component is minimal when it reaches no
-    other kept component and no source of an edge into a split vertex, and
-    every primed sink is minimal; the tails of the minimal ones make the
-    cover.  (L) fails exactly on a lone cycle outside H every vertex of
-    which emits one edge in the quotient, and the quotient is downward
-    directed exactly when its cover is one tail, the whole vertex set.
+    u' and the reaching sets of the sources of u's in-edges.  A kept
+    component is minimal when it reaches no other kept component and no
+    source of an edge into a split vertex, and every primed sink is
+    minimal; the tails of the minimal ones make the cover.  Minimality is
+    decided on component bits, and only the cover's tails are built, each
+    certified on vertex bitmasks as a maximal tail of the quotient, whose
+    regular vertices are the graph's outside H and B_H.  (L) fails exactly
+    on a lone cycle outside H every vertex of which emits one edge in the
+    quotient, and the quotient is downward directed exactly when its cover
+    is one tail, the whole vertex set.
     """
     view = quotient_view(graph, pair)
     if view.facts is None:
@@ -601,64 +604,41 @@ def _read_facts(graph: Graph, view: QuotientView) -> QuotientFacts:
     hset = view.pair.vertices
     breaking = view.pair.breaking.union(view.split_source.values())  # B_H
     components, reach, free = condensation(graph)
-    anchors = {}  # each kept free component's tail -> its bit, its reach mask
-    kept = 0
+    masks = _vertex_masks(graph)
+    # the quotient's regular vertices: B_H keeps finitely many edges
+    regular = masks.regular | sum(masks.bit[v] for v in breaking)
+    feeding = 0  # the components holding a source of an edge into a split vertex
+    cover = []  # a primed sink reaches no other component, so it is minimal
+    for name, u in view.split_source.items():
+        mask = into = sources = 0
+        for s in {e.src for e in graph._in[u]}:
+            j = reach[s].bit_length() - 1  # s's own component
+            feeding |= 1 << j
+            mask |= masks.ancestors[j]
+            into |= masks.into[j] | masks.bit[s]  # s has an edge into u'
+            sources |= masks.bit[s]
+        assert _is_tail_mask(graph, masks, regular, mask, into, sources), \
+            f"primed tail certification failed: {name}"
+        cover.append(masks.members(mask) | {name})
+    kept, anchors = 0, []  # the kept free components, by index and vertex
     for i, members in enumerate(components):
         v = min(members)
         if free >> i & 1 and v not in hset and not (
                 v in breaking and len(members) == 1
                 and all(e.dst != v for e in graph._out[v])):
-            anchors[graph.reaching_set(v)] = (1 << i, reach[v])
             kept |= 1 << i
-    feeding = 0  # the components holding a source of an edge into a split vertex
-    primed = []  # a primed sink reaches no other component, so it is minimal
-    for name, u in view.split_source.items():
-        sources = {e.src for e in graph._in[u]}
-        reaching = frozenset().union(*map(graph.reaching_set, sources))
-        assert _is_primed_tail(graph, hset, u, sources, reaching), \
-            f"primed tail certification failed: {name}"
-        primed.append(reaching | {name})
-        for s in sources:
-            feeding |= 1 << reach[s].bit_length() - 1
-    minimal = set(primed)
-    minimal.update(t for t, (bit, r) in anchors.items()
-                   if not r & (kept & ~bit | feeding))
-    # maximal_tails certifies the graph's tails, once per graph
-    tails = [t for t in maximal_tails(graph) if t in anchors] + primed
-    if primed:
-        tails = _by_size(tails)
+            anchors.append((i, v))
+    cover += (_certified_tail(graph, regular, i, v) for i, v in anchors
+              if not reach[v] & (kept & ~(1 << i) | feeding))
 
     def emits_one(v):  # one edge in total leaves v in the quotient
         return sum(e.mult for e in view.out_edges(v)) == 1
 
     lone = [c for c in cycles_without_k(graph) if c.start not in hset]
-    cover = tuple(t for t in tails if t in minimal)
     return QuotientFacts(
-        tails=tuple(tails),
-        cover=cover,
+        cover=tuple(_by_size(cover)),
         condition_l=not any(all(map(emits_one, c.vertices)) for c in lone),
         downward_directed=len(cover) == 1)
-
-
-def _is_primed_tail(graph: Graph, hset, u: str, sources, reaching) -> bool:
-    """Whether u' and reaching, the sources of u's in-edges and all that
-    reach them, make a maximal tail of the quotient by hset: no edge enters
-    them from outside, each regular member keeps an edge inside (one into u
-    lands on u' as well), and every member reaches u'."""
-    _, reach, _ = condensation(graph)
-    below = 0
-    for s in sources:
-        below |= 1 << (reach[s].bit_length() - 1)  # s's own component
-    for w in reaching:
-        if any(e.src not in reaching for e in graph._in[w]):
-            return False
-        kept = [e for e in graph._out[w] if e.dst not in hset]
-        if kept and not any(e.is_omega() for e in kept) and not any(
-                e.dst in reaching or e.dst == u for e in kept):
-            return False
-        if not reach[w] & below:
-            return False
-    return True
 
 
 # -- cycles and exit structure --------------------------------------------------
@@ -988,15 +968,9 @@ def maximal_tails(graph: Graph) -> tuple:
     """
     if graph._tails is None:
         components, _, free = condensation(graph)
-        masks = _vertex_masks(graph)
-        tails = []
-        for i, members in enumerate(components):
-            if free >> i & 1:
-                tail = graph.reaching_set(min(members))
-                assert _is_tail_mask(graph, masks, tail, masks.ancestors[i],
-                                     masks.into[i]), \
-                    f"tail certification failed: {sorted(tail)}"
-                tails.append(tail)
+        regular = _vertex_masks(graph).regular
+        tails = [_certified_tail(graph, regular, i, min(members))
+                 for i, members in enumerate(components) if free >> i & 1]
         object.__setattr__(graph, "_tails", tuple(_by_size(tails)))
     return graph._tails
 
@@ -1090,22 +1064,46 @@ def _vertex_masks(graph: Graph) -> _VertexMasks:
     return graph._masks
 
 
-def _is_tail_mask(graph: Graph, masks: _VertexMasks, subset, mask: int,
-                  into: int) -> bool:
-    """Whether subset is a maximal tail, given its vertex mask and into,
-    the mask of the vertices with an edge into it.
+def _certified_tail(graph: Graph, regular: int, i: int, v: str) -> frozenset:
+    """The reaching set of v, a vertex of component i, certified as a
+    maximal tail on the masks of the component; regular is the mask of the
+    regular vertices of the graph, or of the quotient the tail is one of."""
+    masks = _vertex_masks(graph)
+    tail = graph.reaching_set(v)
+    assert _is_tail_mask(graph, masks, regular, masks.ancestors[i],
+                         masks.into[i]), \
+        f"tail certification failed: {sorted(tail)}"
+    return tail
+
+
+def _is_tail_mask(graph: Graph, masks: _VertexMasks, regular: int, mask: int,
+                  into: int, sources: int = None) -> bool:
+    """Whether a vertex set is a maximal tail of the graph or of a quotient,
+    given its vertex mask, into, the mask of the vertices with an edge into
+    it, and regular, the mask of the regular vertices there.  A primed tail
+    also holds a primed sink u', which has no bit, and sources is the mask
+    of the sources of the edges into u', which into holds too.
 
     MT1: the vertices of into lie inside.  MT2: they hold every regular
     member, each of which then keeps a successor inside.  MT3, given MT1:
     the set holds the reaching set of each member, so it is downward
-    directed exactly when it lies in the reaching set of one member; if any
-    member's holds it, so does that of each member of the component the
-    condensation completes first, the one of the lowest bit.
+    directed exactly when every member reaches one member: in a primed tail
+    u', which reaches no other vertex, and otherwise, if any member will
+    do, the one of the lowest bit, whose component completes first.
     """
-    if not mask or into & ~mask or masks.regular & mask & ~into:
+    if sources is None:
+        if not mask:
+            return False
+        sources = mask & -mask  # the lowest member
+    if into & ~mask or regular & mask & ~into:
         return False
-    lowest = masks.order[(mask & -mask).bit_length() - 1]
-    return graph.reaching_set(lowest).issuperset(subset)
+    _, reach, _ = condensation(graph)
+    reached = 0
+    while sources:
+        w = masks.order[sources.bit_length() - 1]
+        reached |= masks.ancestors[reach[w].bit_length() - 1]
+        sources &= ~masks.bit[w]
+    return not mask & ~reached
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .graphs import (
     enumerate_hereditary_saturated,
     hereditary_saturated_closure,
     maximal_tails,
-    quotient_facts,
     quotient_graph,
     quotient_view,
     strong_csp,
@@ -310,8 +309,9 @@ def maximal_tails_bruteforce(graph: Graph) -> list:
 def is_maximal_tail_literal(graph: Graph, subset) -> bool:
     """The three maximal-tail conditions on one set, edge by edge.
 
-    The reference for the bitmask certificate of graphs.maximal_tails: MT1
-    reads the in-edges of each member, MT2 its successors, and MT3 asks
+    The reference for the bitmask certificate of graphs.maximal_tails and
+    graphs.quotient_facts, run on quotient_graph for a tail of a quotient:
+    MT1 reads the in-edges of each member, MT2 its successors, and MT3 asks
     downward_directed.
     """
     m = frozenset(subset)
@@ -422,9 +422,9 @@ def irredundant_tail_cover(tails, universe):
 
 
 def tail_primes_by_image(ideal: Ideal):
-    """(tail, prime) for each tail of the irredundant cover of the tails of
-    the quotient by the ideal's pair, found by irredundant_tail_cover; None
-    when the tails do not cover.
+    """(tail, prime) for each tail of the irredundant cover of the maximal
+    tails of the quotient graph by the ideal's pair, found by
+    irredundant_tail_cover; None when the tails do not cover.
 
     The reference for ideals._tail_pair, which builds one or two candidate
     pairs from the tail: the prime is the largest of all graded primes of
@@ -434,8 +434,8 @@ def tail_primes_by_image(ideal: Ideal):
     """
     graph = ideal.graph
     view = quotient_view(graph, ideal.pair)
-    tails = irredundant_tail_cover(quotient_facts(graph, ideal.pair).tails,
-                                   view.vertices)
+    tails = irredundant_tail_cover(
+        maximal_tails(quotient_graph(graph, ideal.pair).graph), view.vertices)
     if tails is None:
         return None
     by_image = {}

@@ -313,7 +313,8 @@ class TestWorkCounts:
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_factor_work_follows_the_factors(self, monkeypatch, n):
         # the zero ideal of a layered graph has two factors and dozens of
-        # tails: only the primes of the answer are built and checked
+        # tails: only the primes of the answer are built and checked, and
+        # only the reaching sets of the cover's two tails
         graph = graph_from_json(_layered_dag(SplitMix64(7), n))
         zero = zero_ideal(graph)
         built, checked = [], self.counting(monkeypatch, "is_prime")
@@ -325,6 +326,7 @@ class TestWorkCounts:
 
         monkeypatch.setattr(ideals_module.Ideal, "__init__", counted)
         factors = factor_prime_powers(zero).factors
+        assert graph._tails is None and len(graph._reaching) == 2
         tails = maximal_tails(graph)
         assert len(factors) == 2 and len(tails) >= 19
         # each prime once, then the product that recomposes the zero ideal

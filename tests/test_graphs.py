@@ -80,6 +80,7 @@ from lpaideals.oracles import (
     enumerate_admissible_pairs,
     hereditary_saturated_join_walk,
     irredundant_tail_cover,
+    is_maximal_tail_literal,
     omega_corpus,
     quotient_prime_vertices,
     random_graph,
@@ -368,7 +369,8 @@ class TestQuotientView:
                         assert view.out_edges(v) == list(q.graph.out_edges(v))
                 for e in q.graph.edges:
                     assert view.edge(e.id) == e, (g, pair, e)
-                assert facts.tails == maximal_tails(q.graph), (g, pair)
+                assert all(is_maximal_tail_literal(q.graph, t)
+                           for t in facts.cover), (g, pair)
                 assert list(facts.cover) == irredundant_tail_cover(
                     maximal_tails(q.graph), q.graph.vertices), (g, pair)
                 l_holds, dd = condition_l(q.graph)[0], downward_directed(q.graph)[0]

@@ -333,15 +333,53 @@ class TestCondensation:
             assert got.witness["pairs"] == [_pair_json(p) for p in first], g
 
 
+def _split_graph():
+    # over H = {h}, u splits: the quotient's tails are {p, s, u'} and
+    # {p, s, u, w}, and p is regular with its only edge into the first
+    return graph_from_json({"vertices": ["h", "p", "s", "u", "w"], "edges": [
+        {"id": "ps", "src": "p", "dst": "s"},
+        {"id": "su", "src": "s", "dst": "u"},
+        {"id": "uh", "src": "u", "dst": "h", "mult": "inf"},
+        {"id": "uw", "src": "u", "dst": "w"}]})
+
+
 class TestTailCertificate:
-    """The bitmask certificate of maximal_tails against the literal one."""
+    """The bitmask certificate of maximal_tails and quotient_facts against
+    the literal one, on tails of the graph and primed tails of quotients."""
 
     @staticmethod
-    def certified(g, subset):
+    def bits(masks, vertices):
+        return sum(masks.bit[v] for v in vertices)
+
+    @classmethod
+    def certified(cls, g, subset):
         masks = graphs_module._vertex_masks(g)
-        mask = sum(masks.bit[v] for v in subset)
-        into = sum(masks.bit[v] for v in {e.src for e in g.edges if e.dst in subset})
-        return graphs_module._is_tail_mask(g, masks, frozenset(subset), mask, into)
+        into = {e.src for e in g.edges if e.dst in subset}
+        return graphs_module._is_tail_mask(g, masks, masks.regular,
+                                           cls.bits(masks, subset),
+                                           cls.bits(masks, into))
+
+    @classmethod
+    def certified_in_quotient(cls, g, pair, subset):
+        """The certificate on a vertex set of the quotient by pair that holds
+        real vertices and at most one primed sink, whose in-edges come from
+        the sources of the edges into the vertex it splits off."""
+        masks = graphs_module._vertex_masks(g)
+        split = quotient_view(g, pair).split_source
+        real = subset - split.keys()
+        into = {e.src for e in g.edges if e.dst in real}
+        sources = None
+        if real != subset:
+            (name,) = subset - real
+            sources = {e.src for e in g.edges if e.dst == split[name]}
+            into |= sources
+            sources = cls.bits(masks, sources)
+        # B_H keeps finitely many edges, so it is regular in the quotient
+        regular = masks.regular | cls.bits(
+            masks, breaking_vertices(g, pair.vertices))
+        return graphs_module._is_tail_mask(
+            g, masks, regular, cls.bits(masks, real), cls.bits(masks, into),
+            sources)
 
     def test_agrees_on_tails_and_perturbed_sets(self):
         verdicts = collections.Counter()
@@ -383,6 +421,54 @@ class TestTailCertificate:
         with pytest.raises(AssertionError, match="tail certification failed"):
             maximal_tails(g)
 
+    def test_agrees_on_primed_tails_and_perturbed_sets(self):
+        verdicts = collections.Counter()
+        for g in omega_corpus():
+            everything = frozenset(g.vertices)
+            for pair in enumerate_admissible_pairs(g):
+                if pair.vertices == everything or not breaking_vertices(
+                        g, pair.vertices):
+                    continue
+                split = quotient_view(g, pair).split_source.keys()
+                q = quotient_graph(g, pair).graph
+                real = everything - pair.vertices
+                # the reaching set of each real vertex, which is not a tail
+                # of the quotient when the vertex is a loopless member of B_H
+                sets = {g.reaching_set(v) for v in real}
+                for tail in quotient_facts(g, pair).cover:
+                    if tail & split:
+                        # each primed cover tail, and that tail with one
+                        # real vertex added or removed
+                        assert is_maximal_tail_literal(q, tail), (g, pair, tail)
+                        sets |= {tail} | {tail ^ {v} for v in real}
+                for subset in sets:
+                    want = is_maximal_tail_literal(q, subset)
+                    assert self.certified_in_quotient(g, pair, subset) == want, \
+                        (g, pair, sorted(subset))
+                    verdicts[bool(subset & split), want] += 1
+        # about a tenth of the primed tails are a lone primed sink, with no
+        # real vertex and no source
+        assert verdicts[True, True] > 1000 and verdicts[True, False] > 3000, \
+            verdicts
+        assert verdicts[False, True] > 2500 and verdicts[False, False] > 400, \
+            verdicts
+
+    @pytest.mark.parametrize("table", ["into", "ancestors"])
+    def test_a_wrong_primed_mask_fails_certification(self, table):
+        # the primed tail {p, s, u'} is read off the masks of s's component,
+        # whose ancestors and into masks are {p, s} and {p}: with either
+        # mask set to s alone, it is refused
+        g = _split_graph()
+        pair = admissible_pair(g, {"h"})
+        assert self.certified_in_quotient(g, pair, frozenset({"p", "s", "u'"}))
+        assert not self.certified_in_quotient(g, pair, frozenset({"s", "u'"}))
+        masks = graphs_module._vertex_masks(g)
+        _, reach, _ = graphs_module.condensation(g)
+        getattr(masks, table)[reach["s"].bit_length() - 1] = masks.bit["s"]
+        with pytest.raises(AssertionError,
+                           match="primed tail certification failed: u'"):
+            quotient_facts(g, pair)
+
 
 def _scanned_ideals(graph):
     """Every proper graded ideal of the graph, and each proper ideal
@@ -420,8 +506,9 @@ class TestFactorTails:
                 facts = quotient_facts(g, ideal.pair)
                 view = quotient_view(g, ideal.pair)
                 cover = list(facts.cover)
-                assert cover == irredundant_tail_cover(facts.tails, view.vertices), \
-                    (g, ideal)
+                assert cover == irredundant_tail_cover(
+                    maximal_tails(quotient_graph(g, ideal.pair).graph),
+                    view.vertices), (g, ideal)
                 want = tail_primes_by_image(ideal)
                 got = [(t, ideals_module._tail_pair(g, ideal.pair, view, t))
                        for t in cover]
