@@ -2,8 +2,8 @@
 
 Output is a single JSON document on standard output (or one DOT graph for the
 rendering paths), byte-stable for fixed inputs.  Diagnostics go to standard
-error.  Exit codes: 0 success, 2 invalid input, 3 unsupported operands, 4
-resource cap exceeded, 1 internal error (always a bug).
+error.  Exit codes: 0 success, 2 invalid input, 4 resource cap exceeded, 1
+internal error (always a bug).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import traceback
 
 from .classify import classify_algebra
-from .errors import DegreeTooLarge, LpaError, TooLarge, UnsupportedOperands
+from .errors import DegreeTooLarge, LpaError, TooLarge
 from .graphs import (
     breaking_vertices,
     condition_k,
@@ -261,9 +261,6 @@ def run(argv) -> int:
     try:
         graph = graph_from_json(_load_json(args.graph))
         text = _serialize(_HANDLERS[args.command](args, graph), args.pretty)
-    except UnsupportedOperands as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (TooLarge, DegreeTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -59,14 +59,6 @@ class ImproperIdeal(LpaError):
     """Classification applies to proper ideals only; the whole algebra was given."""
 
 
-class UnsupportedOperands(LpaError):
-    """Product/intersection operands fall outside the supported class.
-
-    Supported factors are graded ideals and powers of (graded or non-graded)
-    prime ideals.  The message names the offending factor.
-    """
-
-
 class Unsatisfiable(LpaError):
     """The random generator cannot satisfy the requested structure."""
 

@@ -791,7 +791,7 @@ def _tarjan(graph: Graph) -> list:
     counter = [0]
 
     def strongconnect(v):
-        work = [(v, iter(graph.out_edges(v)))]
+        work = [(v, iter(graph._out[v]))]
         index[v] = low[v] = counter[0]
         counter[0] += 1
         stack.append(v)
@@ -806,7 +806,7 @@ def _tarjan(graph: Graph) -> list:
                     counter[0] += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(graph.out_edges(w))))
+                    work.append((w, iter(graph._out[w])))
                     advanced = True
                     break
                 if w in on_stack:
@@ -838,7 +838,8 @@ def _is_free(graph: Graph, members) -> bool:
     if len(members) > 1:
         return True
     (v,) = members
-    return not graph.is_regular(v) or any(e.dst == v for e in graph._out[v])
+    return (not graph._out[v] or v in graph.infinite_emitters
+            or any(e.dst == v for e in graph._out[v]))
 
 
 def condensation(graph: Graph) -> tuple:
@@ -905,7 +906,7 @@ def cycles_without_k(graph: Graph) -> tuple:
         for start, members in sorted((min(m), m) for m in components):
             step = {}
             for v in members:
-                inside = [e for e in graph.out_edges(v) if e.dst in members]
+                inside = [e for e in graph._out[v] if e.dst in members]
                 if len(inside) != 1 or inside[0].mult != 1:
                     break
                 step[v] = inside[0]
@@ -941,10 +942,11 @@ def downward_directed(graph: Graph, subset=None):
     vs = sorted(subset) if subset is not None else graph.vertices
     if not vs:
         raise EmptySet("downward directedness of the empty vertex set")
+    if subset is not None and not graph._vset.issuperset(vs):
+        graph.check_vertex(min(set(vs) - graph._vset))
     _, reach, _ = condensation(graph)
     common, meets = -1, 0
     for v in vs:
-        graph.check_vertex(v)
         common &= reach[v]
         meets |= 1 << (reach[v].bit_length() - 1)  # v's own component
     if common & meets:
@@ -1012,22 +1014,27 @@ class _VertexMasks:
     """A graph's vertices as bits, read off its condensation and its edges.
 
     order lists the vertices by bit, the components in the order the
-    condensation completes them.  Per component, ancestors holds the mask
-    of the vertices with a path into it, and into the mask of the vertices
-    with an edge into one of those.  regular is the mask of the regular
-    vertices.
+    condensation completes them, and reach the condensation's reach mask
+    of each vertex, by bit.  Per component, ancestors holds the mask of the
+    vertices with a path into it, and into the mask of the vertices with an
+    edge into one of those.  regular is the mask of the regular vertices.
     """
 
     order: tuple
+    reach: tuple
     bit: dict
     ancestors: list
     into: list
     regular: int
 
     def members(self, mask: int) -> frozenset:
-        """The vertices of a mask, picked by the binary digits of the mask."""
-        return frozenset(compress(
-            self.order, bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS)))
+        return frozenset(_picked(self.order, mask))
+
+
+def _picked(items, mask: int):
+    """The entries of a per-bit sequence at the bits of a mask, picked by
+    the binary digits of the mask."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_BINARY_DIGITS))
 
 
 def _vertex_masks(graph: Graph) -> _VertexMasks:
@@ -1060,7 +1067,8 @@ def _vertex_masks(graph: Graph) -> _VertexMasks:
         regular = reduce(or_, (bit[v] for v in order if graph._out[v]
                                and v not in graph.infinite_emitters), 0)
         object.__setattr__(graph, "_masks", _VertexMasks(
-            order, bit, ancestors, into, regular))
+            order, tuple(reach[v] for v in order), bit, ancestors, into,
+            regular))
     return graph._masks
 
 
@@ -1088,8 +1096,10 @@ def _is_tail_mask(graph: Graph, masks: _VertexMasks, regular: int, mask: int,
     member, each of which then keeps a successor inside.  MT3, given MT1:
     the set holds the reaching set of each member, so it is downward
     directed exactly when every member reaches one member: in a primed tail
-    u', which reaches no other vertex, and otherwise, if any member will
-    do, the one of the lowest bit, whose component completes first.
+    u', reached through the component of a source, and otherwise, if any
+    member will do, the one of the lowest bit, whose component completes
+    first.  MT3 reads each member's forward reach off the condensation, not
+    the ancestor masks the set may have been built from.
     """
     if sources is None:
         if not mask:
@@ -1097,13 +1107,10 @@ def _is_tail_mask(graph: Graph, masks: _VertexMasks, regular: int, mask: int,
         sources = mask & -mask  # the lowest member
     if into & ~mask or regular & mask & ~into:
         return False
-    _, reach, _ = condensation(graph)
-    reached = 0
-    while sources:
-        w = masks.order[sources.bit_length() - 1]
-        reached |= masks.ancestors[reach[w].bit_length() - 1]
-        sources &= ~masks.bit[w]
-    return not mask & ~reached
+    anchors = 0  # the components every member must reach one of
+    for reach in _picked(masks.reach, sources):
+        anchors |= 1 << (reach.bit_length() - 1)  # a source's own component
+    return all(map(anchors.__and__, _picked(masks.reach, mask)))
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,18 @@ intersections, primality, prime powers, complete irreducibility, and
 factorization) runs on the symbolic form without ever materializing algebra
 elements.
 
-Products and intersections take factor lists in which every factor is
-graded or a prime power; _check_operands is the only gate, and anything
-else fails loudly with UnsupportedOperands rather than guessing.  The answer
-is read off the canonical forms: its graded part is the meet of the pairs,
-a cycle part survives where every other factor holds the cycle's start in
-its H, and factors on one (pair, cycle) multiply their polynomials for a
-product or take their lcm for an intersection.  A factor containing another
-changes none of this, so no factor is dropped first.  The form so read is
-already canonical and is built directly, as are the primes of a
-factorization: canonicalize serves user input and join_graded only.
+The factorization of a proper ideal into powers of distinct primes
+(factor_prime_powers) is unique and kept on the ideal: it is the one
+structural decomposition, and prime powers are the ideals it leaves whole.
+Products and intersections take any ideals: an operand with cycle parts
+gives way to its factors' powers, and the answer is read off the canonical
+forms of the graded ideals and prime powers so gathered: its graded part is
+the meet of the pairs, a cycle part survives where every other factor holds
+the cycle's start in its H, and factors on one (pair, cycle) multiply their
+polynomials for a product or take their lcm for an intersection.  A factor
+containing another changes none of this, so no factor is dropped first.
+The form so read is already canonical and is built directly, as are the
+primes of a factorization: canonicalize serves user input and join_graded.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .errors import (
     ImproperIdeal,
     NotAdmissible,
     NotGraded,
-    UnsupportedOperands,
 )
 from .graphs import (
     AdmissiblePair,
@@ -112,19 +113,16 @@ class Ideal:
     graph are therefore equal exactly when they are the same object;
     across graphs, equality reads the graph, the pair and the parts.
 
-    An Ideal is immutable, so prime_power_decompose and factor_prime_powers
-    keep their answers on it (slots _decomposition and _report, unset until
-    the first call; _decomposition holds a 1-tuple, as its answer may be
-    None), and a prime keeps its
-    powers by exponent (slot _powers): those ideal_power has built and those
-    prime_power_decompose was given.  The graph keeps the
-    ideal, so the answers last as long as the graph, and the self-checks of
-    each run once per distinct ideal of a graph.  The hash is computed once,
-    on construction.
+    An Ideal is immutable, so factor_prime_powers keeps its report on it
+    (slot _report, unset until the first call), and a prime keeps its
+    powers by exponent (slot _powers): those ideal_power has built and
+    those a factorization found to be the ideal it factored.  The graph
+    keeps the ideal, so the answers last as long as the graph, and the
+    self-checks of each run once per distinct ideal of a graph.  The hash is
+    computed once, on construction.
     """
 
-    __slots__ = ("graph", "pair", "parts", "_hash", "_decomposition", "_report",
-                 "_powers")
+    __slots__ = ("graph", "pair", "parts", "_hash", "_report", "_powers")
 
     def __new__(cls, graph: Graph, pair: AdmissiblePair, parts=()):
         known = graph._ideals.get((pair, tuple(parts)))
@@ -435,36 +433,13 @@ def enumerate_graded_primes(graph: Graph) -> list:
 
 
 def prime_power_decompose(ideal: Ideal):
-    """(P, n) with P prime and ideal = P**n, or None when not a prime power."""
-    _require_proper(ideal)
-    memo = getattr(ideal, "_decomposition", None)
-    if memo is None:
-        memo = (_decompose(ideal),)
-        object.__setattr__(ideal, "_decomposition", memo)
-    return memo[0]
+    """(P, n) with P prime and ideal = P**n, or None when not a prime power.
 
-
-def _decompose(ideal: Ideal):
-    if not ideal.parts:
-        return (ideal, 1) if is_prime(ideal).holds else None
-    if len(ideal.parts) != 1:
-        return None
-    graph, pair = ideal.graph, ideal.pair
-    if pair.breaking != breaking_vertices(graph, pair.vertices):
-        return None
-    complement = frozenset(graph.vertices) - pair.vertices
-    if not downward_directed(graph, complement)[0]:
-        return None
-    part = ideal.parts[0]
-    factors = factor_poly(part.poly.rep)
-    if len(factors) != 1:
-        return None
-    p, n = factors[0]
-    prime = Ideal(graph, pair, (CyclePart(part.cycle, LaurentClass(p)),))
-    assert is_prime(prime).holds, "prime power with a non-prime base"
-    if n > 1:  # the ideal is prime**n, so ideal_power need not raise it
-        _powers(prime)[n] = ideal
-    return prime, n
+    The irredundant factorization into powers of distinct primes is unique,
+    so the ideal is a prime power exactly when its report has one factor.
+    """
+    factors = factor_prime_powers(ideal).factors
+    return factors[0] if len(factors) == 1 else None
 
 
 def _powers(ideal: Ideal) -> dict:
@@ -481,8 +456,8 @@ def ideal_power(ideal: Ideal, exponent: int) -> Ideal:
 
     The ideal keeps each power it is raised to, so a factorization, its
     checks and the complete factorization built on it raise each (prime,
-    exponent) once per graph; a prime power that prime_power_decompose has
-    seen is kept as it is and never raised.
+    exponent) once per graph; a prime power that factor_prime_powers has
+    factored is kept as it is and never raised.
     """
     if exponent < 1:
         raise ValueError("exponent must be a positive integer")
@@ -518,22 +493,15 @@ def is_completely_irreducible(ideal: Ideal) -> CaseResult:
 # -- products and intersections ----------------------------------------------------
 
 
-def _check_operands(factors) -> list:
-    """The factor list, once every factor is graded or a prime power over
-    one graph; raises otherwise.  The only gate of multiply, intersect and
-    make_irredundant."""
+def _operands(factors) -> list:
     if not factors:
         raise ValueError("factor list must be nonempty")
     _check_same_graph(*factors)
-    for index, f in enumerate(factors):
-        if f.parts and prime_power_decompose(f) is None:
-            raise UnsupportedOperands(
-                f"factor {index} is neither graded nor a prime power: {f!r}")
     return factors
 
 
 def _combine(factors, mode: str) -> Ideal:
-    """Product or intersection of factors that pass _check_operands.
+    """Product or intersection of factors over one graph.
 
     A lone factor is its own product and intersection, so it comes back as
     is.  Otherwise the graph keeps each answer, keyed by the multiset of
@@ -552,8 +520,22 @@ def _combine(factors, mode: str) -> Ideal:
     return result
 
 
+def _prime_powers(ideal: Ideal, mode: str) -> list:
+    """The ideal if graded or a prime power, else its factors' powers,
+    asserted to recompose it under mode."""
+    factors = factor_prime_powers(ideal).factors if ideal.parts else ()
+    if len(factors) < 2:
+        return [ideal]
+    powers = [ideal_power(p, r) for p, r in factors]
+    assert _combine(powers, mode) == ideal, \
+        f"factors do not recompose {ideal!r} by {mode}"
+    return powers
+
+
 def _combination(factors, mode: str) -> Ideal:
-    """The combination, built straight from the factors' canonical forms.
+    """The combination, built straight from the canonical forms of the
+    graded ideals and prime powers the factors give (_prime_powers), which
+    is the combination of the factors by associativity.
 
     The answer is already canonical, so no canonicalize runs.  The meet of
     admissible pairs is admissible.  A surviving part's cycle has no exit
@@ -567,15 +549,15 @@ def _combination(factors, mode: str) -> Ideal:
     """
     graph = factors[0].graph
 
-    # merge the parts of factors sharing (pair, cycle), None for a graded
-    # factor; distinct exitless cycles force distinct pairs, so keying by
-    # (pair, cycle) never conflates factors.  The members' polynomials keep
-    # their factorizations (prime_power_decompose factored them), so the
+    # merge the parts of prime powers sharing (pair, cycle), None for a
+    # graded one; distinct exitless cycles force distinct pairs, so keying
+    # by (pair, cycle) never conflates them.  The members' polynomials keep
+    # their factorizations (factor_prime_powers factored them), so the
     # merged one is given its own and is never factored again.
     merged = {}
-    for f in factors:
-        part = f.parts[0] if f.parts else None
-        key = (f.pair, part.cycle if part else None)
+    for power in [p for f in factors for p in _prime_powers(f, mode)]:
+        part = power.parts[0] if power.parts else None
+        key = (power.pair, part.cycle if part else None)
         if key not in merged:
             merged[key] = part
         elif part is not None:
@@ -612,20 +594,20 @@ def _irredundant(factors, mode: str, target: Ideal) -> list:
 
 
 def multiply(factors) -> Ideal:
-    """Product of the factors; each must be graded or a prime power."""
-    return _combine(_check_operands(list(factors)), "product")
+    """Product of the factors."""
+    return _combine(_operands(list(factors)), "product")
 
 
 def intersect(factors) -> Ideal:
-    """Intersection of the factors; each must be graded or a prime power."""
-    return _combine(_check_operands(list(factors)), "intersection")
+    """Intersection of the factors."""
+    return _combine(_operands(list(factors)), "intersection")
 
 
 def make_irredundant(factors, mode: str) -> list:
     """Greedy left-to-right sublist whose combination is unchanged."""
     if mode not in ("product", "intersection"):
         raise ValueError(f"unknown mode {mode!r}")
-    factors = _check_operands(list(factors))
+    factors = _operands(list(factors))
     return _irredundant(factors, mode, _combine(factors, mode))
 
 
@@ -634,17 +616,22 @@ def make_irredundant(factors, mode: str) -> list:
 
 @dataclass(frozen=True)
 class FactorizationReport:
-    """Factorization into powers of distinct primes, with its recomposition proof.
+    """Factorization of ideal into powers of distinct primes.
 
-    factors lists (prime ideal, exponent) pairs; recomposing them under the
-    stated mode reproduces the source ideal, whose canonical serialization
-    is fingerprinted in checksum.
+    factors lists (prime ideal, exponent) pairs, whose powers recompose
+    ideal by product, irredundantly; checksum fingerprints the canonical
+    serialization of ideal when read.
     """
 
     factors: tuple
-    mode: str
-    irredundant: bool
-    checksum: str
+    ideal: Ideal
+    mode = "product"
+    irredundant = True
+
+    @property
+    def checksum(self) -> str:
+        payload = json.dumps(ideal_to_json(self.ideal), sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()
 
     def to_json(self) -> dict:
         return {
@@ -656,11 +643,6 @@ class FactorizationReport:
                 for p, r in self.factors
             ],
         }
-
-
-def _ideal_checksum(ideal: Ideal) -> str:
-    payload = json.dumps(ideal_to_json(ideal), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def _tail_pair(graph: Graph, below: AdmissiblePair, view, tail):
@@ -742,16 +724,21 @@ def _factor_prime_powers(ideal: Ideal) -> FactorizationReport:
             assert is_prime(prime).holds, "cycle tail produced a non-prime"
             factors.append((prime, mult))
 
-    # the powers are prime powers by construction, so the checks skip
-    # _check_operands
+    if len(factors) == 1 and factors[0][1] > 1:  # ideal_power keeps prime**n
+        _powers(factors[0][0])[factors[0][1]] = ideal
     powers = [ideal_power(p, r) for p, r in factors]
+    # a power is a prime power by construction, so its report is its one
+    # factor, and the checks do not factor it again
+    for entry, power in zip(factors, powers):
+        if power is not ideal and getattr(power, "_report", None) is None:
+            object.__setattr__(power, "_report",
+                               FactorizationReport((entry,), power))
     assert _combine(powers, "product") == ideal, \
         "tail factorization does not recompose by product"
     assert len(_irredundant(powers, "product", ideal)) == len(powers), \
         "tail factorization is redundant"
     factors.sort(key=_factor_sort_key)
-    return FactorizationReport(tuple(factors), "product", True,
-                               _ideal_checksum(ideal))
+    return FactorizationReport(tuple(factors), ideal)
 
 
 def _factor_sort_key(entry):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from . import graphs
 from .graphs import (
     OMEGA,
     AdmissiblePair,
+    Cycle,
     Edge,
     Graph,
     Quotient,
@@ -41,6 +43,7 @@ from .graphs import (
     tail_complements,
 )
 from .ideals import (
+    CyclePart,
     Ideal,
     _combine,
     canonicalize,
@@ -53,9 +56,11 @@ from .ideals import (
 from .poly import (
     MODULAR_FACTOR_CAP,
     FieldSpec,
+    LaurentClass,
     Poly,
     _gcd,
     _sub,
+    factor,
     poly_lcm,
 )
 from .rng import SplitMix64
@@ -455,6 +460,39 @@ def tail_primes_by_image(ideal: Ideal):
     return out
 
 
+# -- reference prime-power decomposition ------------------------------------------------
+
+
+def direct_prime_power_decompose(ideal: Ideal):
+    """(P, n) with P prime and ideal = P**n, or None, decided on the ideal's
+    own form.
+
+    The reference for ideals.prime_power_decompose, which reads the answer
+    off the factorization report: a graded ideal is a prime power exactly
+    when it is prime, and an ideal with parts exactly when it has one part,
+    S = B_H, a downward directed complement of H and a polynomial that is a
+    power of one irreducible.
+    """
+    if not ideal.parts:
+        return (ideal, 1) if is_prime(ideal).holds else None
+    if len(ideal.parts) != 1:
+        return None
+    graph, pair = ideal.graph, ideal.pair
+    if pair.breaking != breaking_vertices(graph, pair.vertices):
+        return None
+    complement = frozenset(graph.vertices) - pair.vertices
+    if not downward_directed(graph, complement)[0]:
+        return None
+    part = ideal.parts[0]
+    factors = factor(part.poly.rep)
+    if len(factors) != 1:
+        return None
+    p, n = factors[0]
+    prime = Ideal(graph, pair, (CyclePart(part.cycle, LaurentClass(p)),))
+    assert is_prime(prime).holds, "prime power with a non-prime base"
+    return prime, n
+
+
 # -- reference products and intersections ---------------------------------------------
 
 
@@ -543,6 +581,44 @@ def combine_with_absorption(factors, mode: str) -> Ideal:
     result = _combine(absorb(factors, mode), mode)
     assert all(contains(f, result) for f in factors), "absorbed factor escaped"
     return result
+
+
+def combine_on_loops(factors, mode: str) -> Ideal:
+    """Product or intersection of any ideals of a disjoint union of single
+    loops, computed loop by loop.
+
+    The reference for ideals.multiply and ideals.intersect on operands that
+    are no prime powers.  There L_K(E) is a product of copies of K[x, x^-1],
+    one per loop, so an ideal is a tuple of Laurent ideals: the whole ring
+    where the loop's vertex lies in H, <f> where a part puts f on the loop,
+    and 0 elsewhere.  A product multiplies the generators on each loop and
+    an intersection takes their lcm, 0 absorbing both.
+    """
+    factors = list(factors)
+    graph = factors[0].graph
+    assert sorted(e.src for e in graph.edges) == list(graph.vertices) \
+        and all(e.src == e.dst and e.mult == 1 for e in graph.edges), \
+        "the graph is not a disjoint union of single loops"
+    field = next((f.field for f in factors if f.parts), FieldSpec.rationals())
+    zero, one = Poly(field, []), Poly(field, [1])
+
+    def generator(ideal, v):
+        if v in ideal.pair.vertices:
+            return one
+        return next((p.poly.rep for p in ideal.parts if p.cycle.start == v), zero)
+
+    hset, parts = [], []
+    for e in graph.edges:
+        gens = [generator(f, e.src) for f in factors]
+        if mode == "product":
+            g = functools.reduce(operator.mul, gens)
+        else:
+            g = zero if zero in gens else functools.reduce(poly_lcm, gens)
+        if g.degree == 0:
+            hset.append(e.src)
+        elif g.degree > 0:
+            parts.append((Cycle.build((e.src,), (e.id,)), g))
+    return canonicalize(graph, hset, (), parts)
 
 
 # -- reference polynomial factorization --------------------------------------------
@@ -773,6 +849,31 @@ def random_graph(config: GeneratorConfig) -> Graph:
                 mult = OMEGA if rng.chance(config.omega_probability) else 1
                 edges.append(Edge(f"e{len(edges)}", f"v{i}", f"v{j}", mult))
     return Graph(vertices, edges)
+
+
+def disjoint_loops(count: int) -> Graph:
+    """count single loops l0, l1, ... with no edge between them."""
+    names = [f"l{i}" for i in range(count)]
+    return Graph(names, [Edge(f"e{v}", v, v) for v in names])
+
+
+def random_loop_ideal(rng: SplitMix64, graph: Graph, field: FieldSpec,
+                      max_degree: int = 2) -> Ideal:
+    """Seeded ideal of a disjoint union of single loops: on each loop 0 or
+    the whole ring with odds 1/4 each, otherwise a product of one to three
+    powers (exponent 1 or 2) of random irreducibles of degree up to
+    max_degree; several parts as a rule, and rarely a prime power."""
+    hset, parts = [], []
+    for e in graph.edges:
+        pick = rng.below(4)
+        if pick == 1:
+            hset.append(e.src)
+        elif pick > 1:
+            f = Poly(field, [1])
+            for _ in range(1 + rng.below(3)):
+                f = f * _random_irreducible(rng, field, max_degree) ** (1 + rng.below(2))
+            parts.append((Cycle.build((e.src,), (e.id,)), f))
+    return canonicalize(graph, hset, (), parts)
 
 
 @functools.cache

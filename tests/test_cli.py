@@ -286,12 +286,14 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert invoke(capsys, "frobnicate")[0] == 2
 
-    def test_unsupported_operands(self, capsys):
-        code, _, err = invoke(capsys, "ideal-multiply",
-                              "--graph", graph("one_loop"),
-                              "--ideal", str(DATA / "loop_cubic_reducible.json"),
-                              "--ideal", str(DATA / "loop_x_plus_1.json"))
-        assert code == 3 and "error:" in err
+    def test_operands_that_are_not_prime_powers(self, capsys):
+        # x^3 + 1 = (x + 1)(x^2 + x + 1) over GF(2) is no prime power
+        for command, coeffs in (("ideal-multiply", [1, 1, 0, 1, 1]),
+                                ("ideal-intersect", [1, 0, 0, 1])):
+            data = run_json(capsys, command, "--graph", graph("one_loop"),
+                            "--ideal", str(DATA / "loop_cubic_reducible.json"),
+                            "--ideal", str(DATA / "loop_x_plus_1.json"))
+            assert [p["poly"] for p in data["parts"]] == [coeffs], command
 
     def test_export_dot_of_the_whole_ideal(self, capsys, tmp_path):
         whole = tmp_path / "whole.json"

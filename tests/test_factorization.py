@@ -16,7 +16,6 @@ from lpaideals.errors import (
     ImproperIdeal,
     TooLarge,
     Unsatisfiable,
-    UnsupportedOperands,
 )
 from lpaideals.gallery import (
     double_loop_chain,
@@ -141,12 +140,37 @@ class TestCombine:
         prod = multiply([chosen, other])
         assert contains(chosen, prod) and contains(other, prod)
 
-    def test_rejects_non_prime_power_factor(self):
+    def test_combines_factors_that_are_not_prime_powers(self):
+        # (x + 1)(x^2 + 1) is no prime power: it combines through its two
+        # prime-power factors
         mixed = one_loop_part(Q, poly(Q, (1, 1)) * poly(Q, (1, 0, 1)))
-        with pytest.raises(UnsupportedOperands, match="factor 0"):
-            multiply([mixed, one_loop_part(Q, (1, 1))])
-        with pytest.raises(UnsupportedOperands):
-            intersect([whole_ideal(one_loop()), mixed])
+        assert prime_power_decompose(mixed) is None
+        assert multiply([mixed, one_loop_part(Q, (1, 1))]) \
+            == one_loop_part(Q, poly(Q, (1, 1)) ** 2 * poly(Q, (1, 0, 1)))
+        assert intersect([mixed, one_loop_part(Q, (1, 1))]) == mixed
+        assert intersect([whole_ideal(one_loop()), mixed]) == mixed
+        assert multiply([mixed, mixed]) == one_loop_part(
+            Q, (poly(Q, (1, 1)) * poly(Q, (1, 0, 1))) ** 2)
+
+    def test_two_loops_with_one_polynomial(self):
+        # J = <(x+1)(a), (x+1)(b)> on two disjoint loops is the product of two
+        # primes and no prime power (Esin, Kanuni & Rangaswamy, JPAA 221 (2017),
+        # treat intersections of such ideals)
+        iso = Graph(["a", "b"], [Edge("ea", "a", "a"), Edge("eb", "b", "b")])
+        ca, cb = Cycle.build(("a",), ("ea",)), Cycle.build(("b",), ("eb",))
+        x1 = poly(Q, (1, 1))
+
+        def ideal(*parts):
+            return canonicalize(iso, (), (), parts)
+
+        j, a2 = ideal((ca, x1), (cb, x1)), ideal((ca, x1 ** 2))
+        assert prime_power_decompose(j) is None
+        assert len(factor_prime_powers(j).factors) == 2
+        assert multiply([j, j]) == ideal((ca, x1 ** 2), (cb, x1 ** 2))
+        assert intersect([j, j]) == j
+        assert intersect([j, a2]) == a2
+        assert multiply([j, a2]) == ideal((ca, x1 ** 3))
+        assert intersect([j, zero_ideal(iso)]) == zero_ideal(iso)
 
     def test_rejects_mixed_graphs(self):
         other = canonicalize(loop_chain(), (), (), [(WLOOP, poly(Q, (1, 1)))])
@@ -280,11 +304,19 @@ class TestWorkCounts:
         return calls
 
     def test_make_irredundant_decomposes_each_factor_once(self, monkeypatch):
+        # one factorization report is built per operand, never per trial
         powers = [one_loop_part(GF2, Poly(GF2, c) ** r)
                   for c, r in (((1, 1), 2), ((1, 1, 1), 1), ((1, 1, 0, 1), 3))]
-        calls = self.counting(monkeypatch, "prime_power_decompose")
+        built = collections.Counter()
+        original = ideals_module._factor_prime_powers
+
+        def counted(ideal):
+            built[ideal] += 1
+            return original(ideal)
+
+        monkeypatch.setattr(ideals_module, "_factor_prime_powers", counted)
         assert make_irredundant(powers, "product") == powers
-        assert len(calls) == len(powers)
+        assert built == collections.Counter(powers)
 
     def test_factor_prime_powers_factors_the_polynomial_once(self, monkeypatch):
         source = one_loop_part(GF2, (1, 1, 0, 1, 1))  # (x+1)^2 (x^2+x+1)
@@ -479,15 +511,15 @@ class TestMemos:
                     ask(whole)
 
     def test_none_answers_are_kept(self, monkeypatch):
-        # (x + 1)^2 (x^2 + x + 1) is no prime power; a second answer must not
-        # reach the computation
+        # (x + 1)^2 (x^2 + x + 1) is no prime power, and the zero ideal of
+        # one_loop has no completely irreducible factorization; a second
+        # answer must not reach the computation
         source = one_loop_part(GF2, (1, 1, 0, 1, 1))
-        assert prime_power_decompose(source) is None
-        monkeypatch.setattr(ideals_module, "_decompose", None)
-        assert prime_power_decompose(source) is None
         zero = zero_ideal(one_loop())
+        assert prime_power_decompose(source) is None
         assert factor_completely_irreducible(zero) is None
         monkeypatch.setattr(ideals_module, "_factor_prime_powers", None)
+        assert prime_power_decompose(source) is None
         assert factor_prime_powers(zero) is not None
         assert factor_completely_irreducible(zero) is None
 

@@ -4,7 +4,7 @@ The files in tests/data are mutated with SplitMix64: values of the wrong
 type, missing and extra keys, unknown vertex and edge ids, lists grown or
 shrunk by one element (odd-length cycles among them) and emptied lists.
 Each mutant goes through `cli.run` for `analyze`, `ideal-classify` and
-`ideal-multiply`; it must end with a documented exit code (0, 2, 3 or 4)
+`ideal-multiply`; it must end with a documented exit code (0, 2 or 4)
 and never with a traceback.  The mutations leave field sizes alone.
 """
 
@@ -119,7 +119,7 @@ def test_mutated_inputs_exit_with_documented_codes(tmp_path, capsys):
                       "--ideal", i2]):
             code = run(argv)
             err = capsys.readouterr().err
-            assert code in (0, 2, 3, 4) and "Traceback" not in err, \
+            assert code in (0, 2, 4) and "Traceback" not in err, \
                 (argv[0], docs, code, err)
             seen.add(code)
     # the mutants reach past the parsers as well as into them

@@ -25,6 +25,7 @@ from lpaideals.classify import (
 )
 from lpaideals.graphs import (
     AdmissiblePair,
+    Edge,
     Graph,
     admissible_leq,
     admissible_pair,
@@ -63,8 +64,11 @@ from lpaideals.oracles import (
     bruteforce_factor_gf,
     closure_oracle,
     combine_by_canonicalize,
+    combine_on_loops,
     combine_with_absorption,
     comp_irred_chain_walk,
+    direct_prime_power_decompose,
+    disjoint_loops,
     enumerate_admissible_pairs,
     glb_oracle,
     irredundant_tail_cover,
@@ -75,6 +79,7 @@ from lpaideals.oracles import (
     maximal_tails_bruteforce,
     omega_corpus,
     random_graph,
+    random_loop_ideal,
     random_prime_power_family,
     strong_csp_oracle,
     tail_primes_by_image,
@@ -421,6 +426,21 @@ class TestTailCertificate:
         with pytest.raises(AssertionError, match="tail certification failed"):
             maximal_tails(g)
 
+    def test_an_ancestor_mask_with_a_stray_sink_fails_certification(self):
+        # MT3 reads the forward reach: a sink that does not reach the tail's
+        # anchor, slipped into its ancestor mask above the anchor's bit,
+        # keeps MT1 and MT2 and was compared with the mask it came from
+        g = Graph(["a", "s1", "s2"], [Edge("as1", "a", "s1")])
+        masks = graphs_module._vertex_masks(g)
+        _, reach, _ = graphs_module.condensation(g)
+        i = reach["s1"].bit_length() - 1
+        assert masks.bit["s1"] < masks.bit["s2"] and not reach["s2"] >> i & 1
+        assert self.certified(g, {"a", "s1"})
+        assert not self.certified(g, {"a", "s1", "s2"})
+        masks.ancestors[i] |= masks.bit["s2"]
+        with pytest.raises(AssertionError, match="tail certification failed"):
+            maximal_tails(g)
+
     def test_agrees_on_primed_tails_and_perturbed_sets(self):
         verdicts = collections.Counter()
         for g in omega_corpus():
@@ -520,6 +540,18 @@ class TestFactorTails:
                 assert intersect(powers) == ideal, (g, ideal)
                 checked[bool(ideal.parts)] += 1
         assert checked[False] > 3000 and checked[True] > 3000, checked
+
+    def test_prime_powers_match_the_direct_decomposition(self):
+        # prime_power_decompose reads a prime power off a report with one
+        # factor; the direct test reads it off the ideal's own form
+        verdicts = collections.Counter()
+        for g in omega_corpus()[:1500]:
+            for ideal in _scanned_ideals(g):
+                want = direct_prime_power_decompose(ideal)
+                assert prime_power_decompose(ideal) == want, (g, ideal)
+                verdicts[bool(ideal.parts), want is not None] += 1
+        assert sum(verdicts.values()) == 7142, verdicts
+        assert min(verdicts.values()) > 500, verdicts
 
     def test_an_uncovered_universe_has_no_cover(self):
         tails = (frozenset({"a"}), frozenset({"a", "b"}))
@@ -709,3 +741,28 @@ class TestAbsorption:
         assert set(runs.values()) == {1}
         assert set(runs) == {(mode, tuple(sorted(map(id, mix))))
                              for mix in mixes for mode in self.MODES}
+
+
+class TestLoopArithmetic:
+    """multiply and intersect on any ideals of disjoint single loops, most of
+    them no prime powers, against the loop-by-loop reference."""
+
+    @pytest.mark.parametrize("field", [GF2, GF3, Q], ids=lambda f: f.label)
+    def test_combinations_match_the_reference(self, field):
+        rng = SplitMix64(20261020)
+        seen = collections.Counter()
+        for _ in range(60):
+            graph = disjoint_loops(2 + rng.below(3))
+            operands = [random_loop_ideal(rng, graph, field)
+                        for _ in range(2 + rng.below(2))]
+            for mode in ("product", "intersection"):
+                combine = multiply if mode == "product" else intersect
+                got = combine(operands)
+                assert got == combine_on_loops(operands, mode), \
+                    (mode, operands)
+                seen[mode, "multi-part answer"] += len(got.parts) > 1
+            for o in operands:
+                seen["multi-part operand"] += len(o.parts) > 1
+                seen["no prime power"] += bool(
+                    o.parts) and prime_power_decompose(o) is None
+        assert min(seen.values()) >= 20, seen

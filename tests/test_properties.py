@@ -9,16 +9,21 @@ from lpaideals.ideals import (
     Ideal,
     canonicalize,
     contains,
+    graded_part,
     ideal_from_json,
     ideal_to_json,
+    intersect,
+    is_graded,
     join_graded,
     meet_graded,
     multiply,
 )
 from lpaideals.oracles import (
     GeneratorConfig,
+    disjoint_loops,
     enumerate_admissible_pairs,
     random_graph,
+    random_loop_ideal,
     random_prime_power_family,
 )
 from lpaideals.poly import FieldSpec
@@ -123,3 +128,64 @@ def test_canonical_forms_are_fixpoints(families):
                 member.graph, member.pair.vertices, member.pair.breaking,
                 [(p.cycle, p.poly.rep) for p in member.parts])
             assert again == member, counterexample(ideal=ideal_to_json(member))
+
+
+
+@pytest.fixture(scope="module")
+def operand_groups(families, prop_seed, prop_cases):
+    """Lists of ideals over one graph: per family, its members, the graded
+    part of each and the product of each pair of them; and seeded ideals of
+    disjoint loops over GF(2), GF(3) and Q, most with several parts and no
+    prime powers."""
+    groups = [list(f) + [graded_part(m) for m in f]
+              + [multiply([a, b]) for i, a in enumerate(f) for b in f[i + 1:]]
+              for f in families]
+    fields = (FieldSpec.prime_field(2), FieldSpec.prime_field(3),
+              FieldSpec.rationals())
+    rng = SplitMix64(prop_seed)
+    for i in range(max(prop_cases // 10, 6)):
+        graph = disjoint_loops(2 + rng.below(2))
+        groups.append([random_loop_ideal(rng, graph, fields[i % 3])
+                       for _ in range(4)])
+    return groups
+
+
+def test_combinations_commute(operand_groups):
+    for group in operand_groups:
+        for a in group:
+            for b in group:
+                for combine in (multiply, intersect):
+                    assert combine([a, b]) == combine([b, a]), counterexample(
+                        a=ideal_to_json(a), b=ideal_to_json(b))
+
+
+def test_combinations_associate(operand_groups):
+    multi_part = 0
+    for group in operand_groups:
+        for a in group:
+            for b in group:
+                for c in group:
+                    for combine in (multiply, intersect):
+                        inner = combine([a, b])
+                        multi_part += len(inner.parts) > 1
+                        assert combine([inner, c]) \
+                            == combine([a, combine([b, c])]) \
+                            == combine([a, b, c]), counterexample(
+                                a=ideal_to_json(a), b=ideal_to_json(b),
+                                c=ideal_to_json(c))
+    assert multi_part > 0
+
+
+def test_product_lies_in_the_intersection(operand_groups):
+    graded = 0
+    for group in operand_groups:
+        for a in group:
+            for b in group:
+                product, meet = multiply([a, b]), intersect([a, b])
+                assert contains(meet, product), counterexample(
+                    a=ideal_to_json(a), b=ideal_to_json(b))
+                if is_graded(a) or is_graded(b):
+                    graded += 1
+                    assert product == meet, counterexample(
+                        a=ideal_to_json(a), b=ideal_to_json(b))
+    assert graded > 0
