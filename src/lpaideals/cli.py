@@ -45,11 +45,16 @@ from .poly import FieldSpec
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    # Bytes decoded here, as text mode would: UTF-8 only, and "\r\n" and a
+    # lone "\r" read as "\n", so a JSON error names the same line and char.
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_ideals(graph, paths, field_label):

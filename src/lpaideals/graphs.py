@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, compress
-from operator import or_
+from operator import attrgetter, or_
 
 from .errors import (
     EmptySet,
@@ -87,7 +87,8 @@ class Edge:
 class Graph:
     """Immutable finite directed multigraph with slot multiplicities.
 
-    The infinite emitters are found once, on construction.  The hash, the
+    Construction is one pass over the edges in id order: it validates each
+    edge, fills the adjacency and finds the infinite emitters.  The hash, the
     condensation (the graph's one record of reachability), the vertex
     bitmasks read off it and the edges (`_masks`: each component's
     ancestors and the sources of the edges into them, and the regular
@@ -121,38 +122,45 @@ class Graph:
         vs = tuple(sorted(vertices))
         if not vs:
             raise InvalidGraph("graph needs at least one vertex")
-        if len(set(vs)) != len(vs):
-            raise InvalidGraph("duplicate vertex ids")
-        vset = frozenset(vs)
-        es = tuple(sorted(edges, key=lambda e: e.id))
-        seen = set()
-        for e in es:
-            if not isinstance(e.id, str) or not e.id:
-                raise InvalidGraph(f"edge id must be a nonempty string: {e.id!r}")
-            if e.id in seen:
-                raise InvalidGraph(f"duplicate edge id {e.id!r}")
-            seen.add(e.id)
-            if e.src not in vset:
-                raise UnknownVertex(f"edge {e.id!r} has unknown source {e.src!r}")
-            if e.dst not in vset:
-                raise UnknownVertex(f"edge {e.id!r} has unknown target {e.dst!r}")
-            ok = e.mult == OMEGA or (isinstance(e.mult, int)
-                                     and not isinstance(e.mult, bool) and e.mult >= 1)
-            if not ok:
-                raise InvalidGraph(f"edge {e.id!r} has bad multiplicity {e.mult!r}")
         out: dict[str, list[Edge]] = {v: [] for v in vs}
+        if len(out) != len(vs):
+            raise InvalidGraph("duplicate vertex ids")
         inc: dict[str, list[Edge]] = {v: [] for v in vs}
+        edges = list(edges)
+        try:
+            es = tuple(sorted(edges, key=attrgetter("id")))
+        except TypeError:  # ids of mixed types: name the first that is not a string
+            bad = next(e.id for e in edges if not isinstance(e.id, str))
+            raise InvalidGraph(f"edge id must be a nonempty string: {bad!r}") from None
+        # one pass in id order: the first bad edge, and its first fault, is named
+        by_id, emitters = {}, set()
         for e in es:
-            out[e.src].append(e)
-            inc[e.dst].append(e)
+            eid = e.id
+            if not isinstance(eid, str) or not eid:
+                raise InvalidGraph(f"edge id must be a nonempty string: {eid!r}")
+            if eid in by_id:
+                raise InvalidGraph(f"duplicate edge id {eid!r}")
+            by_id[eid] = e
+            leaving = out.get(e.src)
+            if leaving is None:
+                raise UnknownVertex(f"edge {eid!r} has unknown source {e.src!r}")
+            entering = inc.get(e.dst)
+            if entering is None:
+                raise UnknownVertex(f"edge {eid!r} has unknown target {e.dst!r}")
+            mult = e.mult
+            if mult == OMEGA:
+                emitters.add(e.src)
+            elif not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
+                raise InvalidGraph(f"edge {eid!r} has bad multiplicity {mult!r}")
+            leaving.append(e)
+            entering.append(e)
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "edges", es)
-        object.__setattr__(self, "infinite_emitters",
-                           frozenset(e.src for e in es if e.is_omega()))
-        object.__setattr__(self, "_vset", vset)
+        object.__setattr__(self, "infinite_emitters", frozenset(emitters))
+        object.__setattr__(self, "_vset", frozenset(vs))
         object.__setattr__(self, "_out", {v: tuple(l) for v, l in out.items()})
         object.__setattr__(self, "_in", {v: tuple(l) for v, l in inc.items()})
-        object.__setattr__(self, "_by_id", {e.id: e for e in es})
+        object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_reaching", {})
         object.__setattr__(self, "_condensation", None)
@@ -782,54 +790,39 @@ def condition_l(graph: Graph):
 
 def _tarjan(graph: Graph) -> list:
     """Tarjan SCCs, as frozensets in the order they are completed, so each
-    component comes after every component it reaches."""
-    index = {}
-    low = {}
-    stack = []
-    on_stack = set()
-    comps = []
-    counter = [0]
-
-    def strongconnect(v):
-        work = [(v, iter(graph._out[v]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
+    component comes after every component it reaches.  Each frame keeps its
+    vertex's position on the stack, where a finished component is sliced
+    off; low[v] is kept only while v is on the stack, so `w in low` tests it."""
+    out = graph._out
+    index, low, stack, comps = {}, {}, [], []
+    for root in graph.vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        work = [(root, iter(out[root]), 0)]
+        stack.append(root)
         while work:
-            node, it = work[-1]
-            advanced = False
-            for e in it:
+            v, pending, at = work[-1]
+            for e in pending:
                 w = e.dst
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
+                    work.append((w, iter(out[w]), len(stack)))
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(graph._out[w])))
-                    advanced = True
                     break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    members.append(w)
-                    if w == node:
-                        break
-                comps.append(frozenset(members))
-
-    for v in graph.vertices:
-        if v not in index:
-            strongconnect(v)
+                if w in low and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                lv = low[v]
+                if lv == index[v]:
+                    members = stack[at:]
+                    del stack[at:]
+                    for w in members:
+                        del low[w]
+                    comps.append(frozenset(members))
+                elif lv < low[work[-1][0]]:
+                    low[work[-1][0]] = lv
     return comps
 
 
@@ -1160,7 +1153,11 @@ def graph_to_json(graph: Graph) -> dict:
     }
 
 
+_EDGE_FIELDS = frozenset(("id", "src", "dst", "mult"))
+
+
 def graph_from_json(data) -> Graph:
+    """Check the JSON shape only; `Graph` validates the edges in one pass."""
     if not isinstance(data, dict):
         raise InvalidGraph("graph JSON must be an object")
     try:
@@ -1174,14 +1171,13 @@ def graph_from_json(data) -> Graph:
     for raw in raw_edges:
         if not isinstance(raw, dict):
             raise InvalidGraph(f"edge entry must be an object: {raw!r}")
-        extra = set(raw) - {"id", "src", "dst", "mult"}
-        if extra:
-            raise InvalidGraph(f"unknown edge fields {sorted(extra)}")
+        if not _EDGE_FIELDS.issuperset(raw):
+            raise InvalidGraph(f"unknown edge fields {sorted(set(raw) - _EDGE_FIELDS)}")
         try:
             eid, src, dst = raw["id"], raw["src"], raw["dst"]
         except KeyError as exc:
             raise InvalidGraph(f"edge entry missing field {exc}") from exc
-        if not all(isinstance(x, str) for x in (eid, src, dst)):
+        if not (isinstance(eid, str) and isinstance(src, str) and isinstance(dst, str)):
             raise InvalidGraph(f"edge id, src and dst must be strings: {raw!r}")
         # JSON reads 1e400 and Infinity as a float inf, which equals OMEGA
         mult = raw.get("mult", 1)

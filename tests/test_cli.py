@@ -190,6 +190,21 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert invoke(capsys, "analyze", "--graph", str(bad))[0] == 2
 
+    def test_json_is_read_as_utf8_text(self, capsys, tmp_path):
+        doc = '{"vertices": ["a"],\n "edges": [\n  {"id": "e" "src": "a"}]}'
+        # json.loads would take UTF-16 bytes; a graph file must be UTF-8
+        wide = tmp_path / "wide.json"
+        wide.write_bytes('{"vertices": ["a"], "edges": []}'.encode("utf-16"))
+        code, out, err = invoke(capsys, "analyze", "--graph", str(wide))
+        assert code == 2 and not out and "'utf-8' codec can't decode" in err
+        # "\r\n" and a lone "\r" read as "\n": errors name the same place
+        for newline in ("\n", "\r\n", "\r"):
+            path = tmp_path / "lines.json"
+            path.write_bytes(doc.replace("\n", newline).encode())
+            code, out, err = invoke(capsys, "analyze", "--graph", str(path))
+            assert (code, out, err) == (
+                2, "", "error: Expecting ',' delimiter: line 3 column 14 (char 45)\n")
+
     @pytest.mark.parametrize("operand", ["graph", "ideal"])
     def test_deeply_nested_json(self, capsys, tmp_path, operand):
         # the JSON parser recurses once per bracket

@@ -150,6 +150,126 @@ class TestGraphModel:
         assert twin == g and hash(twin) == hash(g) and twin is not g
         assert g != Graph(["u", "w"], [Edge("uu", "u", "u")])
 
+    def test_malformed_json_names_its_first_fault(self):
+        for data, error, message in _MALFORMED_JSON:
+            with pytest.raises(error) as info:
+                graph_from_json(data)
+            assert type(info.value) is error and str(info.value) == message, data
+
+    def test_malformed_graph_names_its_first_fault(self):
+        for vertices, edges, error, message in _MALFORMED_GRAPHS:
+            with pytest.raises(error) as info:
+                Graph(vertices, edges)
+            assert type(info.value) is error and str(info.value) == message, edges
+
+    def test_edge_ids_of_mixed_types_are_invalid(self):
+        # sorting the ids must not fail first, with a TypeError
+        for edges in ([Edge(1, "a", "b"), Edge("x", "b", "a")],
+                      [Edge("x", "b", "a"), Edge(None, "a", "b"), Edge(2, "a", "a")]):
+            with pytest.raises(InvalidGraph) as info:
+                Graph(["a", "b"], iter(edges))
+            bad = next(e.id for e in edges if not isinstance(e.id, str))
+            assert str(info.value) == f"edge id must be a nonempty string: {bad!r}"
+
+    def test_int_subclass_multiplicity_is_kept(self):
+        class Count(int):
+            pass
+
+        g = Graph(["a"], [Edge("e", "a", "a", Count(3))])
+        assert type(g.edges[0].mult) is Count and g.out_multiplicity("a") == 3
+        assert not g.infinite_emitters
+
+
+def _json_edge(eid, src="a", dst="a", **extra):
+    return {"id": eid, "src": src, "dst": dst, **extra}
+
+
+def _json_mult(literal):
+    return json.loads('{"vertices": ["a"], "edges": '
+                      '[{"id": "e", "src": "a", "dst": "a", "mult": %s}]}' % literal)
+
+
+#: Malformed graph documents, most with two or more faults, each with the
+#: one error it raises: the first fault met is the one named.
+_MALFORMED_JSON = [
+    (["not", "an", "object"], InvalidGraph, "graph JSON must be an object"),
+    ({"vertices": ["a"]}, InvalidGraph, "graph JSON missing field: 'edges'"),
+    ({"edges": []}, InvalidGraph, "graph JSON missing field: 'vertices'"),
+    ({"vertices": "a", "edges": []}, InvalidGraph,
+     "graph JSON fields have wrong types"),
+    ({"vertices": [1], "edges": [5]}, InvalidGraph, "edge entry must be an object: 5"),
+    ({"vertices": [""], "edges": [_json_edge("e"), "e2"]}, InvalidGraph,
+     "edge entry must be an object: 'e2'"),
+    ({"vertices": ["a"], "edges": [{"id": "e", "src": "a", "bogus": 1}]},
+     InvalidGraph, "unknown edge fields ['bogus']"),
+    ({"vertices": ["a"], "edges": [{"zeta": 1, "id": "e", "alpha": 2}]},
+     InvalidGraph, "unknown edge fields ['alpha', 'zeta']"),
+    ({"vertices": ["a"], "edges": [{"src": "a", "dst": "a", "mult": 0}]},
+     InvalidGraph, "edge entry missing field 'id'"),
+    ({"vertices": ["a"], "edges": [_json_edge("e", 1, mult=0)]}, InvalidGraph,
+     "edge id, src and dst must be strings: "
+     "{'id': 'e', 'src': 1, 'dst': 'a', 'mult': 0}"),
+    ({"vertices": ["a"], "edges": [_json_edge("e"), _json_edge("e", "zz")]},
+     InvalidGraph, "duplicate edge id 'e'"),
+    ({"vertices": ["a"], "edges": [_json_edge("e", "zz"), _json_edge("e")]},
+     UnknownVertex, "edge 'e' has unknown source 'zz'"),
+    ({"vertices": ["a"], "edges": [_json_edge("b", "zz"), _json_edge("a", dst="yy")]},
+     UnknownVertex, "edge 'a' has unknown target 'yy'"),
+    ({"vertices": ["a"], "edges": [_json_edge("b", "zz"), _json_edge("a", mult=0)]},
+     InvalidGraph, "edge 'a' has bad multiplicity 0"),
+    (_json_mult("1e400"), InvalidGraph, "edge 'e' has bad multiplicity inf"),
+    (_json_mult("Infinity"), InvalidGraph, "edge 'e' has bad multiplicity inf"),
+    (_json_mult("-Infinity"), InvalidGraph, "edge 'e' has bad multiplicity -inf"),
+    (_json_mult("NaN"), InvalidGraph, "edge 'e' has bad multiplicity nan"),
+    (_json_mult("true"), InvalidGraph, "edge 'e' has bad multiplicity True"),
+    (_json_mult("0"), InvalidGraph, "edge 'e' has bad multiplicity 0"),
+    (_json_mult("1.0"), InvalidGraph, "edge 'e' has bad multiplicity 1.0"),
+    (_json_mult('"INF"'), InvalidGraph, "edge 'e' has bad multiplicity 'INF'"),
+    (_json_mult("null"), InvalidGraph, "edge 'e' has bad multiplicity None"),
+    ({"vertices": [], "edges": [_json_edge("e", mult=0)]}, InvalidGraph,
+     "edge 'e' has bad multiplicity 0"),
+    ({"vertices": [], "edges": [_json_edge("e", "zz")]}, InvalidGraph,
+     "graph needs at least one vertex"),
+    ({"vertices": ["a", "", "a"], "edges": [_json_edge("")]}, InvalidGraph,
+     "vertex id must be a nonempty string: ''"),
+    ({"vertices": ["b", "a", "b"], "edges": [_json_edge("", "zz")]}, InvalidGraph,
+     "duplicate vertex ids"),
+    ({"vertices": ["a"], "edges": [_json_edge("", dst="zz")]}, InvalidGraph,
+     "edge id must be a nonempty string: ''"),
+    ({"vertices": ["a"], "edges": [_json_edge("e", dst="zz"), _json_edge("f", "zz")]},
+     UnknownVertex, "edge 'e' has unknown target 'zz'"),
+]
+
+#: The same for direct constructions, which skip the JSON shape checks.
+_MALFORMED_GRAPHS = [
+    ([], [], InvalidGraph, "graph needs at least one vertex"),
+    (["a", 1], [], InvalidGraph, "vertex id must be a nonempty string: 1"),
+    (["a", None, ""], [], InvalidGraph, "vertex id must be a nonempty string: None"),
+    (["b", "a", "b"], [Edge("", "a", "a")], InvalidGraph, "duplicate vertex ids"),
+    (["a"], [Edge("e", "a", "a", 1.0)], InvalidGraph,
+     "edge 'e' has bad multiplicity 1.0"),
+    (["a"], [Edge("e", "a", "a", True)], InvalidGraph,
+     "edge 'e' has bad multiplicity True"),
+    (["a"], [Edge("e", "a", "a", "inf")], InvalidGraph,
+     "edge 'e' has bad multiplicity 'inf'"),
+    (["a"], [Edge("e", "a", "a", float("nan"))], InvalidGraph,
+     "edge 'e' has bad multiplicity nan"),
+    (["a"], [Edge(None, "a", "zz")], InvalidGraph,
+     "edge id must be a nonempty string: None"),
+    (["a"], [Edge(2, "a", "a"), Edge(1, "a", "a")], InvalidGraph,
+     "edge id must be a nonempty string: 1"),
+    (["a"], [Edge("b", "zz", "a"), Edge("a", "a", "a", 0)], InvalidGraph,
+     "edge 'a' has bad multiplicity 0"),
+    (["a"], [Edge("e", "a", "a", 0), Edge("e", "a", "a")], InvalidGraph,
+     "edge 'e' has bad multiplicity 0"),
+    (["a"], [Edge("e", "a", "a"), Edge("e", "zz", "a")], InvalidGraph,
+     "duplicate edge id 'e'"),
+    (["a"], [Edge("e", "a", "zz", 0)], UnknownVertex,
+     "edge 'e' has unknown target 'zz'"),
+    (["a"], [Edge("e", "zz", "yy")], UnknownVertex,
+     "edge 'e' has unknown source 'zz'"),
+]
+
 
 class TestHereditarySaturated:
     def test_predicates(self):
@@ -609,6 +729,38 @@ class TestTailComplements:
             assert self._answers(g) == expected[name], name
 
 
+def _sparse_multigraph(rng, n):
+    """n vertices and about 1.5n random slots, one in five an infinite
+    bundle, with n // 8 self-loops and a parallel copy of every tenth slot."""
+    names = [f"v{i}" for i in range(n)]
+    pairs = [(rng.choice(names), rng.choice(names)) for _ in range(3 * n // 2)]
+    pairs += [(v, v) for v in rng.shuffled(names)[:n // 8]]
+    pairs += pairs[::10]
+    return Graph(names, [Edge(f"e{k}", src, dst, OMEGA if rng.chance(0.2) else 1)
+                         for k, (src, dst) in enumerate(pairs)])
+
+
+def _literal_reach(graph):
+    """vertex -> the vertices it reaches: by `_reaches_literal` on up to 8
+    vertices, and past that by a walk over `graph.edges` alone."""
+    if len(graph.vertices) <= 8:
+        return {u: {v for v in graph.vertices if _reaches_literal(graph, u, v)}
+                for u in graph.vertices}
+    succ = collections.defaultdict(list)
+    for e in graph.edges:
+        succ[e.src].append(e.dst)
+    reach = {}
+    for u in graph.vertices:
+        seen, frontier = {u}, [u]
+        while frontier:
+            for w in succ[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        reach[u] = seen
+    return reach
+
+
 def _memo_corpus():
     """1,000 seeded random graphs; a quarter of their slots are infinite bundles."""
     return [random_graph(GeneratorConfig(seed=s, omega_probability=0.25))
@@ -725,6 +877,25 @@ class TestGraphMemos:
             memo = graphs_module.condensation(g)
             assert memo is graphs_module.condensation(g)
             assert list(memo[0]) == tarjan(g)
+
+    def test_components_are_the_literal_strong_components(self):
+        rng = SplitMix64(20261020)
+        large = [_sparse_multigraph(rng, n) for n in (16, 64, 128, 256, 512, 512)]
+        # a chain keeps all its vertices on the stack: slicing the finished
+        # components off by value, not by position, would be quadratic here
+        chain = [f"v{i:03}" for i in range(512)]
+        large.append(Graph(chain, [Edge(f"e{i:03}", v, w)
+                                   for i, (v, w) in enumerate(zip(chain, chain[1:]))]))
+        for g in omega_corpus() + large:
+            reach = _literal_reach(g)
+            comps = graphs_module._tarjan(g)
+            assert all(type(c) is frozenset for c in comps)
+            position = {v: i for i, c in enumerate(comps) for v in c}
+            assert sum(map(len, comps)) == len(position) == len(g.vertices)
+            for u in g.vertices:
+                assert comps[position[u]] == {v for v in reach[u] if u in reach[v]}
+                # u's component comes after every component u reaches
+                assert all(position[v] <= position[u] for v in reach[u]), (g, u)
 
     def test_pairs_and_tails_are_shared_and_immutable(self):
         g = petals()
