@@ -212,7 +212,7 @@ class Graph:
 
     def out_multiplicity(self, v: str):
         """Total number of edges leaving v; may be OMEGA."""
-        return sum(e.mult for e in self.out_edges(v)) if self.out_edges(v) else 0
+        return sum(e.mult for e in self.out_edges(v))
 
     def is_sink(self, v: str) -> bool:
         return not self.out_edges(v)
@@ -982,20 +982,6 @@ def _by_size(sets) -> list:
                 out[start:end] = sorted(out[start:end], key=sorted)
             start = end
     return out
-
-
-def tail_complements(graph: Graph) -> list:
-    """Hereditary saturated sets H != E^0 whose complement is downward directed.
-
-    In a finite graph these are exactly the complements E^0 \\ M of the
-    maximal tails M (Rangaswamy, "The theory of prime ideals of Leavitt path
-    algebras over arbitrary graphs", J. Algebra 375 (2013)): M is closed
-    under predecessors exactly when H is hereditary, and gives every regular
-    member an edge back into M exactly when H is saturated.  Sorted by size
-    then lexicographically, the order of enumerate_hereditary_saturated.
-    """
-    everything = frozenset(graph.vertices)
-    return _by_size(everything - m for m in maximal_tails(graph))
 
 
 #: Turns the digits of a bin() string into the bytes 0 and 1.

@@ -49,10 +49,10 @@ from .graphs import (
     breaking_vertices,
     downward_directed,
     hereditary_saturated_closure,
+    maximal_tails,
     quotient_cycle_exits,
     quotient_facts,
     quotient_view,
-    tail_complements,
 )
 from .poly import (
     FieldSpec,
@@ -412,19 +412,21 @@ def is_prime(ideal: Ideal) -> CaseResult:
 def enumerate_graded_primes(graph: Graph) -> list:
     """All graded prime ideals, sorted by (H, S), each checked with is_prime.
 
-    A graded prime has H = E^0 \\ M for a maximal tail M: it is (H, B_H), or
-    (H, B_H minus u) for a breaking vertex u whose reaching set is M.  It
-    serves `lpa primes` and the oracles; a factorization builds only the
-    primes of its answer, from the tails it keeps (_tail_pair).
+    A graded prime has H = E^0 \\ M for a maximal tail M (Rangaswamy,
+    J. Algebra 375 (2013)): it is (H, B_H), or (H, B_H minus u) for a
+    breaking vertex u whose reaching set is M, so each tail of maximal_tails
+    gives its primes directly.  It serves `lpa primes` and the oracles; a
+    factorization builds only the primes of its answer, one per tail it
+    keeps (_tail_pair).
     """
     out = []
     everything = frozenset(graph.vertices)
-    for hset in tail_complements(graph):
-        complement = everything - hset
+    for tail in maximal_tails(graph):
+        hset = everything - tail
         full = breaking_vertices(graph, hset)
         out.append(Ideal(graph, AdmissiblePair(hset, full)))
         for u in sorted(full):
-            if complement == graph.reaching_set(u):
+            if graph.reaching_set(u) == tail:
                 out.append(Ideal(graph, AdmissiblePair(hset, full - {u})))
     out.sort(key=lambda i: i.pair.key())
     for p in out:
@@ -646,37 +648,29 @@ class FactorizationReport:
 
 
 def _tail_pair(graph: Graph, below: AdmissiblePair, view, tail):
-    """Pair of the largest graded prime above the pair below whose image in
-    the quotient view by it is everything outside tail, a maximal tail of
-    the quotient.
+    """Pair of the graded prime above the pair below whose image in the
+    quotient view by it is everything outside tail, a maximal tail of the
+    quotient.
 
     A graded prime is (H, B_H), or (H, B_H minus u) for a breaking vertex u
     whose reaching set is E^0 minus H (enumerate_graded_primes).  Its image
     misses a real vertex of the tail only if that vertex lies outside H, and
-    misses a primed sink u' only if u lies outside H and outside S; so H
-    lies in E^0 minus M, where M is the tail with each primed sink replaced
-    by its source, and the largest candidates are (E^0 minus M, B) and
-    (E^0 minus M, B minus u) for each such u in B.  The candidates are
-    checked as the enumeration's primes were: some image must match, and
-    the matching ones must form a chain.  A tail without a primed sink
-    gives the one candidate (E^0 minus M, B).
+    misses a primed sink u' only if u lies outside H and outside S.  So with
+    M the tail with each primed sink u' replaced by its source u, and U the
+    set of those sources, H lies in E^0 minus M and S misses U, and the
+    prime is the largest such pair, (E^0 minus M, B minus U) for B the
+    breaking vertices of E^0 minus M.  It is asserted to lie above the pair
+    below and to have the tail's image; oracles.tail_primes_by_image
+    selects it from all graded primes instead.
     """
+    sources = {view.split_source[w] for w in tail if w in view.split_source}
     hset = frozenset(graph.vertices).difference(
         view.split_source.get(w, w) for w in tail)
-    full = breaking_vertices(graph, hset)
-    pairs = [AdmissiblePair(hset, full)] + [
-        AdmissiblePair(hset, full - {view.split_source[w]}) for w in tail
-        if view.split_source.get(w) in full]
-    image = frozenset(view.vertices) - tail
-    pool = [p for p in pairs if admissible_leq(below, p) and view.image(p) == image]
-    assert pool, f"no graded prime has the image of the tail {sorted(tail)}"
-    best = pool[0]
-    for p in pool[1:]:
-        if admissible_leq(best, p):
-            best = p
-    assert all(admissible_leq(p, best) for p in pool), \
-        "image-matched primes are not a chain"
-    return best
+    pair = AdmissiblePair(hset, breaking_vertices(graph, hset) - sources)
+    assert admissible_leq(below, pair) \
+        and view.image(pair) == frozenset(view.vertices) - tail, \
+        f"no graded prime has the image of the tail {sorted(tail)}"
+    return pair
 
 
 def factor_prime_powers(ideal: Ideal) -> FactorizationReport:
@@ -685,8 +679,9 @@ def factor_prime_powers(ideal: Ideal) -> FactorizationReport:
     Every proper ideal of a finite graph factors, and the irredundant
     factorization is unique.  The quotient's tail cover drives the
     construction (quotient_facts): each of its tails pulls back to the
-    largest graded prime with the matching image (_tail_pair), which is
-    the tail/prime correspondence of Rangaswamy, J. Algebra 375 (2013).
+    graded prime read off the tail (_tail_pair), whose image is everything
+    outside the tail, by the tail/prime correspondence of Rangaswamy,
+    J. Algebra 375 (2013).
     A cycle part's cycle has no exit in the quotient, so it is a minimal
     free component and lies in exactly one tail of the cover; the
     polynomial of the part splits that tail's prime into prime powers.

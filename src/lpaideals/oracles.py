@@ -40,7 +40,6 @@ from .graphs import (
     quotient_graph,
     quotient_view,
     strong_csp,
-    tail_complements,
 )
 from .ideals import (
     CyclePart,
@@ -431,11 +430,11 @@ def tail_primes_by_image(ideal: Ideal):
     tails of the quotient graph by the ideal's pair, found by
     irredundant_tail_cover; None when the tails do not cover.
 
-    The reference for ideals._tail_pair, which builds one or two candidate
-    pairs from the tail: the prime is the largest of all graded primes of
-    enumerate_graded_primes above the ideal whose image in the quotient is
-    everything outside the tail, None when there is none, and the primes
-    with that image must form a chain.
+    The reference for the pair that ideals._tail_pair reads directly off
+    the tail: here the prime is selected as the largest of all graded
+    primes of enumerate_graded_primes above the ideal whose image in the
+    quotient is everything outside the tail, None when there is none, and
+    the primes with that image must form a chain.
     """
     graph = ideal.graph
     view = quotient_view(graph, ideal.pair)
@@ -934,7 +933,8 @@ def random_prime_power_family(config: GeneratorConfig, graph: Graph,
     rng = SplitMix64(config.seed).split()
     graded_pool = [p for p in enumerate_graded_primes(graph) if p.pair.vertices]
     sites = []
-    for hset in tail_complements(graph):
+    everything = frozenset(graph.vertices)
+    for hset in graphs._by_size(everything - m for m in maximal_tails(graph)):
         pair_sets = (hset, _breaking_literal(graph, hset))
         quotient = quotient_graph(
             graph, AdmissiblePair(pair_sets[0], pair_sets[1]))

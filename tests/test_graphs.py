@@ -61,7 +61,6 @@ from lpaideals.graphs import (
     quotient_graph,
     quotient_view,
     strong_csp,
-    tail_complements,
 )
 from lpaideals import graphs as graphs_module
 from lpaideals.ideals import (
@@ -705,7 +704,8 @@ class TestTailComplements:
             filtered = [h for h in enumerate_hereditary_saturated(g)
                         if h != everything
                         and downward_directed(g, everything - h)[0]]
-            assert tail_complements(g) == filtered, g
+            assert graphs_module._by_size(
+                everything - m for m in maximal_tails(g)) == filtered, g
             proper = [Ideal(g, p) for p in enumerate_admissible_pairs(g)
                       if p.vertices != everything]
             assert enumerate_graded_primes(g) == [

@@ -27,6 +27,7 @@ from lpaideals.graphs import (
     AdmissiblePair,
     Edge,
     Graph,
+    OMEGA,
     admissible_leq,
     admissible_pair,
     breaking_vertices,
@@ -42,7 +43,6 @@ from lpaideals.graphs import (
     quotient_graph,
     quotient_view,
     strong_csp,
-    tail_complements,
 )
 from lpaideals.ideals import (
     Ideal,
@@ -282,7 +282,8 @@ class TestCondensation:
         # tail E^0 \ H, which is downward directed; so the strong-CSP half
         # of the match predicate always holds and condition (K) decides it
         for g in omega_corpus():
-            for hset in tail_complements(g):
+            for tail in maximal_tails(g):
+                hset = frozenset(g.vertices) - tail
                 pair = admissible_pair(g, hset, breaking_vertices(g, hset))
                 quotient = quotient_graph(g, pair).graph
                 assert strong_csp_oracle(quotient).holds, (g, hset)
@@ -441,6 +442,27 @@ class TestTailCertificate:
         with pytest.raises(AssertionError, match="tail certification failed"):
             maximal_tails(g)
 
+    @pytest.mark.parametrize("stray", ["x", "y"])
+    def test_an_ancestor_mask_with_a_stray_cycle_vertex_fails_certification(
+            self, stray):
+        # MT3 reads the reach of every member, not of one per component: one
+        # vertex of a cycle of infinite emitters, slipped into a tail's
+        # ancestor mask without the rest of its component, keeps MT1 (the
+        # into mask comes with the tail) and MT2 (no member of the cycle is
+        # regular), and reaches none of the tail
+        g = Graph(["a", "t", "x", "y"], [
+            Edge("at", "a", "t"),
+            Edge("xy", "x", "y", OMEGA), Edge("yx", "y", "x", OMEGA)])
+        masks = graphs_module._vertex_masks(g)
+        _, reach, _ = graphs_module.condensation(g)
+        i = reach["t"].bit_length() - 1
+        assert not reach[stray] >> i & 1
+        assert self.certified(g, {"a", "t"})
+        assert not self.certified(g, {"a", "t", stray})
+        masks.ancestors[i] |= masks.bit[stray]
+        with pytest.raises(AssertionError, match="tail certification failed"):
+            maximal_tails(g)
+
     def test_agrees_on_primed_tails_and_perturbed_sets(self):
         verdicts = collections.Counter()
         for g in omega_corpus():
@@ -521,6 +543,7 @@ class TestFactorTails:
 
     def test_cover_and_primes_match_the_oracles(self):
         checked = collections.Counter()
+        primed = 0  # cover tails holding a primed sink, whose prime drops u
         for g in omega_corpus()[:1500]:
             for ideal in _scanned_ideals(g):
                 facts = quotient_facts(g, ideal.pair)
@@ -533,6 +556,8 @@ class TestFactorTails:
                 got = [(t, ideals_module._tail_pair(g, ideal.pair, view, t))
                        for t in cover]
                 assert got == [(t, p and p.pair) for t, p in want], (g, ideal)
+                primed += sum(not view.split_source.keys().isdisjoint(t)
+                              for t in cover)
                 report = factor_prime_powers(ideal)
                 assert report is not None, (g, ideal)
                 powers = [ideal_power(p, r) for p, r in report.factors]
@@ -540,6 +565,7 @@ class TestFactorTails:
                 assert intersect(powers) == ideal, (g, ideal)
                 checked[bool(ideal.parts)] += 1
         assert checked[False] > 3000 and checked[True] > 3000, checked
+        assert primed > 500, primed
 
     def test_prime_powers_match_the_direct_decomposition(self):
         # prime_power_decompose reads a prime power off a report with one
