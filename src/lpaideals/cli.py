@@ -4,6 +4,13 @@ Output is a single JSON document on standard output (or one DOT graph for the
 rendering paths), byte-stable for fixed inputs.  Diagnostics go to standard
 error.  Exit codes: 0 success, 2 invalid input, 4 resource cap exceeded, 1
 internal error (always a bug).
+
+Each call parses its argv in one argparse pass: a leading command name goes
+straight to that command's subparser, which is what the top-level parser
+would hand the rest of argv to anyway.  The whole parser tree parses argv
+only when it starts with no command or when arguments are left over, so
+that help, usage errors and `lpa: error: unrecognized arguments` keep their
+text.
 """
 
 from __future__ import annotations
@@ -183,15 +190,20 @@ _HANDLERS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args never mutates the parser
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The `lpa` parser tree and each command's subparser by name.
+
+    Built once per process: parsing never mutates a parser.
+    """
     parser = argparse.ArgumentParser(
         prog="lpa",
         description="Ideal calculus for Leavitt path algebras of finite graphs.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    commands = {}
 
     def command(name: str, help_text: str):
-        p = sub.add_parser(name, help=help_text, description=help_text)
+        p = commands[name] = sub.add_parser(name, help=help_text,
+                                            description=help_text)
         p.add_argument("--graph", required=True, metavar="PATH",
                        help="graph JSON file")
         p.add_argument("--pretty", action="store_true",
@@ -240,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="render the quotient by this ideal instead")
     field_flag(p)
 
-    return parser
+    return parser, commands
 
 
 def _serialize(output, pretty: bool) -> str:
@@ -257,10 +269,31 @@ def _serialize(output, pretty: bool) -> str:
                        f"for int-to-str conversion") from exc
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """The command's subparser alone parses argv after a command name."""
+    parser, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def run(argv) -> int:
-    """Execute one command from an argv list (program name excluded)."""
+    """Execute one command from an argv list (program name excluded).
+
+    A leading command name sends the rest of argv straight to that
+    command's subparser, which is all the top-level parser would do with it,
+    so a call takes one argparse pass, not two; the subparser's errors and
+    --help read the same.  The whole tree parses argv when it starts with no
+    command (no argument, --help, an unknown command) or when arguments are
+    left over, so that the top-level parser reports them (`lpa: error:
+    unrecognized arguments: ...`).
+    """
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

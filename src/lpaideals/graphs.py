@@ -71,9 +71,13 @@ OMEGA = math.inf
 LATTICE_CAP = 2**16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
-    """One edge slot: src --id--> dst with multiplicity mult (int >= 1 or OMEGA)."""
+    """One edge slot: src --id--> dst with multiplicity mult (int >= 1 or OMEGA).
+
+    A `__slots__` class with no per-edge `__dict__`: every graph builds, hashes
+    and reads its edges, and slots make each of these cheaper.
+    """
 
     id: str
     src: str

@@ -113,6 +113,10 @@ class TestGraphModel:
         g = one_loop()
         with pytest.raises(AttributeError):
             g.vertices = ()
+        edge = g.edges[0]
+        with pytest.raises(AttributeError):
+            edge.mult = 2
+        assert not hasattr(edge, "__dict__")
 
     def test_vertex_classes(self):
         g = omega_fan()
