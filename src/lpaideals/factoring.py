@@ -19,7 +19,11 @@ factor over Q) live in the oracles, which import this module's kernels.
 Over GF(p): square-free decomposition aware of characteristic p,
 distinct-degree factorization through x^(p^i) mod f, and Cantor-Zassenhaus
 equal-degree splitting (Cantor & Zassenhaus, Math. Comp. 36, 1981); on a
-square-free f the distinct-degree pass is Ben-Or's loop.  Over Q:
+square-free f the distinct-degree pass is Ben-Or's loop.  Both run in the
+residue ring GF(p)[x]/(f) of _Residues, whose Frobenius map a -> a^p is a
+power for p = 2 and 3 and a GF(p)-linear combination of a table from
+p = 5 on, and whose products from _PACK_DEGREE on pack each coefficient
+into one or two 64-bit words of one int.  Over Q:
 Zassenhaus's method (J. Number Theory 1, 1969), factoring modulo a good
 prime, Hensel lifting (von zur Gathen & Gerhard, Modern Computer Algebra,
 ch. 15) and recombining subsets of the lifted factors, the one exponential
@@ -28,9 +32,9 @@ step, whose number of modular factors the caller caps.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd, isqrt, lcm
+from struct import pack, unpack
 
 from .errors import DegreeTooLarge
 from .poly import (_add, _derivative, _divmod, _gcd, _is_prime, _monic, _mul, _product,
@@ -46,20 +50,28 @@ _PACK_DEGREE = 8
 class _Residues:
     """GF(p)[x] modulo a monic f of degree n >= 1; residues have degree < n.
 
-    A product packs each operand into one int, a slot of wb bytes per
-    coefficient (wide enough that no slot overflows), multiplies once, and
-    folds the high half back with the table of x^(n+k) mod f.  The Frobenius
-    map a -> a^p is GF(p)-linear, so it combines the table of x^(ip) mod f,
-    built from x^p when a second residue needs it.
+    A product packs each operand into one int, a slot of one 64-bit word per
+    coefficient, or two when 2 * bits(p) + bits(n) + 1 > 64 (a slot then
+    sums fewer than 2n products of residues, so none overflows), multiplies
+    once, and folds the high half back with the table of x^(n+k) mod f.
+    struct packs and unpacks the words.
+
+    The Frobenius map a -> a^p costs bits(p) - 1 squarings and popcount(p) - 1
+    products by powering: one squaring for p = 2, two products for p = 3.
+    From p = 5 on, where powering takes three or more, the map is applied as
+    what it is, GF(p)-linear: a combination of the table of x^(ip) mod f,
+    built from x^p when a second residue needs it (n products, once).
     """
 
-    __slots__ = ("f", "p", "n", "_wb", "_low", "_fold", "_xp", "_frob")
+    __slots__ = ("f", "p", "n", "_words", "_low", "_fold", "_powering", "_xp", "_frob")
 
     def __init__(self, f: list, p: int):
         n = len(f) - 1
         self.f, self.p, self.n = f, p, n
-        self._wb = (2 * p.bit_length() + n.bit_length() + 9) // 8
-        self._low = (1 << (8 * self._wb * n)) - 1
+        self._words = 1 if 2 * p.bit_length() + n.bit_length() + 1 <= 64 else 2
+        self._low = (1 << (64 * self._words * n)) - 1
+        # products per Frobenius step by powering: at most two for p < 4
+        self._powering = p.bit_length() + bin(p).count("1") - 2 <= 2
         self._fold = self._xp = self._frob = None
         if n >= _PACK_DEGREE:
             t = [-c % p for c in f[:-1]]  # x^n mod f
@@ -73,14 +85,18 @@ class _Residues:
             self._fold = fold
 
     def _pack(self, a: list) -> int:
-        wb = self._wb
-        return int.from_bytes(b"".join(c.to_bytes(wb, "little") for c in a), "little")
+        words = a
+        if self._words == 2:
+            words = [0] * (2 * len(a))
+            words[::2] = a
+        return int.from_bytes(pack(f"<{len(words)}Q", *words), "little")
 
     def _unpack(self, x: int, k: int) -> list:
-        wb, p = self._wb, self.p
-        bs = x.to_bytes(k * wb, "little")
-        return _trim([int.from_bytes(bs[i:i + wb], "little") % p
-                      for i in range(0, k * wb, wb)])
+        w, p = self._words, self.p
+        words = unpack(f"<{w * k}Q", x.to_bytes(8 * w * k, "little"))
+        if w == 1:
+            return _trim([c % p for c in words])
+        return _trim([(lo | hi << 64) % p for lo, hi in zip(words[::2], words[1::2])])
 
     def mul(self, a: list, b: list) -> list:
         if not a or not b:
@@ -92,7 +108,7 @@ class _Residues:
         if k <= n:
             return self._unpack(prod, k)
         low = prod & self._low
-        high = self._unpack(prod >> (8 * self._wb * n), k - n)
+        high = self._unpack(prod >> (64 * self._words * n), k - n)
         for c, t in zip(high, self._fold):
             if c:
                 low += c * t
@@ -115,6 +131,8 @@ class _Residues:
 
     def frobenius(self, a: list) -> list:
         """a^p."""
+        if self._powering:
+            return self.pow(a, self.p)
         if self._xp is None:
             self._xp = self.pow([0, 1], self.p)
         if a == [0, 1]:  # the first step of every caller
@@ -236,7 +254,7 @@ _CERTIFICATE_PRIMES = 3
 def primitive(coeffs) -> list[int]:
     """Integer multiple of an int or Fraction list: coprime coefficients,
     positive leading coefficient."""
-    den = lcm(*(Fraction(c).denominator for c in coeffs))
+    den = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
     return [c // g for c in ints]
@@ -284,7 +302,7 @@ def _squarefree_part(f: list):
     not divide lc(f), so f square-free modulo one such p proves f
     square-free over Q.  The first _CERTIFICATE_PRIMES of them are tried,
     up to the first that certifies f; only when none does is the gcd taken
-    over Q, on Fractions.  The verdicts are on f, so they are kept only
+    over Q.  The verdicts are on f, so they are kept only
     when the part is f.
     """
     verdicts = {}

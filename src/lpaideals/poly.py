@@ -1,15 +1,19 @@
 """Exact univariate polynomial arithmetic over Q and over prime fields GF(p).
 
 Polynomials are dense coefficient tuples, lowest degree first, so [1, 0, 1]
-is 1 + x**2.  Coefficients are fractions.Fraction over Q and Python ints in
-range(p) over GF(p); all arithmetic is exact, nothing is ever floated.
+is 1 + x**2.  Over GF(p) coefficients are Python ints in range(p).  Over Q a
+coefficient is an int when it is integral and a fractions.Fraction exactly
+when its denominator is above 1, so Fraction arithmetic runs only where a
+denominator exists; Fraction(2) == 2 and the two hash alike, so the form is
+invisible to equality, hashing and printing.  All arithmetic is exact,
+nothing is ever floated.
 
 All polynomial arithmetic runs on one set of kernels on plain coefficient
 lists, defined here: sum, product, division with remainder, remainder
 alone (the one remainder loop, which gcd and divides use), monic, gcd and
 derivative, each taking a modulus m.  Poly passes its field's p, which is
-None over Q, and None means exact arithmetic on Fractions; the factoring
-module passes a prime or, while Hensel lifting, a prime power.
+None over Q, and None means exact arithmetic over Q in the form above; the
+factoring module passes a prime or, while Hensel lifting, a prime power.
 
 The module also provides the Laurent normal form used by the ideal calculus:
 in K[x, 1/x] the units are the monomials a*x**k, so every nonzero Laurent
@@ -58,8 +62,9 @@ def _is_prime(n: int) -> bool:
 # factoring module.  Lists (or tuples) run lowest degree first with no
 # trailing zeros.  m is a modulus: a prime p, or a power of p while factoring
 # lifts factors, and every result then has its coefficients in range(m).
-# m = None is exact arithmetic over Q: results hold Fractions (zeros
-# included) when the inputs do, as Poly's do over Q.
+# m = None is exact arithmetic over Q: every result holds an integral
+# coefficient as an int and any other as a Fraction, whatever mix the inputs
+# hold, as Poly's coefficients do over Q.
 
 
 def _trim(a: list) -> list:
@@ -69,11 +74,17 @@ def _trim(a: list) -> list:
 
 
 def _reduce(a: list, m) -> list:
-    return _trim([c % m for c in a] if m else a)
+    if m:
+        return _trim([c % m for c in a])
+    return _trim([c if type(c) is int or c.denominator != 1 else c.numerator
+                  for c in a])
 
 
 def _inv(c, m):
-    return pow(c, -1, m) if m else 1 / Fraction(c)
+    if m:
+        return pow(c, -1, m)
+    inv = 1 / Fraction(c)
+    return inv.numerator if inv.denominator == 1 else inv
 
 
 def _add(a, b, m) -> list:
@@ -89,9 +100,9 @@ def _sub(a, b, m) -> list:
     return _add(a, [-c for c in b], m)
 
 
-def _product(a, b, zero=0) -> list:
+def _product(a, b) -> list:
     """a * b for nonzero a and b, schoolbook, neither reduced nor trimmed."""
-    out = [zero] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
@@ -103,7 +114,7 @@ def _mul(a, b, m) -> list:
     """a * b."""
     if not a or not b:
         return []
-    return _reduce(_product(a, b, 0 if m else Fraction(0)), m)
+    return _reduce(_product(a, b), m)
 
 
 def _rem(a, b, m) -> list:
@@ -133,13 +144,15 @@ def _rem(a, b, m) -> list:
 
 def _divmod(a, b, m):
     """Quotient and remainder of a by the nonzero b, whose leading coefficient
-    must be invertible modulo m; for a remainder alone, _rem is faster."""
+    must be invertible modulo m; for a remainder alone, _rem is faster.
+    Both are reduced, so an unreduced a of lower degree than b comes back
+    reduced too."""
     n = len(b) - 1
     if len(a) <= n:
-        return [], list(a)
+        return [], _reduce(list(a), m)
     inv = 1 if b[-1] == 1 else _inv(b[-1], m)
     r = list(a)
-    q = [0 if m else Fraction(0)] * (len(r) - n)
+    q = [0] * (len(r) - n)
     for i in range(len(r) - n - 1, -1, -1):
         c = r[i + n] * inv
         if m:
@@ -148,7 +161,7 @@ def _divmod(a, b, m):
             q[i] = c
             for j in range(n):
                 r[i + j] -= c * b[j]
-    return _trim(q), _reduce(r[:n], m)
+    return (_trim(q) if m else _reduce(q, None)), _reduce(r[:n], m)
 
 
 def _monic(a, m):
@@ -156,7 +169,7 @@ def _monic(a, m):
     if a[-1] == 1:
         return a
     inv = _inv(a[-1], m)
-    return [c * inv % m for c in a] if m else [c * inv for c in a]
+    return [c * inv % m for c in a] if m else _reduce([c * inv for c in a], None)
 
 
 def _gcd(a, b, m):
@@ -210,7 +223,8 @@ class FieldSpec:
     # -- scalars ------------------------------------------------------------
 
     def coerce(self, x):
-        """Coerce an int, Fraction, or "a/b" string into a field scalar.
+        """Coerce an int, Fraction, or "a/b" string into a field scalar, over
+        Q in canonical form: an int when integral, else a Fraction.
 
         Over Q nothing else is accepted: Fraction would also parse decimal
         and exponent strings, and "1e999999999" would make it build a
@@ -219,15 +233,18 @@ class FieldSpec:
         and non-ASCII digits.
         """
         if self.kind == "Q":
+            if type(x) is int:
+                return x
             if isinstance(x, bool) or not (
                     isinstance(x, (int, Fraction))
                     or isinstance(x, str) and _RATIONAL.fullmatch(x)):
                 raise ValueError(f"scalar {x!r} rejected over Q: expected an "
                                  f"int, a Fraction or an \"a/b\" string")
             try:
-                return Fraction(x)
+                x = Fraction(x)
             except ZeroDivisionError as exc:
                 raise ValueError(f"scalar {x!r} rejected over Q: {exc}") from exc
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, str):
             if not _INTEGER.fullmatch(x):
                 raise ValueError(f"scalar {x!r} rejected over {self.label}: "
@@ -238,10 +255,10 @@ class FieldSpec:
         return x % self.p
 
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return 1
 
     def scalar_to_json(self, a):
         if self.kind == "GF":
@@ -552,7 +569,7 @@ def _factor(f: Poly) -> list[tuple[Poly, int]]:
         out = [(Poly._of(field, g), e)
                for g, e in factoring.factor_gf(list(f.coeffs), field.p)]
     else:
-        out = [(Poly._of(field, [Fraction(c, g[-1]) for c in g]), e)
+        out = [(Poly._of(field, _monic(g, None)), e)
                for g, e in factoring.factor_z(factoring.primitive(f.coeffs),
                                               MODULAR_FACTOR_CAP)]
     return sorted(out, key=_factor_key)

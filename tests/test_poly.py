@@ -182,11 +182,13 @@ def _random_poly(rng, field, top):
 
 
 def _in_field(f):
-    """Trimmed, with Fraction coefficients over Q and ints in range(p) over GF(p)."""
+    """Trimmed, with ints in range(p) over GF(p), and over Q in canonical form:
+    an int when integral, a Fraction exactly when the denominator is above 1."""
     if f.coeffs and f.coeffs[-1] == 0:
         return False
     if f.field.p is None:
-        return all(type(c) is Fraction for c in f.coeffs)
+        return all(type(c) is int or type(c) is Fraction and c.denominator > 1
+                   for c in f.coeffs)
     return all(type(c) is int and 0 <= c < f.field.p for c in f.coeffs)
 
 
@@ -224,7 +226,7 @@ class TestSharedKernels:
             g, m = poly_gcd(a, b), poly_lcm(a, b)
             # (a * u) mod b from the schoolbook product, never reduced mod p
             s = Poly._of(field, poly_module._rem(
-                poly_module._product(a.coeffs, u.coeffs, field.zero()), b.coeffs, field.p))
+                poly_module._product(a.coeffs, u.coeffs), b.coeffs, field.p))
             qs = (a * u) // b
             for f in (a, b, q, r, g, m, s, a - b, -a, a.monic(), a.derivative(),
                       a.scale(3), a ** 3):
@@ -245,14 +247,33 @@ class TestSharedKernels:
                 assert (g.evaluate(x) == 0) == (ax == 0 and bx == 0)
                 assert (m.evaluate(x) == 0) == (ax == 0 or bx == 0)
 
-    def test_rational_results_keep_fraction_zeros(self):
+    def test_rational_results_are_canonical(self):
         # quotients and products whose middle coefficients never receive a term
         q, r = divmod(poly(Q, (-1, 0, 0, 0, 1)), poly(Q, (-1, 0, 1)))
         assert q == poly(Q, (1, 0, 1)) and r.is_zero()
-        for f in (q, poly(Q, (1, 0, 0, 1)) * poly(Q, (2,)),
+        half = Fraction(1, 2)
+        # unreduced products whose Fraction terms are integral: below the
+        # divisor's degree the remainder is the product itself, reduced
+        low = poly_module._product((half, 1), (2,))
+        assert [type(c) for c in low] == [Fraction, int]
+        assert poly_module._divmod(low, (1, 1, 1), None) == ([], [1, 2])
+        lows = [Poly._of(Q, poly_module._divmod(low, (1, 1, 1), None)[1]),
+                Poly._of(Q, poly_module._rem(low, (1, 1, 1), None))]
+        # non-monic primitive factors: 4x - 1 and 2x^2 + 4x + 3
+        fac = factor(poly(Q, (3, 4, 2)) * poly(Q, (-1, 4)))
+        assert fac == [(poly(Q, (-half / 2, 1)), 1), (poly(Q, (3 * half, 2, 1)), 1)]
+        for f in (q, *lows, poly(Q, (1, 0, 0, 1)) * poly(Q, (2,)),
                   poly_lcm(poly(Q, (1, 0, 1)), poly(Q, (2, 0, 0, 2))),
-                  poly(Q, (1, 0, 0, 0, 1)) ** 2):
+                  poly(Q, (1, 0, 0, 0, 1)) ** 2,
+                  # a leading coefficient that is no unit of Z
+                  poly(Q, (2, half, 4)).monic(), poly(Q, (4, 6, 2)).monic(),
+                  poly(Q, (half, half)) + poly(Q, (half, half)),
+                  poly(Q, ("4/2", "-6/4", Fraction(8, 4))),
+                  *(g for g, _ in fac)):
             assert _in_field(f), f.coeffs
+        assert type(Q.coerce("4/2")) is int and Q.coerce("4/2") == 2
+        assert type(Q.coerce(Fraction(6, 3))) is int
+        assert type(Q.coerce("-6/4")) is Fraction
 
 
 def test_arithmetic_does_not_load_factoring():
@@ -678,6 +699,60 @@ class TestFactorizationProperties:
                         assert ring.pow(base, e) == power, (p, n, base, e)
                         power = poly_module._rem(poly_module._product(power, base)
                                                  if power and base else [], f, p)
+
+    @staticmethod
+    def _schoolbook_power(a, e, f, p):
+        """a^e mod f by square and multiply on _rem(_product(...)) alone."""
+        out, base = [1], a
+        while e:
+            if e & 1:
+                out = poly_module._rem(poly_module._product(out, base), f, p)
+            e >>= 1
+            if e and base:
+                base = poly_module._rem(poly_module._product(base, base), f, p)
+        return out
+
+    def test_frobenius_matches_repeated_products(self):
+        # p = 2 and 3 power (at most two products per step), larger p apply
+        # the table of x^(ip) mod f, built on the second residue; x comes
+        # first, as in every caller, then a random residue, then the chain
+        # x^p, x^(p^2), ...
+        from lpaideals.factoring import _PACK_DEGREE, _Residues
+
+        rng = SplitMix64(20261020)
+        for p in (2, 3, 5, 7, 101, 2**31 - 1):
+            for n in (2, 3, _PACK_DEGREE - 1, _PACK_DEGREE, 2 * _PACK_DEGREE + 1):
+                f = [rng.below(p) for _ in range(n)] + [1]
+                ring = _Residues(f, p)
+                assert ring._powering == (p < 4)
+                a = poly_module._trim([rng.below(p) for _ in range(n)]) or [1]
+                chain = [[0, 1], a]
+                for _ in range(4):
+                    chain.append(ring.frobenius(chain[-1] if len(chain) > 2 else [0, 1]))
+                for b in chain:
+                    want = self._schoolbook_power(b, p, f, p)
+                    assert ring.frobenius(b) == want, (p, n, b)
+
+    def test_two_word_slots_multiply_exactly(self):
+        # from 2 * bits(p) + bits(n) + 1 > 64 on, a packed slot takes two
+        # words; residues of p - 1 everywhere fill the slots the most
+        from lpaideals.factoring import _PACK_DEGREE, _Residues
+
+        rng = SplitMix64(20261021)
+        for p, words in ((101, 1), (2**31 - 1, 2)):
+            for n in (_PACK_DEGREE, _PACK_DEGREE + 3, 2 * _PACK_DEGREE + 1):
+                for f in ([p - 1] * n + [1], [rng.below(p) for _ in range(n)] + [1]):
+                    ring = _Residues(f, p)
+                    assert ring._words == words
+                    tops = [p - 1] * n
+                    for a, b in ((tops, tops), (tops, [p - 1]),
+                                 *(([rng.below(p) for _ in range(n)],
+                                    [rng.below(p) for _ in range(1 + rng.below(n))])
+                                   for _ in range(10))):
+                        a, b = poly_module._trim(a), poly_module._trim(b)
+                        want = (poly_module._rem(poly_module._product(a, b), f, p)
+                                if a and b else [])
+                        assert ring.mul(a, b) == want, (p, n, a, b)
 
 
 class TestSquarefreeCertificate:
