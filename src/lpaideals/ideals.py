@@ -15,13 +15,16 @@ elements.
 The factorization of a proper ideal into powers of distinct primes
 (factor_prime_powers) is unique and kept on the ideal: it is the one
 structural decomposition, and prime powers are the ideals it leaves whole.
-Products and intersections take any ideals: an operand with cycle parts
-gives way to its factors' powers, and the answer is read off the canonical
-forms of the graded ideals and prime powers so gathered: its graded part is
-the meet of the pairs, a cycle part survives where every other factor holds
-the cycle's start in its H, and factors on one (pair, cycle) multiply their
-polynomials for a product or take their lcm for an intersection.  A factor
-containing another changes none of this, so no factor is dropped first.
+Its factors are read off the tail cover of the ideal's quotient, one graded
+prime per tail, split by the polynomial of the tail's cycle part.
+Products and intersections take any ideals and factor no polynomial: an
+operand with cycle parts and several tails gives way to its tail pieces
+(_tail_split), and the answer is read off the canonical forms of the
+operands so gathered: its graded part is the meet of the pairs, a cycle
+part survives where every other operand holds the cycle's start in its H,
+and operands on one (pair, cycle) multiply their polynomials for a product
+or take their lcm for an intersection.  A factor containing another
+changes none of this, so no factor is dropped first.
 The form so read is already canonical and is built directly, as are the
 primes of a factorization: canonicalize serves user input and join_graded.
 """
@@ -114,15 +117,16 @@ class Ideal:
     across graphs, equality reads the graph, the pair and the parts.
 
     An Ideal is immutable, so factor_prime_powers keeps its report on it
-    (slot _report, unset until the first call), and a prime keeps its
-    powers by exponent (slot _powers): those ideal_power has built and
-    those a factorization found to be the ideal it factored.  The graph
-    keeps the ideal, so the answers last as long as the graph, and the
-    self-checks of each run once per distinct ideal of a graph.  The hash is
-    computed once, on construction.
+    (slot _report) and is_prime its verdict (slot _prime), each unset until
+    the first call, and a prime keeps its powers by exponent (slot
+    _powers): those ideal_power has built and those a factorization found
+    to be the ideal it factored.  The graph keeps the ideal, so the answers
+    last as long as the graph, and the self-checks of each run once per
+    distinct ideal of a graph.  The hash is computed once, on construction.
     """
 
-    __slots__ = ("graph", "pair", "parts", "_hash", "_report", "_powers")
+    __slots__ = ("graph", "pair", "parts", "_hash", "_report", "_prime",
+                 "_powers")
 
     def __new__(cls, graph: Graph, pair: AdmissiblePair, parts=()):
         known = graph._ideals.get((pair, tuple(parts)))
@@ -384,9 +388,19 @@ def is_prime(ideal: Ideal) -> CaseResult:
     Case 1: graded with S = B_H and downward directed complement.
     Case 2: graded with S = B_H minus one vertex whose reaching set is the
     whole complement.  Case 3: a single cycle part with irreducible
-    polynomial, S = B_H, and the complement reaching the cycle.
+    polynomial, S = B_H, and the complement reaching the cycle.  The
+    verdict is kept on the ideal (slot _prime); the ideal is checked to be
+    proper on every call.
     """
     _require_proper(ideal)
+    verdict = getattr(ideal, "_prime", None)
+    if verdict is None:
+        verdict = _is_prime(ideal)
+        object.__setattr__(ideal, "_prime", verdict)
+    return verdict
+
+
+def _is_prime(ideal: Ideal) -> CaseResult:
     graph, pair = ideal.graph, ideal.pair
     complement = frozenset(graph.vertices) - pair.vertices
     full = breaking_vertices(graph, pair.vertices)
@@ -522,44 +536,53 @@ def _combine(factors, mode: str) -> Ideal:
     return result
 
 
-def _prime_powers(ideal: Ideal, mode: str) -> list:
-    """The ideal if graded or a prime power, else its factors' powers,
-    asserted to recompose it under mode."""
-    factors = factor_prime_powers(ideal).factors if ideal.parts else ()
-    if len(factors) < 2:
-        return [ideal]
-    powers = [ideal_power(p, r) for p, r in factors]
-    assert _combine(powers, mode) == ideal, \
-        f"factors do not recompose {ideal!r} by {mode}"
-    return powers
-
-
 def _combination(factors, mode: str) -> Ideal:
     """The combination, built straight from the canonical forms of the
-    graded ideals and prime powers the factors give (_prime_powers), which
-    is the combination of the factors by associativity.
+    operands the factors give, which is the combination of the factors by
+    associativity.
+
+    A graded factor is its own operand, and so is a factor with parts whose
+    quotient's tail cover is one tail: that quotient is downward directed
+    and its one part's cycle c is its one minimal free component, so the
+    factor's pair is (E^0 minus R(c), B_H), the pair of every prime on c.
+    Its prime powers all sit on its (pair, c), and merging it there merges
+    them.  Any other factor gives way to its tail pieces (_tail_split): per
+    tail of the cover, the graded prime read off the tail, or that prime's
+    pair with the tail's one part.  The pieces are products of the prime
+    powers of distinct tails, so they recompose the factor by product and
+    by intersection alike, which is asserted.  No polynomial is factored.
 
     The answer is already canonical, so no canonicalize runs.  The meet of
     admissible pairs is admissible.  A surviving part's cycle has no exit
-    over its own factor's pair, so each edge leaving the cycle lands in that
-    factor's H; every other factor holds the cycle's start in its H, which
-    is hereditary, so the edge lands in the meet's H.  A cycle vertex that
-    breaks over the meet's H breaks over its own factor's H, so it lies in
-    that factor's S and in every other H, hence in the meet's S.  No two
-    survivors share a cycle.  Ideal still re-validates the pair and the
-    exitlessness, and the containment asserts stay.
+    over its own operand's pair, so each edge leaving the cycle lands in
+    that operand's H; every other operand holds the cycle's start in its H,
+    which is hereditary, so the edge lands in the meet's H.  A cycle vertex
+    that breaks over the meet's H breaks over its own operand's H, so it
+    lies in that operand's S and in every other H, hence in the meet's S.
+    No two survivors share a cycle.  Ideal still re-validates the pair and
+    the exitlessness, and the containment asserts stay.
     """
     graph = factors[0].graph
+    operands = []
+    for f in factors:
+        if not f.parts or len(quotient_facts(graph, f.pair).cover) == 1:
+            operands.append(f)
+            continue
+        pieces = [Ideal(graph, pair, (part,) if part else ())
+                  for pair, part in _tail_split(f)]
+        assert _combine(pieces, mode) == f, \
+            f"tail pieces do not recompose {f!r} by {mode}"
+        operands += pieces
 
-    # merge the parts of prime powers sharing (pair, cycle), None for a
-    # graded one; distinct exitless cycles force distinct pairs, so keying
-    # by (pair, cycle) never conflates them.  The members' polynomials keep
-    # their factorizations (factor_prime_powers factored them), so the
-    # merged one is given its own and is never factored again.
+    # merge the parts of operands sharing (pair, cycle), None for a graded
+    # one; distinct exitless cycles force distinct pairs, so keying by
+    # (pair, cycle) never conflates them.  When factor has kept both
+    # polynomials' factorizations, the merged one is given its own and is
+    # never factored again.
     merged = {}
-    for power in [p for f in factors for p in _prime_powers(f, mode)]:
-        part = power.parts[0] if power.parts else None
-        key = (power.pair, part.cycle if part else None)
+    for operand in operands:
+        part = operand.parts[0] if operand.parts else None
+        key = (operand.pair, part.cycle if part else None)
         if key not in merged:
             merged[key] = part
         elif part is not None:
@@ -673,6 +696,27 @@ def _tail_pair(graph: Graph, below: AdmissiblePair, view, tail):
     return pair
 
 
+def _tail_split(ideal: Ideal) -> list:
+    """(pair, part) for each tail of the cover of the ideal's quotient, in
+    cover order: the pair of the graded prime read off the tail
+    (_tail_pair), and the one cycle part whose cycle lies in the tail, or
+    None.
+
+    A part's cycle has no exit in the quotient, so it is a minimal free
+    component and lies in exactly one tail of the cover, and a tail holds
+    at most one.  The tail of an exitless cycle holds no primed sink, so its
+    pair is (H, B_H) with H containing the ideal's H: the cycle keeps no
+    exit over it, and the pair with the part is already canonical.  The
+    cover and the images are read off quotient_facts and quotient_view,
+    with no quotient built.
+    """
+    graph = ideal.graph
+    view = quotient_view(graph, ideal.pair)
+    return [(_tail_pair(graph, ideal.pair, view, tail),
+             next((p for p in ideal.parts if p.cycle.start in tail), None))
+            for tail in quotient_facts(graph, ideal.pair).cover]
+
+
 def factor_prime_powers(ideal: Ideal) -> FactorizationReport:
     """Factor a proper ideal into powers of distinct primes.
 
@@ -681,13 +725,11 @@ def factor_prime_powers(ideal: Ideal) -> FactorizationReport:
     construction (quotient_facts): each of its tails pulls back to the
     graded prime read off the tail (_tail_pair), whose image is everything
     outside the tail, by the tail/prime correspondence of Rangaswamy,
-    J. Algebra 375 (2013).
-    A cycle part's cycle has no exit in the quotient, so it is a minimal
-    free component and lies in exactly one tail of the cover; the
-    polynomial of the part splits that tail's prime into prime powers.
-    Only the primes of the answer are built, each checked with is_prime;
-    the cover and the images are read off quotient_facts and
-    quotient_view, with no quotient built.  The factors' powers are
+    J. Algebra 375 (2013).  The tail split (_tail_split), which products
+    and intersections read too, pairs each tail's prime with the one cycle
+    part lying in the tail, if any, and the polynomial of that part is
+    factored to split the prime into prime powers.  Only the primes of the
+    answer are built, each checked with is_prime.  The factors' powers are
     asserted to recompose the input by product, irredundantly, before the
     report is returned.
     """
@@ -701,19 +743,13 @@ def factor_prime_powers(ideal: Ideal) -> FactorizationReport:
 
 def _factor_prime_powers(ideal: Ideal) -> FactorizationReport:
     graph = ideal.graph
-    view = quotient_view(graph, ideal.pair)
     factors = []
-    for tail in quotient_facts(graph, ideal.pair).cover:
-        pair = _tail_pair(graph, ideal.pair, view, tail)
-        part = next((p for p in ideal.parts if p.cycle.start in tail), None)
+    for pair, part in _tail_split(ideal):
         if part is None:
             prime = Ideal(graph, pair)
             assert is_prime(prime).holds, f"tail produced a non-prime {prime!r}"
             factors.append((prime, 1))
             continue
-        # the tail of an exitless cycle holds no primed sink, so the pair is
-        # (H, B_H) with H containing the ideal's H: the cycle keeps no exit
-        # over it and the prime is already canonical
         for p, mult in factor_poly(part.poly.rep):
             prime = Ideal(graph, pair, (CyclePart(part.cycle, LaurentClass(p)),))
             assert is_prime(prime).holds, "cycle tail produced a non-prime"
@@ -723,7 +759,8 @@ def _factor_prime_powers(ideal: Ideal) -> FactorizationReport:
         _powers(factors[0][0])[factors[0][1]] = ideal
     powers = [ideal_power(p, r) for p, r in factors]
     # a power is a prime power by construction, so its report is its one
-    # factor, and the checks do not factor it again
+    # factor, kept for prime_power_decompose (factor_completely_irreducible
+    # asks it of each power)
     for entry, power in zip(factors, powers):
         if power is not ideal and getattr(power, "_report", None) is None:
             object.__setattr__(power, "_report",

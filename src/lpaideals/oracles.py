@@ -48,6 +48,7 @@ from .ideals import (
     canonicalize,
     contains,
     enumerate_graded_primes,
+    factor_prime_powers,
     ideal_power,
     is_prime,
     prime_power_decompose,
@@ -531,6 +532,22 @@ def combine_by_canonicalize(factors, mode: str) -> Ideal:
     result = canonicalize(graph, hset, sset, parts)
     assert all(contains(f, result) for f in factors), "combination escaped a factor"
     return result
+
+
+def combine_by_prime_powers(factors, mode: str) -> Ideal:
+    """Product or intersection of proper ideals over one graph, each first
+    replaced by the powers of its factorization report.
+
+    The reference for the tail split of ideals.multiply, ideals.intersect
+    and ideals.make_irredundant, which factor no operand: a report's powers
+    recompose its ideal by product and by intersection, so by associativity
+    the combination of all the powers is the combination of the factors.
+    The powers are graded or prime powers, combined by
+    combine_by_canonicalize.
+    """
+    powers = [ideal_power(p, r) for f in factors
+              for p, r in factor_prime_powers(f).factors]
+    return combine_by_canonicalize(powers, mode)
 
 
 def absorb(factors, mode: str) -> list:

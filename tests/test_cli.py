@@ -8,6 +8,7 @@ import time
 import pytest
 
 from lpaideals import graphs as graphs_module
+from lpaideals import ideals as ideals_module
 from lpaideals import poly as poly_module
 from lpaideals.cli import run
 
@@ -85,6 +86,23 @@ class TestSubcommands:
             == [[], ["v0", "v1", "v2"], ["v0", "v1", "v3"],
                 ["v0", "v2", "v3"]]
         assert all(p["case"] == 1 for p in data["primes"])
+
+    @pytest.mark.parametrize("name", ["petals3", "omega_fan", "double_loop_chain",
+                                      "sink_fork"])
+    def test_primes_computes_one_verdict_per_prime(self, capsys, monkeypatch, name):
+        # enumerate_graded_primes checks each prime, and the case printed is
+        # read off the verdict the prime keeps
+        computed = []
+        original = ideals_module._is_prime
+
+        def counted(ideal):
+            computed.append(ideal)
+            return original(ideal)
+
+        monkeypatch.setattr(ideals_module, "_is_prime", counted)
+        data = run_json(capsys, "primes", "--graph", graph(name))
+        assert data["count"] == len(computed) == len(set(computed))
+        assert all(p["case"] in (1, 2) for p in data["primes"])
 
     def test_ideal_classify(self, capsys):
         data = run_json(capsys, "ideal-classify", "--graph", graph("one_loop"),

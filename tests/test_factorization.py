@@ -33,6 +33,7 @@ from lpaideals.graphs import (
     graph_from_json,
     graph_to_json,
     maximal_tails,
+    quotient_facts,
 )
 from lpaideals.ideals import (
     canonicalize,
@@ -289,7 +290,8 @@ class TestFactorCompletelyIrreducible:
 
 
 class TestWorkCounts:
-    """Each factor is decomposed once per factor list, never per trial."""
+    """Products and intersections factor nothing, and a factorization
+    builds and checks each of its pieces once."""
 
     @staticmethod
     def counting(monkeypatch, name):
@@ -303,20 +305,30 @@ class TestWorkCounts:
         monkeypatch.setattr(ideals_module, name, counted)
         return calls
 
-    def test_make_irredundant_decomposes_each_factor_once(self, monkeypatch):
-        # one factorization report is built per operand, never per trial
-        powers = [one_loop_part(GF2, Poly(GF2, c) ** r)
-                  for c, r in (((1, 1), 2), ((1, 1, 1), 1), ((1, 1, 0, 1), 3))]
-        built = collections.Counter()
-        original = ideals_module._factor_prime_powers
+    @staticmethod
+    def fresh_families(count):
+        """TestMemos._families on freshly parsed graphs, so no member keeps
+        a report, a power or a factored polynomial from its generation."""
+        parsed = []
+        for g, family in TestMemos._families(count):
+            fresh = graph_from_json(graph_to_json(g))
+            parsed.append([ideal_from_json(fresh, ideal_to_json(m)) for m in family])
+        return parsed
 
-        def counted(ideal):
-            built[ideal] += 1
-            return original(ideal)
-
-        monkeypatch.setattr(ideals_module, "_factor_prime_powers", counted)
-        assert make_irredundant(powers, "product") == powers
-        assert built == collections.Counter(powers)
+    def test_operations_on_prime_powers_factor_nothing(self, monkeypatch):
+        # a prime power is graded or its quotient's cover is one tail, so it
+        # is merged as it is: no report is built and no polynomial factored,
+        # by the operations or by any trial of make_irredundant
+        parsed = self.fresh_families(40)
+        reports = self.counting(monkeypatch, "_factor_prime_powers")
+        factored = self.counting(monkeypatch, "factor_poly")
+        for members in parsed:
+            multiply(members)
+            intersect(members)
+            for mode in ("product", "intersection"):
+                assert make_irredundant(members, mode)
+        assert sum(bool(m.parts) for members in parsed for m in members) > 25
+        assert not reports and not factored
 
     def test_factor_prime_powers_factors_the_polynomial_once(self, monkeypatch):
         source = one_loop_part(GF2, (1, 1, 0, 1, 1))  # (x+1)^2 (x^2+x+1)
@@ -430,11 +442,7 @@ class TestWorkCounts:
         assert len(factored) == 1 + len(factors)
 
     def test_each_prime_power_is_built_once(self, monkeypatch):
-        # freshly parsed families, so no power is kept from their generation
-        parsed = []
-        for g, family in TestMemos._families(40):
-            fresh = graph_from_json(graph_to_json(g))
-            parsed.append([ideal_from_json(fresh, ideal_to_json(m)) for m in family])
+        parsed = self.fresh_families(40)
         asked, built = [], collections.Counter()
         power, raise_class = ideals_module.ideal_power, LaurentClass.__pow__
 
@@ -452,24 +460,34 @@ class TestWorkCounts:
         for members in parsed:
             # equal ideals over equal graphs are equal, so count per graph
             built.clear()
+            before = len(asked)
             product = multiply(members)
+            intersect(members)
+            # the members are merged as they are, so no power is asked for
+            assert len(asked) == before
             report = factor_prime_powers(product)
             assert factor_completely_irreducible(product) in (report, None)
             recomposed = [counted_power(p, r) for p, r in report.factors]
             assert multiply(recomposed) == product
-            # a member's own power is kept as the member and never raised;
-            # any other power is raised once, however often it is asked for
-            own = {prime_power_decompose(m) for m in members}
-            assert not any(built[key] for key in own)
+            # each power is raised at most once, however often it is asked
+            # for, and a member's own power is the member
             assert set(built.values()) <= {1}
+            own = {prime_power_decompose(m): m for m in members}
+            assert all(power(*key) is m for key, m in own.items())
             reused |= {key for key in asked if key in own and key[1] > 1}
         assert reused and len(asked) > 2 * len(reused)
 
     def test_a_product_of_factored_members_is_not_factored_again(self, monkeypatch):
-        # the members' decompositions factored their polynomials, so the
-        # product's factorization is read off theirs, as is the lcm's
-        powers = [one_loop_part(GF2, Poly(GF2, c) ** r)
-                  for c, r in (((1, 1), 2), ((1, 1, 1), 1), ((1, 1, 0, 1), 3))]
+        # the prime powers on l0 are factored first, so the product's
+        # polynomial there, and the lcm's, are read off theirs; the fresh
+        # one on l1 is factored only when the product is
+        graph = oracles.disjoint_loops(2)
+        l0, l1 = (Cycle.build((e.src,), (e.id,)) for e in graph.edges)
+        factored_first = [
+            canonicalize(graph, ("l1",), (), [(l0, Poly(GF2, c) ** r)])
+            for c, r in (((1, 1), 2), ((1, 1, 1), 1), ((1, 1, 0, 1), 3))]
+        fresh = canonicalize(graph, ("l0",), (), [(l1, Poly(GF2, (1, 1)) ** 2)])
+        assert all(prime_power_decompose(m) for m in factored_first)
         factored = []
         original = poly_module._factor
 
@@ -478,25 +496,39 @@ class TestWorkCounts:
             return original(g)
 
         monkeypatch.setattr(poly_module, "_factor", counted)
-        product, meet = multiply(powers), intersect(powers)
-        assert product is meet
-        decomposed = len(factored)
+        members = factored_first + [fresh]
+        product, meet = multiply(members), intersect(members)
+        assert product is meet and not factored
         report = factor_prime_powers(product)
-        assert sorted(r for _, r in report.factors) == [1, 2, 3]
-        # the report re-factors only its primes, in their is_prime checks
-        assert all(g.degree < product.parts[0].poly.degree
-                   for g in factored[decomposed:])
+        assert sorted(r for _, r in report.factors) == [1, 2, 2, 3]
+        # the report factors the fresh polynomial, and its primes re-factor
+        # theirs in their is_prime checks
+        on_l0 = next(part.poly.rep for part in product.parts if part.cycle == l0)
+        assert fresh.parts[0].poly.rep in factored
+        assert all(g.degree < on_l0.degree for g in factored)
 
-    def test_operations_decompose_each_member_once(self, monkeypatch):
-        # every member has a cycle part, so each decomposition factors once
-        powers = [one_loop_part(GF2, Poly(GF2, c) ** r)
-                  for c, r in (((1, 1), 2), ((1, 1, 1), 1), ((1, 1, 0, 1), 3))]
-        calls = self.counting(monkeypatch, "factor_poly")
-        multiply(powers)
-        intersect(powers)
-        make_irredundant(powers, "product")
-        make_irredundant(powers, "intersection")
-        assert len(calls) == len(powers)
+    def test_an_operand_of_several_tails_splits_without_factoring(self, monkeypatch):
+        # (x+1)^2 on l0, x^2+x+1 on l1 and nothing on l2 make three tails:
+        # the operand gives way to its tail pieces, read off the cover, and
+        # no polynomial is factored
+        graph = oracles.disjoint_loops(3)
+        l0, l1, _ = (Cycle.build((e.src,), (e.id,)) for e in graph.edges)
+        several = canonicalize(graph, (), (), [(l0, Poly(GF2, (1, 0, 1))),
+                                               (l1, Poly(GF2, (1, 1, 1)))])
+        other = canonicalize(graph, ("l2",), (), [(l0, Poly(GF2, (1, 1, 0, 1)))])
+        assert len(quotient_facts(graph, several.pair).cover) == 3
+        split = self.counting(monkeypatch, "_tail_split")
+        reports = self.counting(monkeypatch, "_factor_prime_powers")
+        factored = self.counting(monkeypatch, "factor_poly")
+        for mode, combine in (("product", multiply), ("intersection", intersect)):
+            got = combine([several, other])
+            assert got == oracles.combine_on_loops([several, other], mode)
+        # a second copy is redundant in an intersection, but not in a product
+        assert make_irredundant([several, several, other], "intersection") \
+            == [several, other]
+        assert make_irredundant([several, other, several], "product") \
+            == [several, other, several]
+        assert split and not reports and not factored
 
 
 class TestMemos:

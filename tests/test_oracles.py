@@ -48,6 +48,7 @@ from lpaideals.ideals import (
     Ideal,
     canonicalize,
     factor_prime_powers,
+    ideal_from_json,
     ideal_power,
     ideal_to_json,
     intersect,
@@ -64,6 +65,7 @@ from lpaideals.oracles import (
     bruteforce_factor_gf,
     closure_oracle,
     combine_by_canonicalize,
+    combine_by_prime_powers,
     combine_on_loops,
     combine_with_absorption,
     comp_irred_chain_walk,
@@ -512,11 +514,15 @@ class TestTailCertificate:
             quotient_facts(g, pair)
 
 
-def _scanned_ideals(graph):
+SCANNED_POLYS = ((1, 1), (1, 0, 1), (1, 1, 1))  # x+1, (x+1)^2, x^2+x+1
+
+
+def _scanned_ideals(graph, coefficients=SCANNED_POLYS):
     """Every proper graded ideal of the graph, and each proper ideal
-    with one or two parts from x+1, (x+1)^2 and x^2+x+1 over GF(2) on
-    cycles without exits in the quotient by a proper pair."""
-    polys = [Poly(GF2, c) for c in ((1, 1), (1, 0, 1), (1, 1, 1))]
+    with one or two parts from the given polynomials over GF(2), by
+    default x+1, (x+1)^2 and x^2+x+1, on cycles without exits in the
+    quotient by a proper pair."""
+    polys = [Poly(GF2, c) for c in coefficients]
     everything = frozenset(graph.vertices)
     out = {}
     for pair in enumerate_admissible_pairs(graph):
@@ -792,3 +798,53 @@ class TestLoopArithmetic:
                 seen["no prime power"] += bool(
                     o.parts) and prime_power_decompose(o) is None
         assert min(seen.values()) >= 20, seen
+
+
+class TestCombineByPrimePowers:
+    """multiply, intersect and make_irredundant on fresh, never factored
+    operands, which they split along their tail covers, against the
+    reference that replaces each operand by its report's powers."""
+
+    GRAPHS, GROUPS = 500, 4
+
+    @staticmethod
+    def _greedy(factors, mode):
+        target = combine_by_prime_powers(factors, mode)
+        kept = list(factors)
+        i = 0
+        while i < len(kept):
+            if len(kept) > 1:
+                trial = kept[:i] + kept[i + 1:]
+                if combine_by_prime_powers(trial, mode) == target:
+                    kept = trial
+                    continue
+            i += 1
+        return kept
+
+    def test_the_tail_split_matches_the_prime_powers(self):
+        # x^3+1 = (x+1)(x^2+x+1) gives one-tail operands that are no prime
+        # powers; two parts, or a part beside a graded tail, give several
+        rng = SplitMix64(20261021)
+        seen = collections.Counter()
+        for g in omega_corpus()[:self.GRAPHS]:
+            mine, theirs = (graph_from_json(graph_to_json(g)) for _ in range(2))
+            pool = _scanned_ideals(mine, SCANNED_POLYS + ((1, 0, 0, 1),))
+            for _ in range(self.GROUPS):
+                group = [pool[rng.below(len(pool))] for _ in range(2 + rng.below(2))]
+                twins = [ideal_from_json(theirs, ideal_to_json(m)) for m in group]
+                for mode, combine in (("product", multiply),
+                                      ("intersection", intersect)):
+                    assert combine(group) == combine_by_prime_powers(twins, mode), \
+                        (g, mode, group)
+                    assert [ideal_to_json(k) for k in make_irredundant(group, mode)] \
+                        == [ideal_to_json(k) for k in self._greedy(twins, mode)], \
+                        (g, mode, group)
+                for m, twin in zip(group, twins):
+                    if m.parts:
+                        tails = len(quotient_facts(mine, m.pair).cover)
+                        seen["several tails" if tails > 1 else
+                             "one tail" if prime_power_decompose(twin) is None
+                             else "prime power"] += 1
+            assert not any(hasattr(m, "_report") for m in pool), g
+        assert seen["several tails"] > 200 and seen["one tail"] > 140, seen
+
