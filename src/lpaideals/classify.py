@@ -15,7 +15,7 @@ of admissible pairs) so a counterexample can be rendered or re-checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import (
     AdmissiblePair,
@@ -29,13 +29,11 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class PredicateResult:
+class PredicateResult(namedtuple("PredicateResult", "predicate verdict witness",
+                                 defaults=(None,))):
     """Verdict of one classification predicate, with a witness when negative."""
 
-    predicate: str
-    verdict: bool
-    witness: object = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -45,11 +43,10 @@ class PredicateResult:
                 "witness": self.witness}
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
-    """All five predicate verdicts for one graph."""
+class AlgebraReport(namedtuple("AlgebraReport", "results")):
+    """All five predicate verdicts for one graph, indexed by predicate name."""
 
-    results: tuple
+    __slots__ = ()
 
     def to_json(self) -> list:
         return [r.to_json() for r in self.results]

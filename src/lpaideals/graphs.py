@@ -49,7 +49,7 @@ rendering and for the oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import chain, compress
 from operator import attrgetter, or_
@@ -62,6 +62,7 @@ from .errors import (
     TooLarge,
     UnknownVertex,
 )
+from .records import Record
 
 #: Multiplicity marker for an infinite bundle of parallel edges.
 OMEGA = math.inf
@@ -71,18 +72,14 @@ OMEGA = math.inf
 LATTICE_CAP = 2**16
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(namedtuple("Edge", "id src dst mult", defaults=(1,))):
     """One edge slot: src --id--> dst with multiplicity mult (int >= 1 or OMEGA).
 
-    A `__slots__` class with no per-edge `__dict__`: every graph builds, hashes
-    and reads its edges, and slots make each of these cheaper.
+    A named tuple with no per-edge `__dict__`: every graph builds, hashes
+    and compares its edges, and the tuple does each of these in C.
     """
 
-    id: str
-    src: str
-    dst: str
-    mult: object = 1
+    __slots__ = ()
 
     def is_omega(self) -> bool:
         return self.mult == OMEGA
@@ -372,16 +369,15 @@ def breaking_vertices(graph: Graph, hset) -> frozenset:
 # -- admissible pairs and quotient graphs --------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class AdmissiblePair(namedtuple("AdmissiblePair", "vertices breaking")):
     """Ideal coordinates: a hereditary saturated set plus chosen breaking vertices.
 
     `vertices` collects the vertices lying in the ideal; `breaking` the
     breaking vertices whose gap idempotents are added to the generators.
+    Both are frozensets, which keep their hash, so hashing a pair is cheap.
     """
 
-    vertices: frozenset
-    breaking: frozenset
+    __slots__ = ()
 
     def key(self):
         """Deterministic sort key."""
@@ -428,20 +424,17 @@ def _fresh_name(base: str, taken: set) -> str:
     return cand
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(namedtuple("Quotient", "graph base pair split_source")):
     """Quotient graph of a base graph by an admissible pair, with provenance.
 
     The quotient keeps the vertices outside the pair and, for each unchosen
     breaking vertex v, adds a fresh sink carrying the image of the gap
     idempotent of v.  Every edge whose target is such a v is doubled: the
     original copy keeps its target, the primed copy lands on the new sink.
+    split_source maps each primed sink to the breaking vertex it splits off.
     """
 
-    graph: Graph
-    base: Graph
-    pair: AdmissiblePair
-    split_source: dict  # primed sink -> the breaking vertex it splits off
+    __slots__ = ()
 
     def is_primed_vertex(self, v: str) -> bool:
         return v in self.split_source
@@ -473,8 +466,8 @@ def quotient_graph(graph: Graph, pair: AdmissiblePair) -> Quotient:
     return Quotient(q, graph, pair, split_source)
 
 
-@dataclass(frozen=True, slots=True)
-class QuotientFacts:
+class QuotientFacts(namedtuple("QuotientFacts",
+                               "cover condition_l downward_directed")):
     """The tail cover of a quotient, and its verdicts on condition (L) and
     downward directedness.
 
@@ -488,13 +481,10 @@ class QuotientFacts:
     other maximal tails are not built.
     """
 
-    cover: tuple
-    condition_l: bool
-    downward_directed: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class QuotientView:
+class QuotientView(Record):
     """The quotient E/(H, S) of quotient_graph, read off the base graph.
 
     vertices are the quotient's vertex names, sorted; split_source maps each
@@ -503,16 +493,22 @@ class QuotientView:
     quotient_graph names them.  edge and out_edges answer as the quotient
     graph's methods do, so Cycle.check_in and cycle_exits take a view in
     place of a graph.  facts is filled by quotient_facts on first use.  A
-    view holds the base graph's edge tables, never the graph.
+    view holds the base graph's edge tables, never the graph: out, the
+    out-edges by vertex, and by_id, the edges by id.  Views are equal by
+    identity, one per (graph, pair).
     """
 
-    pair: AdmissiblePair
-    vertices: tuple
-    split_source: dict
-    copies: dict
-    out: dict  # the base graph's out-edges by vertex
-    by_id: dict  # the base graph's edges by id
-    facts: QuotientFacts = None
+    __slots__ = ("pair", "vertices", "split_source", "copies", "out", "by_id",
+                 "facts")
+
+    def __init__(self, pair, vertices, split_source, copies, out, by_id):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "split_source", split_source)
+        object.__setattr__(self, "copies", copies)
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "by_id", by_id)
+        object.__setattr__(self, "facts", None)
 
     def edge(self, edge_id: str) -> Edge:
         e = self.by_id.get(edge_id)
@@ -656,17 +652,25 @@ def _read_facts(graph: Graph, view: QuotientView) -> QuotientFacts:
 # -- cycles and exit structure --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """Simple cycle as parallel tuples: edges[i] joins vertices[i] to vertices[i+1].
 
     The last edge returns to vertices[0]; rotation is normalized so that
-    vertices[0] is the smallest vertex id on the cycle.  The hash is kept on
-    first use.
+    vertices[0] is the smallest vertex id on the cycle.  Equal cycles have
+    equal tuples.  The hash is kept on first use (slot _hash), and a cycle
+    is not a tuple: its length is its number of edges.
     """
 
-    vertices: tuple
-    edges: tuple
+    __slots__ = ("vertices", "edges", "_hash")
+
+    def __init__(self, vertices: tuple, edges: tuple):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Cycle:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
 
     def __hash__(self):
         known = getattr(self, "_hash", None)
@@ -992,8 +996,7 @@ def _by_size(sets) -> list:
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class _VertexMasks:
+class _VertexMasks(Record):
     """A graph's vertices as bits, read off its condensation and its edges.
 
     order lists the vertices by bit, the components in the order the
@@ -1001,14 +1004,18 @@ class _VertexMasks:
     of each vertex, by bit.  Per component, ancestors holds the mask of the
     vertices with a path into it, and into the mask of the vertices with an
     edge into one of those.  regular is the mask of the regular vertices.
+    Masks are equal by identity, one per graph.
     """
 
-    order: tuple
-    reach: tuple
-    bit: dict
-    ancestors: list
-    into: list
-    regular: int
+    __slots__ = ("order", "reach", "bit", "ancestors", "into", "regular")
+
+    def __init__(self, order, reach, bit, ancestors, into, regular):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "reach", reach)
+        object.__setattr__(self, "bit", bit)
+        object.__setattr__(self, "ancestors", ancestors)
+        object.__setattr__(self, "into", into)
+        object.__setattr__(self, "regular", regular)
 
     def members(self, mask: int) -> frozenset:
         return frozenset(_picked(self.order, mask))
@@ -1096,8 +1103,7 @@ def _is_tail_mask(graph: Graph, masks: _VertexMasks, regular: int, mask: int,
     return all(map(anchors.__and__, _picked(masks.reach, mask)))
 
 
-@dataclass(frozen=True)
-class StrongCsp:
+class StrongCsp(namedtuple("StrongCsp", "holds witness")):
     """Result of the reachable-minimum test on hereditary saturated sets.
 
     witness is the intersection of all nonempty hereditary saturated sets;
@@ -1105,8 +1111,7 @@ class StrongCsp:
     reaches it.
     """
 
-    holds: bool
-    witness: frozenset
+    __slots__ = ()
 
 
 def strong_csp(graph: Graph) -> StrongCsp:

@@ -31,10 +31,9 @@ primes of a factorization: canonicalize serves user input and join_graded.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     FieldMismatch,
@@ -69,18 +68,27 @@ from .poly import (
     poly_lcm,
     with_factors_of,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class CyclePart:
+class CyclePart(Record):
     """One non-graded generator: a polynomial evaluated at an exitless cycle.
 
-    The hash is kept on first use, so an ideal's key, looked up and then
-    stored, hashes each part's polynomial once.
+    Equal parts have equal cycles and polynomials.  The hash is kept on
+    first use (slot _hash), so an ideal's key, looked up and then stored,
+    hashes each part's polynomial once.
     """
 
-    cycle: Cycle
-    poly: LaurentClass
+    __slots__ = ("cycle", "poly", "_hash")
+
+    def __init__(self, cycle: Cycle, poly: LaurentClass):
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "poly", poly)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CyclePart:
+            return NotImplemented
+        return self.cycle == other.cycle and self.poly == other.poly
 
     def __hash__(self):
         known = getattr(self, "_hash", None)
@@ -90,12 +98,10 @@ class CyclePart:
         return known
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(namedtuple("CaseResult", "holds case", defaults=(None,))):
     """Boolean verdict plus the case tag of the classification that produced it."""
 
-    holds: bool
-    case: object = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.holds
@@ -639,8 +645,7 @@ def make_irredundant(factors, mode: str) -> list:
 # -- factorization ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(namedtuple("FactorizationReport", "factors ideal")):
     """Factorization of ideal into powers of distinct primes.
 
     factors lists (prime ideal, exponent) pairs, whose powers recompose
@@ -648,13 +653,14 @@ class FactorizationReport:
     serialization of ideal when read.
     """
 
-    factors: tuple
-    ideal: Ideal
+    __slots__ = ()
     mode = "product"
     irredundant = True
 
     @property
     def checksum(self) -> str:
+        import hashlib  # loaded on first use: of the commands, only factor reads it
+
         payload = json.dumps(ideal_to_json(self.ideal), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 

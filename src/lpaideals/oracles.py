@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field as dataclass_field
+from collections import namedtuple
 from fractions import Fraction
 
 from .classify import _pair_json
@@ -831,18 +831,15 @@ def irreducible_z(f: Poly, cap: int = MODULAR_FACTOR_CAP) -> bool:
 # -- seeded generators ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(namedtuple(
+        "GeneratorConfig", "seed max_vertices edge_density omega_probability "
+        "field max_poly_degree", defaults=(6, 0.4, 0.1, FieldSpec("Q"), 2))):
     """Deterministic generation parameters; equal configs generate equal data."""
 
-    seed: int
-    max_vertices: int = 6
-    edge_density: float = 0.4
-    omega_probability: float = 0.1
-    field: FieldSpec = dataclass_field(default_factory=FieldSpec.rationals)
-    max_poly_degree: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_vertices < 1:
             raise ValueError("max_vertices must be positive")
         if not 0.0 <= self.edge_density <= 1.0:
@@ -851,6 +848,7 @@ class GeneratorConfig:
             raise ValueError("omega_probability out of range")
         if self.max_poly_degree < 1:
             raise ValueError("max_poly_degree must be positive")
+        return self
 
 
 def random_graph(config: GeneratorConfig) -> Graph:

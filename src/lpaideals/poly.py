@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import FieldMismatch, TooLarge, ZeroPolynomial
+from .records import Record
 
 _PRIME_LIMIT = 2**31
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -183,12 +184,10 @@ def _derivative(a, m) -> list:
     return _reduce([i * c for i, c in enumerate(a)][1:], m)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "kind p", defaults=(None,))):
     """Coefficient field: the rationals ("Q") or a prime field ("GF", p)."""
 
-    kind: str
-    p: int | None = None
+    __slots__ = ()
 
     @staticmethod
     def rationals() -> "FieldSpec":
@@ -462,23 +461,33 @@ def divides(f: Poly, g: Poly) -> bool:
 # -- Laurent normal form ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LaurentClass:
+class LaurentClass(Record):
     """Associate class of a nonzero Laurent polynomial.
 
     The representative is the unique monic polynomial with nonzero constant
     term in the class; two Laurent polynomials are associates exactly when
-    they differ by a unit a*x**k.
+    they differ by a unit a*x**k.  Classes are equal when their
+    representatives are.  Not a tuple: * and ** multiply classes, where a
+    tuple's + and int * would concatenate and repeat.
     """
 
-    rep: Poly
+    __slots__ = ("rep",)
 
-    def __post_init__(self):
-        if self.rep.is_zero():
+    def __init__(self, rep: Poly):
+        if rep.is_zero():
             raise ZeroPolynomial("Laurent class of zero")
-        if not self.rep.is_monic() or self.rep.constant_term() == 0:
+        if not rep.is_monic() or rep.constant_term() == 0:
             raise ValueError("LaurentClass representative must be monic with "
                              "nonzero constant term; use normalize_laurent")
+        object.__setattr__(self, "rep", rep)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LaurentClass:
+            return NotImplemented
+        return self.rep == other.rep
+
+    def __hash__(self):
+        return hash((self.rep,))
 
     @property
     def degree(self) -> int:

@@ -1,6 +1,5 @@
 """Canonical ideal forms, the graded lattice, primality, and prime powers."""
 
-import dataclasses
 import hashlib
 import json
 
@@ -34,6 +33,8 @@ from lpaideals.graphs import (
     Cycle,
     Graph,
     Quotient,
+    QuotientFacts,
+    QuotientView,
     admissible_pair,
     graph_from_json,
     graph_to_json,
@@ -311,21 +312,27 @@ def _seeded_families(count, fields, with_parts):
 
 
 def _memo_contents(graph):
-    """Every object reachable from the graph's memos, containers unpacked."""
+    """Every object reachable from the graph's memos, containers unpacked:
+    dicts, tuples (a named-tuple record's fields among them), lists, sets,
+    and the set slots of every slotted object.  Each object is walked once."""
     todo = [graph._reaching, graph._tails, graph._breaking, graph._pairs,
-            graph._quotients, graph._exits]
-    seen = []
+            graph._quotients, graph._exits, graph._masks]
+    seen = {}
     while todo:
         x = todo.pop()
-        seen.append(x)
+        if id(x) in seen:
+            continue
+        seen[id(x)] = x
         if isinstance(x, dict):
             todo.extend(x.keys())
             todo.extend(x.values())
         elif isinstance(x, (tuple, list, set, frozenset)):
             todo.extend(x)
-        elif dataclasses.is_dataclass(x):
-            todo.extend(getattr(x, f.name) for f in dataclasses.fields(x))
-    return seen
+        else:
+            todo.extend(getattr(x, name) for cls in type(x).__mro__
+                        for name in cls.__dict__.get("__slots__", ())
+                        if hasattr(x, name))
+    return list(seen.values())
 
 
 class TestGraphMemos:
@@ -403,6 +410,17 @@ class TestGraphMemos:
             assert g._quotients
             assert not any(isinstance(x, (Graph, Quotient))
                            for x in _memo_contents(g))
+
+    def test_the_memo_walk_finds_a_graph_in_a_view(self):
+        g = loop_chain()
+        factor_prime_powers(canonicalize(g, {"w"}, (), [(ULOOP, poly(Q, (1, 1)))]))
+        contents = _memo_contents(g)
+        assert any(isinstance(x, QuotientView) for x in contents)
+        assert any(isinstance(x, QuotientFacts) for x in contents)
+        assert not any(isinstance(x, Graph) for x in contents)
+        (view, *_) = g._quotients.values()
+        object.__setattr__(view, "facts", one_loop())
+        assert any(isinstance(x, Graph) for x in _memo_contents(g))
 
     def test_combining_and_factoring_call_no_canonicalize(self, monkeypatch):
         families = _seeded_families(30, GF2_GF3, with_parts=True)
